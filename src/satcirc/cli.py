@@ -21,11 +21,11 @@ from .bitnum import BitNumError
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .circuit import (CircuitError, eval_batch, family_analyze, from_json,
                       metrics, to_dot, to_json)
-from .compile import (CompileError, compile_hard, compile_saturated,
-                      default_samples, encode_word, plan_widths,
-                      verify_equivalence)
-from .machine import (AttentionKind, MachineError, instrument_sizes,
-                      load_spec, recognize, run)
+from .compile import (CompileError, compile_hard, compile_planned,
+                      compile_saturated, default_samples, encode_word,
+                      hard_only, verify_equivalence)
+from .machine import (MachineError, instrument_sizes, load_spec,
+                      recognize, run)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
@@ -81,8 +81,7 @@ def _load(cfg: RunConfig):
 
 
 def _compiler_for(spec):
-    kinds = {h.attention for l in spec.layers for h in l.heads}
-    return compile_hard if kinds == {AttentionKind.HARD} else compile_saturated
+    return compile_hard if hard_only(spec) else compile_saturated
 
 
 def _ns(cfg: RunConfig) -> tuple:
@@ -135,8 +134,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     if len(_ns(cfg)) != 1:
         raise MachineError("compile takes a single --n")
     n = _ns(cfg)[0]
-    plan = plan_widths(spec, n)
-    c = _compiler_for(spec)(spec, n, plan, include_values=cfg.values)
+    c, plan = compile_planned(spec, n, include_values=cfg.values)
     name = spec.name or "spec"
     base = os.path.join(cfg.out, f"{name}_n{n}")
     _write(base + ".json", to_json(c, indent=2))

@@ -11,16 +11,23 @@ the first maximizer's value directly and never spend threshold gates.
 
 Expressions compile structurally primitive-by-primitive. When every
 non-constant input wire of a whole embedding/scorer/activation fits the
-lookup budget, the expression is instead emitted as one truth table,
-and the structural form is built alongside and cross-checked against
-the table on all assignments before being discarded.
+lookup budget, the expression is instead emitted as one truth table.
+The structural form is still built on every call, because it fixes the
+order in which gates are created, and then discarded. A compiler
+tabulates each table once, keyed by the expression, the argument shapes
+and constant bits, the alias pattern (the live wire at every
+non-constant argument position, so the i = j scorer, whose arguments
+share wires, is a different table from i != j) and the result shape,
+and cross-checks it against the structural form on every assignment.
 
 Width plans certify how wide every value role is. Analytic plans carry
-the structurally propagated widths; empirical plans carry widths
-measured on sample traces plus a safety margin, and the compiler
-narrows its packs to the plan, so a plan that understates a role either
-fails loudly here (when it cannot even hold the measured traces) or
-shows up as a verification mismatch.
+the structurally propagated widths, which the compiler records per role
+as it builds; empirical plans carry widths measured on sample traces
+plus a safety margin, and the compiler narrows its packs to the plan, so
+a plan that understates a role either fails loudly here (when it cannot
+even hold the measured traces) or shows up as a verification mismatch.
+Planning and compiling share one pass: build with no plan, then derive
+the plan from the widths that build recorded.
 """
 
 from __future__ import annotations
@@ -107,6 +114,7 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
     alpha = spec.alphabet
     words = {alpha[0] * n, alpha[-1] * n,
              "".join(alpha[i % len(alpha)] for i in range(n))}
+    count = min(count, len(alpha) ** n)  # only |alpha|^n words exist
     rng = random.Random(seed)
     while len(words) < count:
         words.add("".join(rng.choice(alpha) for _ in range(n)))
@@ -140,11 +148,16 @@ def _measure_roles(spec: TransformerSpec, n: int, samples) -> dict:
     return meas
 
 
-def plan_widths(spec: TransformerSpec, n: int, samples=None,
-                mode: str = "analytic") -> WidthPlan:
-    """Derive a width plan, measuring sample traces and checking they
-    fit under the structurally propagated bounds."""
+def _planned(spec: TransformerSpec, n: int, samples, mode: str,
+             include_values: bool = False) -> tuple[Circuit, WidthPlan]:
+    """Build with no plan, then derive the plan from the roles the
+    build recorded, checking that the sample traces fit under them. An
+    analytic plan never narrows a pack, so it certifies this circuit."""
     _check_compilable(spec)
+    if n < 1:
+        raise CompileError("need n >= 1")
+    if mode not in ("analytic", "empirical"):
+        raise CompileError(f"unknown width plan mode {mode!r}")
     if samples is None:
         samples = default_samples(spec, n)
     samples = list(samples)
@@ -154,20 +167,26 @@ def plan_widths(spec: TransformerSpec, n: int, samples=None,
         if len(w) != n:
             raise CompileError(f"sample {w!r} is not length {n}")
     measured = _measure_roles(spec, n, samples)
-    analytic = _Compiler(spec, n, None).dry_roles()
+    comp = _Compiler(spec, n, None)
+    circuit = comp.build(include_values)
     for role, need in measured.items():
-        have = analytic.get(role)
+        have = comp.roles.get(role)
         if have is not None and not _covers(have, need):
             raise CompileError(
                 f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
                 f"sample trace reached p{need[0]}/e{need[1]}")
     if mode == "analytic":
-        roles = dict(analytic)
-    elif mode == "empirical":
-        roles = {r: (p + 2, e + 1) for r, (p, e) in measured.items()}
+        roles = dict(comp.roles)
     else:
-        raise CompileError(f"unknown width plan mode {mode!r}")
-    return WidthPlan(n, mode, roles, measured, tuple(samples))
+        roles = {r: (p + 2, e + 1) for r, (p, e) in measured.items()}
+    return circuit, WidthPlan(n, mode, roles, measured, tuple(samples))
+
+
+def plan_widths(spec: TransformerSpec, n: int, samples=None,
+                mode: str = "analytic") -> WidthPlan:
+    """Derive a width plan, measuring sample traces and checking they
+    fit under the structurally propagated bounds."""
+    return _planned(spec, n, samples, mode)[1]
 
 
 def _check_plan(spec: TransformerSpec, n: int, plan: WidthPlan):
@@ -218,14 +237,16 @@ def _pack_const(b: Builder, pack: WirePack):
 
 def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
     """Truth table over existing wires as two-level AND/OR."""
-    outs = []
+    outs, minterms = [], {}
     for t in range(len(rows[0])):
         terms = []
         for m, row in enumerate(rows):
             if row[t]:
-                terms.append(b.and_(*[
-                    w if (m >> i) & 1 else b.not_(w)
-                    for i, w in enumerate(in_wires)]))
+                if m not in minterms:  # built on first use: same gate order
+                    minterms[m] = b.and_(*[
+                        w if (m >> i) & 1 else b.not_(w)
+                        for i, w in enumerate(in_wires)])
+                terms.append(minterms[m])
         outs.append(b.or_(*terms))
     return outs
 
@@ -241,7 +262,7 @@ class _Compiler:
         self.plan = plan
         self.b = Builder(n * len(spec.alphabet))
         self.roles: dict = {}
-        self._xchecked: set = set()
+        self._tables: dict = {}  # _expr_auto key -> table rows or None
 
     # role bookkeeping ------------------------------------------------
 
@@ -257,10 +278,6 @@ class _Compiler:
         return _narrow(self.b, pack, min(got[0], want[0]),
                        min(got[1], want[1]))
 
-    def dry_roles(self) -> dict:
-        self.build()
-        return dict(self.roles)
-
     # expression compilation -------------------------------------------
 
     def _scalar(self, v, what: str) -> WirePack:
@@ -275,22 +292,24 @@ class _Compiler:
         b = self.b
         packs: list = []
         _flatten_packs(args, packs)
-        live, seen = [], set()
+        index, alias = {}, []  # live wire -> its bit in the table
         for pk in packs:
             for w in pk.wires:
-                if b.const_value(w) is None and w not in seen:
-                    seen.add(w)
-                    live.append(w)
-        ref = self._expr(e, args)
+                if b.const_value(w) is None:
+                    alias.append(index.setdefault(w, len(index)))
+        live = list(index)
+        ref = self._expr(e, args)  # always built: it fixes the gate order
         if not (1 <= len(live) <= EXPR_LOOKUP_BITS) or e.op == "arg":
             return ref
-        rows = self._table_rows(e, args, ref, live)
+        key = (e, _shape_sig(b, args), tuple(alias), _shape_sig(b, ref))
+        if key not in self._tables:
+            rows = self._table_rows(e, args, ref, live)
+            if rows is not None:
+                self._cross_check(e, args, ref, live, rows)
+            self._tables[key] = rows
+        rows = self._tables[key]
         if rows is None:
             return ref
-        sig = (e, _shape_sig(b, args))
-        if sig not in self._xchecked:
-            self._cross_check(e, args, ref, live, rows)
-            self._xchecked.add(sig)
         return _unflatten(_dnf_wires(b, live, rows), ref)
 
     def _table_rows(self, e, args, ref, live):
@@ -660,6 +679,19 @@ def compile_saturated(spec: TransformerSpec, n: int, plan: WidthPlan = None,
     return _Compiler(spec, n, plan).build(include_values)
 
 
+def hard_only(spec: TransformerSpec) -> bool:
+    """True when every head is hard, so the circuit must be threshold-free."""
+    kinds = {h.attention for l in spec.layers for h in l.heads}
+    return kinds == {AttentionKind.HARD}
+
+
+def _check_theta_free(c: Circuit):
+    theta = metrics(c).theta_count
+    if theta:
+        raise CompileError(
+            f"hard compilation emitted {theta} threshold gates")
+
+
 def compile_hard(spec: TransformerSpec, n: int, plan: WidthPlan = None,
                  include_values: bool = False) -> Circuit:
     """All-hard compilation; the result must be threshold-free."""
@@ -669,10 +701,19 @@ def compile_hard(spec: TransformerSpec, n: int, plan: WidthPlan = None,
                 raise CompileError("compile_hard wants hard heads only; "
                                    f"found {head.attention.value}")
     c = compile_saturated(spec, n, plan, include_values)
-    m = metrics(c)
-    assert m.theta_count == 0, \
-        f"hard compilation emitted {m.theta_count} threshold gates"
+    _check_theta_free(c)
     return c
+
+
+def compile_planned(spec: TransformerSpec, n: int,
+                    include_values: bool = False) -> tuple[Circuit, WidthPlan]:
+    """The circuit and the analytic width plan certifying it, in one
+    build: the circuit compile_saturated(spec, n, plan_widths(spec, n))
+    gives. All-hard specs get compile_hard's threshold-free check."""
+    c, plan = _planned(spec, n, None, "analytic", include_values)
+    if hard_only(spec):
+        _check_theta_free(c)
+    return c, plan
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,10 @@ class Builder:
 
     def __init__(self, n: int):
         self.n = n
-        self._gates: list[tuple] = []  # (kind, inputs, k, idx)
+        # one flat tuple per gate, which is also its hash-consing key:
+        # (kind, idx) for inputs, (kind, k, *inputs) for constants and
+        # thresholds, (kind, *inputs) otherwise; see _fields
+        self._gates: list[tuple] = []
         self._memo: dict = {}
         self._nofold = 0
 
@@ -69,12 +72,17 @@ class Builder:
             self._nofold -= 1
 
     def _emit(self, kind, inputs=(), k=None, idx=None) -> int:
-        key = (kind, inputs, k, idx)
+        if idx is not None:
+            key = (kind, idx)
+        elif k is not None:
+            key = (kind, k, *inputs)
+        else:
+            key = (kind, *inputs)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         gid = len(self._gates)
-        self._gates.append((kind, inputs, k, idx))
+        self._gates.append(key)
         self._memo[key] = gid
         return gid
 
@@ -84,7 +92,7 @@ class Builder:
     def const_value(self, w: int):
         """0/1 if the wire is a CONST gate, else None."""
         g = self._gates[w]
-        return g[2] if g[0] == CONST else None
+        return g[1] if g[0] == CONST else None
 
     def input(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -137,15 +145,15 @@ class Builder:
 
     def not_(self, w: int) -> int:
         if self.folding:
-            kind, inputs, k, idx = self._gates[w]
+            kind, arg = self._gates[w][:2]
             if kind == CONST:
-                return self.const(1 - k)
+                return self.const(1 - arg)
             if kind == NOT:
-                return inputs[0]
+                return arg
             if kind == INPUT:
-                return self._emit(NEG_INPUT, idx=idx)
+                return self._emit(NEG_INPUT, idx=arg)
             if kind == NEG_INPUT:
-                return self._emit(INPUT, idx=idx)
+                return self._emit(INPUT, idx=arg)
         return self._emit(NOT, (w,))
 
     def ge(self, ws, k: int) -> int:
@@ -194,14 +202,15 @@ class Builder:
             if w in keep:
                 continue
             keep.add(w)
-            stack.extend(self._gates[w][1])
+            stack.extend(_fields(self._gates[w])[0])
         rename = {}
         gates = []
         for old in sorted(keep):  # creation order is topological
-            kind, inputs, k, idx = self._gates[old]
+            g = self._gates[old]
+            inputs, k, idx = _fields(g)
             new = len(gates)
             rename[old] = new
-            gates.append(Gate(new, kind, tuple(rename[i] for i in inputs),
+            gates.append(Gate(new, g[0], tuple(rename[i] for i in inputs),
                               k, idx))
         out_ids = tuple(rename[o] for o in outputs)
         lab = {}
@@ -210,6 +219,16 @@ class Builder:
                 if w in rename:
                     lab[rename[w]] = text
         return Circuit(self.n, tuple(gates), out_ids, lab)
+
+
+def _fields(g: tuple) -> tuple:
+    """(inputs, k, idx) of a gate tuple as Builder stores it."""
+    kind = g[0]
+    if kind in (INPUT, NEG_INPUT):
+        return (), None, g[1]
+    if kind in (CONST, THRESHOLD_GE, THRESHOLD_LE):
+        return g[2:], g[1], None
+    return g[1:], None, None
 
 
 def _flatten(ws) -> list:

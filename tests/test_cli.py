@@ -1,11 +1,18 @@
 """End-to-end CLI checks: exit codes, artifacts, reproducibility."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import satcirc.compile
 from satcirc.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MAJ_TEXT = """
 ; majority, 1-based indices throughout
@@ -86,6 +93,125 @@ def test_compile_hard_demo_is_theta_free(tmp_path, capsys):
     man = json.loads((tmp_path / "hard-demo_n6.manifest.json").read_text())
     assert man["theta_count"] == 0
     capsys.readouterr()
+
+
+# sha256 of (circuit JSON, manifest): a compiler speed-up must not
+# change a byte of either
+PINNED = {
+    ("maj", 4, False): (
+        "d6ef63323ea2b6e43795f4740d16723203d5186697e7bd92f35458fc8116cc8d",
+        "923528c697dfcca2cb9a61ceb8d214c3bb03feeeaece8674fc4146922a171cf8"),
+    ("maj", 4, True): (
+        "1f8fc7b9897943e0bac39234fd0efa8dd87b8546e6af5d9c912c2ba0cbb4894b",
+        "3e61dd9037aee1f58176f290773b4b8c13834e133ef0aa9e68c11dfb6600a76c"),
+    ("maj", 8, False): (
+        "a0dc4fa1e1ae38eccad62c46107120194e727797ec118a969c4709699344e525",
+        "9d749079894a502f71879b178d6d948b14566cc39f1a6144f3d0f9a6f7bcaab9"),
+    ("maj", 8, True): (
+        "674d861a4b2a861cf0e2f32ad4b91e2b4586e1d8af92641d6561519129a64ffb",
+        "a7a00de0307d61c0a7dd9855f48a9b1ce7e822663d506877355200f23c8fcc2b"),
+    ("maj", 16, False): (
+        "a6c257afd110a0e246877f6c2e5c8cc5240b0cbfa325b93d492d93eb02eb27b9",
+        "fb773552893f057b4db118fa7baaab6c5cad7b132385c66beed36ff46c802461"),
+    ("maj", 16, True): (
+        "38d64a7371fb50a3541282307897816642d0a3ac0091ded824a33c91c30bfd46",
+        "a632006c0f40faefa3265061cbd9f709ae6ab99db813d5504d1f3cd580a99b6c"),
+    ("hard-demo", 4, False): (
+        "fabf2b38cf6d6cfe9e457fab34e64d973ca64b93a86c59cbfc373b4c235293c7",
+        "94fa79215ceb4e04ed65fa2ee468e941aa2cf6316e4781fb423d23b70a254c27"),
+    ("hard-demo", 4, True): (
+        "22a2f846fc762b90544101f82faa4ead8562e94f04bc4aac166e665cd653a3cf",
+        "d7bc2a16329c82aafc1b12145f51a603967ee01491f8208db0f59e09dde9bf61"),
+    ("hard-demo", 8, False): (
+        "a5693a3d514e1d924c4c92f60e6ca256f9979d724743422379b1b02dfd8ecfcb",
+        "13c84fde9b35fdf1a7b51db5fb350b9a6df32abb8316f1ed02c4090028f343d0"),
+    ("hard-demo", 8, True): (
+        "95ceda2582a74ba020d6f81d8324ee5eeac121e4145a6f90fe34afaa486cd2d6",
+        "e93b1cf0cdbe1a44309576776ce153b293c86fab73eccb00a57f8756309726e0"),
+    ("hard-demo", 16, False): (
+        "a5f96125b81efabe0c3350fe6365a24cf6468d8137a189e586507b0b5d29eeb1",
+        "831fda6390bfd5390235c4ddea0d289c3f5e7b308421ae9deb9a9643fde74cef"),
+    ("hard-demo", 16, True): (
+        "b999c58cc7f8bb02b73396224935a406580c26e25dc567f4185502b7c867cc4e",
+        "26dc89e73be780e1bb185dacb1d108daafa3b0eca4e968ad4e26f0dd3f8f1a1e"),
+}
+
+
+@pytest.mark.parametrize("builtin,n,values", sorted(PINNED))
+def test_compile_artifacts_are_pinned(builtin, n, values, tmp_path, capsys):
+    args = ["compile", "--builtin", builtin, "--n", str(n),
+            "--out-dir", str(tmp_path)] + (["--values"] if values else [])
+    assert main(args) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"{builtin}_n{n}{ext}")
+                               .read_bytes()).hexdigest()
+                for ext in (".json", ".manifest.json"))
+    assert got == PINNED[builtin, n, values]
+    capsys.readouterr()
+
+
+def test_compile_builds_the_circuit_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = satcirc.compile._Compiler.build
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(satcirc.compile._Compiler, "build", counted)
+    assert main(["compile", "--builtin", "maj", "--n", "6",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [6]
+    capsys.readouterr()
+
+
+def test_compile_refuses_wide_sqrt(tmp_path, capsys):
+    assert main(["compile", "--builtin", "maj-ln", "--n", "4",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "lookup cap" in out(capsys).err
+    assert not list(tmp_path.iterdir())
+
+
+def _satcirc(args, timeout, *flags):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *flags, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_smallest_n_terminate(tmp_path):
+    # fewer words exist than the default sample count at n <= 2
+    for args in (["compile", "--builtin", "maj", "--n", "1"],
+                 ["compile", "--builtin", "maj", "--n", "2"],
+                 ["complexity", "--builtin", "maj", "--n-list", "1,2,3"]):
+        r = _satcirc(["-m", "satcirc.cli", *args, "--out-dir",
+                      str(tmp_path)], 60)
+        assert r.returncode == 0, r.stderr
+
+
+THETA_PROBE = """
+import dataclasses, sys
+import satcirc.compile as C
+from satcirc.builtins import build_hard_demo
+from satcirc.cli import main
+print("optimize:", sys.flags.optimize)
+real = C.metrics
+C.metrics = lambda c: dataclasses.replace(real(c), theta_count=1)
+try:
+    C.compile_hard(build_hard_demo(), 3)
+except C.CompileError as e:
+    print("library:", e)
+print("cli:", main(["compile", "--builtin", "hard-demo", "--n", "3",
+                    "--out-dir", sys.argv[1]]))
+"""
+
+
+def test_theta_free_check_survives_python_O(tmp_path):
+    r = _satcirc(["-c", THETA_PROBE, str(tmp_path)], 120, "-O")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "optimize: 1", "library: hard compilation emitted 1 threshold gates",
+        "cli: 2"]
+    assert "hard compilation emitted 1 threshold gates" in r.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_compile_rejects_rational_specs(tmp_path, capsys):

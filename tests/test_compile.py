@@ -16,7 +16,8 @@ from satcirc.builtins import (build_hard_demo, build_majority,
                               build_prime_universal,
                               build_resource_bounded)
 from satcirc.circuit import eval_batch, metrics
-from satcirc.compile import (CompileError, compile_hard, compile_saturated,
+from satcirc.compile import (CompileError, _Compiler, compile_hard,
+                             compile_planned, compile_saturated,
                              default_samples, encode_word, plan_widths,
                              verify_equivalence)
 from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, HeadSpec,
@@ -167,8 +168,9 @@ def test_host_primitives_are_refused():
 
 
 def test_wide_sqrt_is_refused():
-    with pytest.raises(CompileError, match="lookup cap"):
-        compile_saturated(build_majority_layernorm(), 4)
+    for compile_fn in (compile_saturated, compile_planned, plan_widths):
+        with pytest.raises(CompileError, match="lookup cap"):
+            compile_fn(build_majority_layernorm(), 4)
 
 
 def test_division_by_live_value_is_refused():
@@ -180,6 +182,24 @@ def test_division_by_live_value_is_refused():
                            ((1, 1), (0, 1)), (-1, 2), name="bad-div")
     with pytest.raises(CompileError, match="constant divisors"):
         compile_saturated(spec, 3)
+
+
+def test_every_scorer_alias_pattern_is_cross_checked(monkeypatch):
+    """The i = j scorer reads the same wires twice and i != j reads two
+    positions; their tables differ, so each is cross-checked and a wrong
+    row in the i != j table is caught."""
+    scorer = MAJ.layers[0].heads[0].scorer
+    real = _Compiler._table_rows
+
+    def corrupt(self, e, args, ref, live):
+        rows = real(self, e, args, ref, live)
+        if e is scorer and args[0] is not args[1] and rows:
+            rows[0] = tuple(1 - bit for bit in rows[0])
+        return rows
+
+    monkeypatch.setattr(_Compiler, "_table_rows", corrupt)
+    with pytest.raises(CompileError, match="cross-check failed"):
+        compile_saturated(MAJ, 6)
 
 
 def test_encode_word_rejects_unknown_tokens():
@@ -210,6 +230,48 @@ def test_empirical_plan_still_bit_exact():
     plan = plan_widths(MAJ, 5, mode="empirical")
     c = compile_saturated(MAJ, 5, plan)
     assert_matches_machine(MAJ, c, all_words(MAJ, 5))
+
+
+MAJ_ROLES = {"L0.act[0]": (1, 0), "L0.act[1]": (1, 0),
+             "L0.h0.out[0]": (6, 3), "L0.h0.out[1]": (6, 3),
+             "L0.h0.score": (1, 0), "classifier": (5, 1),
+             "embed[0]": (1, 0), "embed[1]": (1, 0)}
+MAJ_MEASURED = {"L0.act[0]": (1, 0), "L0.act[1]": (0, 0),
+                "L0.h0.out[0]": (3, 3), "L0.h0.out[1]": (3, 3),
+                "L0.h0.score": (1, 0), "embed[0]": (1, 0),
+                "embed[1]": (1, 0)}
+MAJ_PLANS = {  # n -> (samples, measured)
+    5: (("00000", "01001", "01010", "11011", "11110", "11111"),
+        MAJ_MEASURED),
+    6: (("000000", "001010", "010101", "110111", "111001", "111111"),
+        {**MAJ_MEASURED, "L0.h0.out[0]": (2, 3)}),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MAJ_PLANS))
+def test_plan_widths_is_pinned(n):
+    samples, measured = MAJ_PLANS[n]
+    analytic = plan_widths(MAJ, n)
+    assert analytic.roles == MAJ_ROLES
+    empirical = plan_widths(MAJ, n, mode="empirical")
+    assert empirical.roles == {r: (p + 2, e + 1)
+                               for r, (p, e) in measured.items()}
+    for plan in (analytic, empirical):
+        assert plan.measured == measured and plan.samples == samples
+
+
+def test_compile_planned_is_compile_under_the_analytic_plan():
+    c, plan = compile_planned(MAJ, 5, include_values=True)
+    assert plan == plan_widths(MAJ, 5)
+    assert c == compile_saturated(MAJ, 5, plan, include_values=True)
+    c, plan = compile_planned(build_hard_demo(), 4)
+    assert c == compile_hard(build_hard_demo(), 4, plan)
+
+
+def test_default_samples_stop_at_the_number_of_words():
+    assert default_samples(MAJ, 1) == ["0", "1"]
+    assert default_samples(MAJ, 2) == ["00", "01", "10", "11"]
+    assert len(default_samples(MAJ, 3)) == 6
 
 
 def test_corrupted_plan_fails_loudly_naming_the_role():
