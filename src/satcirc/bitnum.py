@@ -2,11 +2,11 @@
 
 Three value kinds share one size accounting:
 
-* ``UNat``: an unsigned integer with bits x_1..x_k weighted 2^(i-1)
-  (little-endian storage; textual display is most-significant-first, so
-  the string "101" means five). ``size`` is the stored bit length, and
-  padding zeros are kept when a value is built from an explicit bit
-  string.
+* ``UNat``: an unsigned integer with bits x_1..x_k weighted 2^(i-1),
+  stored as the pair (value, k). The little-endian ``BitString`` is
+  built on demand; textual display is most-significant-first, so the
+  string "101" means five. ``size`` is k, and padding zeros count in k
+  when a value is built from an explicit bit string.
 * ``Rat``: sign plus reduced numerator/denominator; numeric value is
   (2*sign - 1) * p/q and size is 2*max(|p|, |q|) + 1.
 * ``Flt``: a rational whose denominator is a power of two, stored as the
@@ -21,6 +21,7 @@ needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
@@ -36,19 +37,13 @@ class BitNumError(ValueError):
 
 @dataclass(frozen=True)
 class BitString:
-    """A finite 0/1 sequence, index origin 1; no implicit canonical form."""
+    """A finite 0/1 sequence, lowest bit first; no implicit canonical form."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise BitNumError("bits must be 0 or 1")
-
-    def bit(self, i: int) -> int:
-        """The i-th bit, 1-origin."""
-        if not 1 <= i <= len(self.bits):
-            raise BitNumError(f"bit index {i} out of range 1..{len(self.bits)}")
-        return self.bits[i - 1]
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -75,47 +70,53 @@ class BitString:
 
 
 class UNat:
-    """Unsigned integer numeral. Equality and size respect padding zeros."""
+    """Unsigned integer numeral, stored as its value and its bit length.
 
-    __slots__ = ("_bits", "_value")
+    The length keeps padding zeros when the numeral is built from an
+    explicit bit string, so equality and size respect padding; the
+    little-endian ``BitString`` is built only when ``bits`` or
+    ``display`` asks for it.
+    """
+
+    __slots__ = ("_value", "_len")
 
     def __init__(self, bits: Union[BitString, Sequence[int]]):
         if not isinstance(bits, BitString):
             bits = BitString(tuple(bits))
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_value", sum(b << i for i, b in enumerate(bits.bits)))
+        self._value = sum(b << i for i, b in enumerate(bits.bits))
+        self._len = len(bits)
 
     @classmethod
     def from_int(cls, value: int) -> "UNat":
         """Minimal-length numeral (no padding); zero has no bits."""
+        value = operator.index(value)
         if value < 0:
             raise BitNumError("UNat cannot be negative")
-        bits = []
-        v = value
-        while v:
-            bits.append(v & 1)
-            v >>= 1
-        return cls(tuple(bits))
+        u = object.__new__(cls)
+        u._value = value
+        u._len = value.bit_length()
+        return u
 
     @property
     def bits(self) -> BitString:
-        return self._bits
+        return BitString(tuple((self._value >> i) & 1 for i in range(self._len)))
 
     @property
     def value(self) -> int:
         return self._value
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._len
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UNat) and self._bits.bits == other._bits.bits
+        return (isinstance(other, UNat) and self._value == other._value
+                and self._len == other._len)
 
     def __hash__(self) -> int:
-        return hash(self._bits.bits)
+        return hash((self._value, self._len))
 
     def display(self) -> str:
-        return self._bits.display()
+        return self.bits.display()
 
     def __str__(self) -> str:
         return str(self._value)
@@ -150,28 +151,10 @@ def ucmp(a: UNat, b: UNat) -> int:
 
 
 def gcd(a: UNat, b: UNat) -> UNat:
-    """Binary GCD; works by shifting, the native move on bit strings."""
-    x, y = a.value, b.value
-    if x == 0 and y == 0:
+    """Greatest common divisor; gcd(0, 0) is undefined."""
+    if a.value == 0 and b.value == 0:
         raise BitNumError("gcd(0, 0) is undefined")
-    if x == 0:
-        return UNat.from_int(y)
-    if y == 0:
-        return UNat.from_int(x)
-    shift = 0
-    while (x | y) & 1 == 0:
-        x >>= 1
-        y >>= 1
-        shift += 1
-    while x & 1 == 0:
-        x >>= 1
-    while y:
-        while y & 1 == 0:
-            y >>= 1
-        if x > y:
-            x, y = y, x
-        y -= x
-    return UNat.from_int(x << shift)
+    return UNat.from_int(math.gcd(a.value, b.value))
 
 
 def rat_red(p: UNat, q: UNat) -> tuple[UNat, UNat]:
@@ -283,10 +266,8 @@ class Flt:
         p = abs(num)
         if p == 0:
             return Flt(1, UNat.from_int(0), 0)
-        while p & 1 == 0 and e > 0:
-            p >>= 1
-            e -= 1
-        return Flt(sign, UNat.from_int(p), e)
+        k = min((p & -p).bit_length() - 1, e)
+        return Flt(sign, UNat.from_int(p >> k), e - k)
 
     @property
     def signed_num(self) -> int:

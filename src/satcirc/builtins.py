@@ -19,6 +19,7 @@ deliberately outside what the circuit compiler accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .bitnum import Rat, UNat
@@ -27,6 +28,12 @@ from .machine import (
     Host, LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Select, Sqrt,
     TransformerSpec, Tup, run,
 )
+
+
+def _require(ok: bool, text: str):
+    """A host callback's invariant; unlike ``assert`` it holds under -O."""
+    if not ok:
+        raise MachineError(text)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +51,7 @@ class PrimeTable:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise MachineError("prime table must be strictly increasing")
 
-    @property
+    @cached_property
     def values(self) -> tuple[int, ...]:
         return tuple(e.value for e in self.entries)
 
@@ -167,14 +174,14 @@ def build_prime_universal(g: Callable[[str], bool],
 
     def inv_prime(domain, pos):
         num, den = pos.as_pair()
-        assert den == 1
+        _require(den == 1, "den == 1")
         if num > n_max:
             raise MachineError(f"input length exceeds n_max={n_max}")
         return domain.from_pair(1, table.values[num - 1])
 
     def decide(domain, s, nval):
         num, den = nval.as_pair()
-        assert den == 1
+        _require(den == 1, "den == 1")
         if num > n_max:
             raise MachineError(f"input length exceeds n_max={n_max}")
         return bool(g(pu_reconstruct(s, table, num)))
@@ -206,17 +213,17 @@ def rb_weight_sum(trace, datatype: str) -> int:
     b2 = trace.head_out[0][1][0][0]
     b3 = trace.head_out[0][2][0][0]
     n_num, n_den = b2.as_pair()
-    assert n_den == 1
+    _require(n_den == 1, "n_den == 1")
     if datatype == "Q":
         num, den = b1.as_pair()
         w, rem = divmod(num * n_num, den)
     else:
         kw_num, kw_den = b1.as_pair()
         p_num, p_den = b3.as_pair()
-        assert p_den == 1
+        _require(p_den == 1, "p_den == 1")
         k = (1 << n_num.bit_length()) // n_num
         w, rem = divmod(kw_num * p_num, kw_den * k)
-    assert rem == 0, "weight sum did not reconstruct to an integer"
+    _require(rem == 0, "weight sum did not reconstruct to an integer")
     return w
 
 
@@ -236,14 +243,14 @@ def build_resource_bounded(delta: Callable[[str], bool], datatype: str,
 
     def pow2len(domain, pos):
         num, den = pos.as_pair()
-        assert den == 1
+        _require(den == 1, "den == 1")
         if num > n_max:
             raise MachineError(f"input length exceeds n_max={n_max}")
         return domain.from_int(1 << num.bit_length())
 
     def decide(domain, wval, nval):
         n_num, n_den = nval.as_pair()
-        assert n_den == 1
+        _require(n_den == 1, "n_den == 1")
         if n_num > n_max:
             raise MachineError(f"input length exceeds n_max={n_max}")
         num, den = wval.as_pair()
@@ -252,7 +259,7 @@ def build_resource_bounded(delta: Callable[[str], bool], datatype: str,
         else:
             k = (1 << n_num.bit_length()) // n_num
             w, rem = divmod(num, den * k)
-        assert rem == 0, "weight sum did not reconstruct to an integer"
+        _require(rem == 0, "weight sum did not reconstruct to an integer")
         return bool(delta(rb_reconstruct(w, n_num)))
 
     embed = Tup(Mul(Proj(1, Arg(0)), Pow2(Affine([(1, 1)], (-1, 1), Arg(1)))),

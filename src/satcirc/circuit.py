@@ -394,6 +394,13 @@ def from_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CircuitError("circuit JSON must be an object")
+    recs = doc.get("gates", [])
+    if not (isinstance(recs, list) and all(isinstance(r, dict) for r in recs)):
+        raise CircuitError("'gates' must be a list of records")
+    if not isinstance(doc.get("outputs", []), list):
+        raise CircuitError("'outputs' must be a list")
     try:
         gates = tuple(
             Gate(int(rec["id"]), rec["kind"],

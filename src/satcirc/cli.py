@@ -176,6 +176,9 @@ def _verify_against_file(cfg: RunConfig, spec):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.mode == "random" and cfg.samples < 1:
+        raise MachineError(f"--samples must be at least 1 in random mode, "
+                           f"got {cfg.samples}")
     spec = _load(cfg)
     if cfg.circuit:
         rep = _verify_against_file(cfg, spec)

@@ -116,6 +116,85 @@ def test_rat_red():
         assert p.value * b == a * q.value  # cross-multiply equal
 
 
+# UNat stores (value, length); these pin it to the bit-tuple semantics:
+# value and size from the bits, equality on the padded bit tuple.
+
+bit_lists = st.lists(st.integers(0, 1), max_size=80)
+
+
+def ref_display(bits):
+    return "".join(str(b) for b in reversed(bits)) or "0"
+
+
+@given(bit_lists)
+def test_unat_from_bits_keeps_padding(bits):
+    x = UNat(bits)
+    assert x.value == sum(b << i for i, b in enumerate(bits))
+    assert len(x) == size(x) == len(bits)
+    assert x.bits == BitString(tuple(bits))
+    assert x.display() == ref_display(bits)
+    assert repr(x) == f"UNat({ref_display(bits)!r})"
+    assert UNat(x.bits) == x == UNat(BitString(tuple(bits)))
+
+
+@given(st.integers(0, 1 << 300))
+def test_unat_from_int_is_minimal(v):
+    x = UNat.from_int(v)
+    bits = [(v >> i) & 1 for i in range(v.bit_length())]
+    assert (x.value, len(x), str(x)) == (v, v.bit_length(), str(v))
+    assert x.bits.bits == tuple(bits)
+    assert x == UNat(bits) and hash(x) == hash(UNat(bits))
+    assert x.display() == ref_display(bits)
+    assert UNat(BitString.parse(x.display())) == x
+
+
+@given(bit_lists, bit_lists)
+def test_unat_equality_is_padded_bit_equality(a, b):
+    x, y = UNat(a), UNat(b)
+    assert (x == y) == (a == b)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x == UNat.from_int(x.value)) == (not a or a[-1] == 1)
+
+
+def test_unat_from_int_rejects_negatives_and_non_integers():
+    with pytest.raises(BitNumError):
+        UNat.from_int(-1)
+    with pytest.raises(TypeError):
+        UNat.from_int(2.0)
+    assert str(UNat.from_int(True)) == "1"
+    with pytest.raises(BitNumError):
+        UNat((0, 2))
+
+
+def ref_binary_gcd(x, y):
+    """Binary GCD by shifting, the textbook loop on bit strings."""
+    if x == 0 or y == 0:
+        return x | y
+    shift = 0
+    while (x | y) & 1 == 0:
+        x, y, shift = x >> 1, y >> 1, shift + 1
+    while x & 1 == 0:
+        x >>= 1
+    while y:
+        while y & 1 == 0:
+            y >>= 1
+        if x > y:
+            x, y = y, x
+        y -= x
+    return x << shift
+
+
+@given(st.integers(0, 1 << 200), st.integers(0, 1 << 200))
+def test_gcd_vs_reference_binary_gcd(a, b):
+    if a == b == 0:
+        with pytest.raises(BitNumError, match=r"gcd\(0, 0\)"):
+            gcd(UNat.from_int(a), UNat.from_int(b))
+        return
+    assert gcd(UNat.from_int(a), UNat.from_int(b)) == \
+        UNat.from_int(ref_binary_gcd(a, b))
+
+
 # ---------------------------------------------------------------------------
 # rationals
 
@@ -158,6 +237,26 @@ def rand_flt(rng, pbits=20, emax=12):
 
 def as_triple(x):
     return (x.sign, x.p.value, x.e)
+
+
+def ref_flt_make(num, e):
+    """Canonical form by stripping one shared factor of two per step."""
+    p = abs(num)
+    if p == 0:
+        return Flt(1, UNat.from_int(0), 0)
+    while p & 1 == 0 and e > 0:
+        p >>= 1
+        e -= 1
+    return Flt(1 if num >= 0 else 0, UNat.from_int(p), e)
+
+
+@given(st.integers(-(1 << 200), 1 << 200), st.integers(0, 300),
+       st.integers(0, 120))
+def test_flt_make_vs_reference_strip_loop(num, e, shift):
+    for n in (num, num << shift):
+        x = flt(n, e)
+        assert x == ref_flt_make(n, e)
+        assert len(x.p) == x.p.value.bit_length()
 
 
 def test_flt_add_mul_examples():

@@ -1,5 +1,6 @@
 """Ready-made constructions against brute-force oracles."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -244,3 +245,50 @@ def test_builtin_factory_names():
     with pytest.raises(MachineError, match="--pred"):
         builtin_spec("prime-universal")
     assert len(BUILTIN_NAMES) == 5
+
+
+# ---------------------------------------------------------------------------
+# traces pinned by hash: the full value trace, scores, ties and sizes
+
+
+TRACE_WORDS = ("00000000", "11111111", "10110010", "01101101")
+TRACE_SHA256 = {
+    ("maj", None): (
+        "7d28d1297c9931c78ee14ec165025d71357ed42625fd8e0fb94c8ef034ff4cd6",
+        "18e8a9bc7c48ba166aff6c0b5681029b6a28e52fb4380a47287fd9ae684bf3cf",
+        "f891638b5efe2f9744406c4a300a07a96d2c4c38cf9b9dc4fc03dba5b2d8f4ec",
+        "5a400037e46ceecac5cd70e801ae991483e241a8ca3e2400e1e854256e90a974"),
+    ("maj-q", None): (
+        "d58a7abec3e9b7b0b1e8cf361d5cdc4b5b8bcd03669ee051a5a8c427e636fbb1",
+        "6468344f1b36bb24e65c7570e02d9e4a4eec3080adf2edf08b97759119dcda1a",
+        "fdb08643e61bb62f1899ec03df1eafae35e32706ad5cacf6b0fd2f8a5e54d1ed",
+        "31bd3cdae200eec1aaaeb9434c233ad6205ec7eaa959d4f7720aaa81525f92b0"),
+    ("maj-ln", None): (
+        "d26e6f64fbc7cf613154429b7877b74431cdec2ce9e4bc654e43122e5904a4f8",
+        "b6c0bbb13d03b9111a8b4139c3ed563e96c7cf78e42100a1367cf980f806339b",
+        "87229b85e6c6fe6cdf60e574b62f80aac2aa8964eec77b70f99381e2cb1cff18",
+        "a205ee45de5bdcbf01babac70c6d1ffa53bf9c28c292c7d139ea217c2be0b08c"),
+    ("hard-demo", None): (
+        "ab382ab8a99e329ec37afeeb9cf4ede1a9cc5675f5437d331b71b47ed6609e92",
+        "122f418669b817eee2586e9c20f80c549e93d97e3f6eda9379d47b5536372e4f",
+        "5a2e3b38fdcd5d1233be79b7aae95e97c988311eca8deb6c0b4d71ac5ab337d3",
+        "2ab84459144fab693c3b3a4ab4762bd88f5c0442c455d2d2eae14a8c6e72edee"),
+    ("prime-universal", "parity"): (
+        "96faa5402a35bae2473bca199184c9bc3a70161ce0cc23f34b07dfe3d43e9ea0",
+        "3ec6e9b03d6305f61080b13803de3ba27a0411699d5e1e960609692f4ea72d70",
+        "1117815efea266b43a0ac6c69c5b6fb7b06ce1178c1a5151c7fd8b6b8b424fda",
+        "e38c149256ba0fb9105980e6199708260f77b2e871ca81d048928667d4c6a6f0"),
+    ("resource-bounded", "bigram11"): (
+        "ad0fff2b026ae2a2b5c02455ea278a0a66e4f5e13584b78581468d9cae534fa1",
+        "ec58cd3cfcb10eaa15ae17eb47bc34ba9294bc8a5a4fd74e4cdb4134c30d88e4",
+        "89e58a734917367ddd0f6c662507dc3e135423702528bde913d0f643322f9993",
+        "d16caac1ff5482d8deb6944fd851c97488513e413d6ea0218e0519c8ac590431"),
+}
+
+
+@pytest.mark.parametrize("name, pred", list(TRACE_SHA256))
+def test_traces_are_pinned(name, pred):
+    spec = builtin_spec(name, pred)
+    got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
+                for w in TRACE_WORDS)
+    assert got == TRACE_SHA256[name, pred]

@@ -304,6 +304,12 @@ def test_json_errors_name_the_problem():
                   '{"id": 1, "kind": "NOT", "inputs": [9]}], "outputs": [1]}')
     with pytest.raises(CircuitError, match="missing field"):
         from_json('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}]}')
+    for doc, why in (("[]", "must be an object"),
+                     ('{"n": 1, "gates": "x", "outputs": [0]}', "'gates'"),
+                     ('{"n": 1, "gates": [0], "outputs": [0]}', "'gates'"),
+                     ('{"n": 1, "gates": [], "outputs": 0}', "'outputs'")):
+        with pytest.raises(CircuitError, match=why):
+            from_json(doc)
 
 
 def test_labels_survive_json():

@@ -214,6 +214,26 @@ def test_theta_free_check_survives_python_O(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+HOST_PROBE = """
+import sys
+from satcirc.bitnum import rat
+from satcirc.builtins import build_prime_universal
+from satcirc.machine import MachineError, domain_of
+print("optimize:", sys.flags.optimize)
+inv_prime = build_prime_universal(lambda w: True).hosts["inv_prime"]
+try:
+    inv_prime(domain_of("Q"), rat(3, 2))
+except MachineError as e:
+    print("refused:", e)
+"""
+
+
+def test_host_checks_survive_python_O():
+    r = _satcirc(["-c", HOST_PROBE], 60, "-O")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["optimize: 1", "refused: den == 1"]
+
+
 def test_compile_rejects_rational_specs(tmp_path, capsys):
     assert main(["compile", "--builtin", "maj-q", "--n", "4",
                  "--out-dir", str(tmp_path)]) == 2
@@ -255,6 +275,28 @@ def test_verify_corrupted_circuit_reports_mismatch(tmp_path, capsys):
     assert "MISMATCH" in got
     rows = (tmp_path / "verify.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[3] != "0"
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--mode", "random",
+                 "--samples", samples, "--out-dir", str(tmp_path)]) == 2
+    assert (f"--samples must be at least 1 in random mode, got {samples}"
+            in out(capsys).err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("doc, why", [
+    ("[]", "circuit JSON must be an object"),
+    ('{"gates": "x"}', "'gates' must be a list of records"),
+])
+def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--circuit",
+                 str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert why in out(capsys).err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_good_circuit_file_roundtrip(tmp_path, capsys):
