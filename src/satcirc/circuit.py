@@ -401,10 +401,21 @@ def from_json(text: str) -> Circuit:
         raise CircuitError("'gates' must be a list of records")
     if not isinstance(doc.get("outputs", []), list):
         raise CircuitError("'outputs' must be a list")
+    if not isinstance(doc.get("labels", {}), dict):
+        raise CircuitError("'labels' must be an object")
+    for rec in recs:
+        ins = rec.get("inputs", [])
+        if not (isinstance(ins, list) and all(type(i) is int for i in ins)):
+            raise CircuitError(f"gate {rec.get('id')!r}: 'inputs' must be "
+                               "a list of ints")
+        for f in ("k", "idx"):
+            if rec.get(f) is not None and type(rec[f]) is not int:
+                raise CircuitError(f"gate {rec.get('id')!r}: '{f}' must be "
+                                   "an int")
     try:
         gates = tuple(
             Gate(int(rec["id"]), rec["kind"],
-                 tuple(int(i) for i in rec.get("inputs", ())),
+                 tuple(rec.get("inputs", ())),
                  rec.get("k"), rec.get("idx"))
             for rec in doc["gates"])
         labels = {int(k): str(v) for k, v in doc.get("labels", {}).items()}
@@ -412,6 +423,8 @@ def from_json(text: str) -> Circuit:
                        tuple(int(o) for o in doc["outputs"]), labels)
     except KeyError as exc:
         raise CircuitError(f"missing field {exc}") from exc
+    except TypeError as exc:  # e.g. an id or output that is null or a list
+        raise CircuitError(f"malformed field: {exc}") from exc
 
 
 _DOT_SHAPE = {INPUT: "plaintext", NEG_INPUT: "plaintext", CONST: "plaintext",

@@ -13,12 +13,17 @@ Expressions compile structurally primitive-by-primitive. When every
 non-constant input wire of a whole embedding/scorer/activation fits the
 lookup budget, the expression is instead emitted as one truth table.
 The structural form is still built on every call, because it fixes the
-order in which gates are created, and then discarded. A compiler
-tabulates each table once, keyed by the expression, the argument shapes
-and constant bits, the alias pattern (the live wire at every
-non-constant argument position, so the i = j scorer, whose arguments
-share wires, is a different table from i != j) and the result shape,
-and cross-checks it against the structural form on every assignment.
+order in which gates are created, and then discarded. The table ranges
+over the r live wires the expression reads: the argument components its
+arg/proj chains reach (any other op reads what its operands read). A
+compiler tabulates each table once, keyed by the expression, the shapes
+and constant bits of the read components, the alias pattern over the
+read live wires (so the i = j scorer, which reads one position twice, is
+a different table from i != j) and the result shape, and cross-checks
+its 2^r rows against the structural form with unread live wires tied to
+0. The emitted DNF ranges over all k live wires, each row expanded from
+the r-bit row at m's read bits, so the circuit is the one a 2^k
+tabulation gives.
 
 Width plans certify how wide every value role is. Analytic plans carry
 the structurally propagated widths, which the compiler records per role
@@ -218,7 +223,7 @@ def _flatten_packs(val, out: list):
     if isinstance(val, tuple):
         for v in val:
             _flatten_packs(v, out)
-    else:
+    elif val is not None:  # None: a component the expression never reads
         out.append(val)
 
 
@@ -288,35 +293,41 @@ class _Compiler:
 
     def _expr_auto(self, e: FuncExpr, args):
         """Structural by default; whole-expression truth table when all
-        live input wires fit the lookup budget (cross-checked)."""
+        live input wires fit the lookup budget (cross-checked). The table
+        is tabulated and keyed over only the wires the expression reads,
+        then expanded to every live wire."""
         b = self.b
-        packs: list = []
-        _flatten_packs(args, packs)
-        index, alias = {}, []  # live wire -> its bit in the table
-        for pk in packs:
-            for w in pk.wires:
-                if b.const_value(w) is None:
-                    alias.append(index.setdefault(w, len(index)))
-        live = list(index)
+        live = list(dict.fromkeys(_live_uses(b, args)))
         ref = self._expr(e, args)  # always built: it fixes the gate order
         if not (1 <= len(live) <= EXPR_LOOKUP_BITS) or e.op == "arg":
             return ref
-        key = (e, _shape_sig(b, args), tuple(alias), _shape_sig(b, ref))
+        view = _read_view(args, _read_paths(e, set()))
+        uses = _live_uses(b, view)
+        read = list(dict.fromkeys(uses))
+        index = {w: t for t, w in enumerate(read)}  # its bit in the table
+        alias = tuple(index[w] for w in uses)  # i = j vs i != j, etc.
+        key = (e, _shape_sig(b, view), alias, _shape_sig(b, ref))
         if key not in self._tables:
-            rows = self._table_rows(e, args, ref, live)
+            rows = self._table_rows(e, args, ref, read)
             if rows is not None:
-                self._cross_check(e, args, ref, live, rows)
+                self._cross_check(e, args, ref, read, rows)
             self._tables[key] = rows
         rows = self._tables[key]
         if rows is None:
             return ref
-        return _unflatten(_dnf_wires(b, live, rows), ref)
+        sel = [0]  # sel[m]: the table row for live assignment m
+        for w in live:
+            bit = 1 << index[w] if w in index else 0
+            sel += [s | bit for s in sel]
+        return _unflatten(_dnf_wires(b, live, [rows[s] for s in sel]), ref)
 
-    def _table_rows(self, e, args, ref, live):
+    def _table_rows(self, e, args, ref, read):
+        """One row per assignment of the read live wires; every other
+        live wire is tied to 0, which the expression never sees."""
         b = self.b
         rows = []
-        for m in range(1 << len(live)):
-            asn = {w: (m >> t) & 1 for t, w in enumerate(live)}
+        for m in range(1 << len(read)):
+            asn = {w: (m >> t) & 1 for t, w in enumerate(read)}
             try:
                 vals = _decode_args(b, args, asn)
                 out = eval_expr(e, vals, self.spec.domain, self.spec.hosts)
@@ -325,10 +336,11 @@ class _Compiler:
                 return None  # not tabulable; keep the structural form
         return rows
 
-    def _cross_check(self, e, args, ref, live, rows):
+    def _cross_check(self, e, args, ref, read, rows):
         main_b = self.b
-        b2 = Builder(len(live))
-        wmap = {w: b2.input(t) for t, w in enumerate(live)}
+        b2 = Builder(len(read))
+        wmap = {w: b2.input(t) for t, w in enumerate(read)}
+        zero = b2.const(0)  # every unread live wire
 
         def clone(val):
             if isinstance(val, tuple):
@@ -336,7 +348,7 @@ class _Compiler:
             ws = []
             for w in val.wires:
                 cv = main_b.const_value(w)
-                ws.append(wmap[w] if cv is None else b2.const(cv))
+                ws.append(wmap.get(w, zero) if cv is None else b2.const(cv))
             return WirePack(val.tag, tuple(ws), val.p_width, val.e_width,
                             val.e_max, val.canonical, val.name)
 
@@ -349,7 +361,7 @@ class _Compiler:
         _flatten_packs(ref2, packs2)
         outs2 = [w for pk in packs2 for w in pk.wires]
         c2 = b2.build(outs2)
-        xs = [[(m >> t) & 1 for t in range(len(live))]
+        xs = [[(m >> t) & 1 for t in range(len(read))]
               for m in range(len(rows))]
         for m, (got_bits, row) in enumerate(zip(eval_batch(c2, xs), rows)):
             if _decode_result(got_bits, ref2) != _decode_result(row, ref):
@@ -597,7 +609,43 @@ class _Compiler:
 # lookup-table plumbing
 
 
+def _live_uses(b: Builder, val) -> list[int]:
+    """The non-constant wires of a value, one entry per use."""
+    packs: list = []
+    _flatten_packs(val, packs)
+    return [w for pk in packs for w in pk.wires if b.const_value(w) is None]
+
+
+def _read_paths(e: FuncExpr, out: set) -> set:
+    """Argument paths the expression can read: an arg/proj chain reads
+    the component it names (all of it), every other op what its
+    operands read."""
+    path, node = (), e
+    while node.op == "proj":
+        path, node = (node.data,) + path, node.args[0]
+    if node.op == "arg":
+        out.add((node.data,) + path)
+    else:
+        for a in e.args:
+            _read_paths(a, out)
+    return out
+
+
+def _read_view(val, paths, at=()):
+    """``val`` with every component no read path reaches replaced by
+    None. A component is kept whole once a path ends at or above it."""
+    if any(at[:len(p)] == p for p in paths):
+        return val
+    if not any(p[:len(at)] == at for p in paths):
+        return None
+    if not isinstance(val, tuple):
+        return val
+    return tuple(_read_view(v, paths, at + (k,)) for k, v in enumerate(val))
+
+
 def _shape_sig(b: Builder, val):
+    if val is None:
+        return None
     if isinstance(val, tuple):
         return tuple(_shape_sig(b, v) for v in val)
     return (val.p_width, val.e_width, val.e_max,
@@ -610,7 +658,7 @@ def _decode_args(b: Builder, val, asn):
     bits = []
     for w in val.wires:
         cv = b.const_value(w)
-        bits.append(asn[w] if cv is None else cv)
+        bits.append(asn.get(w, 0) if cv is None else cv)
     return S.decode_flt(bits, val.p_width, val.e_width)
 
 

@@ -55,7 +55,8 @@ class Domain:
     """Arithmetic dispatch for one of the two datatypes."""
 
     def __init__(self, name: str):
-        assert name in ("F", "Q")
+        if name not in ("F", "Q"):
+            raise MachineError(f"unknown datatype {name!r} (want F or Q)")
         self.name = name
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
@@ -322,7 +323,7 @@ class AttentionKind(enum.Enum):
     @staticmethod
     def of(name: str) -> "AttentionKind":
         try:
-            return AttentionKind(name.lower())
+            return AttentionKind(str(name).lower())
         except ValueError:
             raise MachineError(f"unknown attention kind {name!r}") from None
 
@@ -735,7 +736,7 @@ _NUM_RE = re.compile(r"([+-]?\d+)(?:/(?:2\^(\d+)|(\d+)))?")
 
 
 def _parse_number(atom: str) -> Number:
-    m = _NUM_RE.fullmatch(atom)
+    m = _NUM_RE.fullmatch(atom) if isinstance(atom, str) else None
     if not m:
         raise MachineError(f"not a number literal: {atom!r}")
     num = int(m.group(1))
@@ -746,6 +747,30 @@ def _parse_number(atom: str) -> Number:
 
 def _is_number(atom) -> bool:
     return isinstance(atom, str) and _NUM_RE.fullmatch(atom) is not None
+
+
+# operand count per expression op: (least, most), most None = unbounded
+_ARITY = {"const": (1, 1), "arg": (1, 1), "proj": (2, 2), "tok": (1, 1),
+          "q": (1, 1), "v": (1, 1), "pos": (0, 0), "key": (1, 1),
+          "head": (2, 2), "tup": (0, None), "add": (2, None),
+          "mul": (2, None), "div": (2, 2), "sqrt": (1, 1), "neg": (1, 1),
+          "relu": (1, 1), "gt": (2, 2), "eq": (2, 2), "select": (3, 3),
+          "affine": (2, None), "pow2": (1, 1), "host": (1, None)}
+
+
+def _want(what: str, rest, least: int, most: int = None):
+    """Refuse a form with fewer than least or more than most operands."""
+    if len(rest) < least or (most is not None and len(rest) > most):
+        count = least if least == most else f"at least {least}"
+        raise MachineError(f"({what} ...) wants {count} operand"
+                           f"{'s' * (least != 1)}, got {len(rest)}")
+
+
+def _index(atom) -> int:
+    """A 1-based index literal as a 0-based int."""
+    if not (isinstance(atom, str) and atom.isdigit()):
+        raise MachineError(f"expected a 1-based index, got {atom!r}")
+    return int(atom) - 1
 
 
 def _parse_expr(form, block_width: int) -> FuncExpr:
@@ -765,26 +790,27 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
         if not f:
             raise MachineError("empty expression")
         op, rest = f[0], f[1:]
+        if not isinstance(op, str) or op not in _ARITY:
+            raise MachineError(f"unknown expression op {op!r}")
+        _want(op, rest, *_ARITY[op])
         if op == "const":
             return Const(*_parse_number(rest[0]))
         if op == "arg":
-            return Arg(int(rest[0]) - 1)
+            return Arg(_index(rest[0]))
         if op == "proj":
-            return Proj(int(rest[0]) - 1, rec(rest[1]))
+            return Proj(_index(rest[0]), rec(rest[1]))
         if op in ("tok", "q", "v"):
-            return Proj(int(rest[0]) - 1, Arg(0))
+            return Proj(_index(rest[0]), Arg(0))
         if op == "pos":
             return Arg(1)
         if op == "key":
-            return Proj(int(rest[0]) - 1, Arg(1))
+            return Proj(_index(rest[0]), Arg(1))
         if op == "head":
-            h, k = int(rest[0]) - 1, int(rest[1]) - 1
+            h, k = _index(rest[0]), _index(rest[1])
             return Proj(h * block_width + k, Arg(1))
         if op == "tup":
             return Tup(*[rec(x) for x in rest])
         if op in ("add", "mul"):
-            if len(rest) < 2:
-                raise MachineError(f"{op} wants at least two operands")
             acc = rec(rest[0])
             ctor = Add if op == "add" else Mul
             for x in rest[1:]:
@@ -807,16 +833,17 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
         if op == "affine":
             wf, bf = rest[0], rest[1]
             if not (isinstance(wf, list) and wf and wf[0] == "w"
-                    and isinstance(bf, list) and bf and bf[0] == "b"):
-                raise MachineError("affine wants (w ...) then (b ...)")
+                    and isinstance(bf, list) and len(bf) == 2
+                    and bf[0] == "b"):
+                raise MachineError("affine wants (w ...) then (b N)")
             coeffs = [_parse_number(x) for x in wf[1:]]
             bias = _parse_number(bf[1])
             return Affine(coeffs, bias, *[rec(x) for x in rest[2:]])
         if op == "pow2":
             return Pow2(rec(rest[0]))
-        if op == "host":
-            return Host(rest[0], *[rec(x) for x in rest[1:]])
-        raise MachineError(f"unknown expression op {op!r}")
+        if not isinstance(rest[0], str):
+            raise MachineError(f"host wants a name, got {rest[0]!r}")
+        return Host(rest[0], *[rec(x) for x in rest[1:]])
 
     return rec(form)
 
@@ -830,7 +857,8 @@ def parse_spec(text: str) -> TransformerSpec:
               "embedding": None, "classifier": None}
     layer_forms = []
     for section in form[1:]:
-        if not isinstance(section, list) or not section:
+        if not (isinstance(section, list) and section
+                and isinstance(section[0], str)):
             raise MachineError(f"bad section: {section!r}")
         key = section[0]
         if key == "layer":
@@ -842,13 +870,20 @@ def parse_spec(text: str) -> TransformerSpec:
     for req in ("alphabet", "datatype", "width", "embedding", "classifier"):
         if fields[req] is None:
             raise MachineError(f"missing ({req} ...) section")
+        _want(req, fields[req], 1)
     if not layer_forms:
         raise MachineError("missing (layer ...) section")
     alphabet = tuple(fields["alphabet"])
+    if not all(isinstance(a, str) for a in alphabet):
+        raise MachineError(f"alphabet symbols must be atoms: {alphabet!r}")
     datatype = fields["datatype"][0]
-    width = int(fields["width"][0])
+    width = fields["width"][0]
+    if not (isinstance(width, str) and width.isdigit()):
+        raise MachineError(f"width must be a count, got {width!r}")
+    width = int(width)
 
-    head_counts = [sum(1 for it in lf if isinstance(it, list) and it[0] == "head")
+    head_counts = [sum(1 for it in lf if isinstance(it, list)
+                       and it[:1] == ["head"])
                    for lf in layer_forms]
     if min(head_counts) != max(head_counts) or head_counts[0] == 0:
         raise MachineError("every layer needs the same nonzero head count")
@@ -863,9 +898,11 @@ def parse_spec(text: str) -> TransformerSpec:
             if not isinstance(item, list) or not item:
                 raise MachineError(f"bad layer item: {item!r}")
             if item[0] == "head":
+                _want("head", item[1:], 2, 2)
                 heads.append(HeadSpec(AttentionKind.of(item[1]),
                                       _parse_expr(item[2], bw)))
             elif item[0] == "activation":
+                _want("activation", item[1:], 1, 1)
                 activation = _parse_expr(item[1], bw)
             else:
                 raise MachineError(f"unknown layer item {item[0]!r}")
@@ -878,6 +915,7 @@ def parse_spec(text: str) -> TransformerSpec:
         if isinstance(item, list) and item and item[0] == "w":
             wf = [_parse_number(x) for x in item[1:]]
         elif isinstance(item, list) and item and item[0] == "b":
+            _want("b", item[1:], 1, 1)
             bf = _parse_number(item[1])
     if wf is None or bf is None:
         raise MachineError("classifier wants (w ...) and (b ...)")

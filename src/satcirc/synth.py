@@ -385,9 +385,11 @@ def dnf_lookup(spec: LookupSpec) -> Circuit:
     m = metrics(c)
     dm = depth_map(c)
     d = [dm[o] for o in c.outputs]
-    assert all(v == 3 for v in d), f"dnf depth {d} != 3"
+    if any(v != 3 for v in d):
+        raise SynthError(f"dnf depth {d} != 3")
     bound = (2 ** spec.c + spec.c + 1) * spec.d
-    assert m.size <= bound, f"dnf size {m.size} > bound {bound}"
+    if m.size > bound:
+        raise SynthError(f"dnf size {m.size} > bound {bound}")
     return c
 
 
@@ -603,7 +605,9 @@ def _itadd(b: Builder, summands, out_width: int = None) -> list[int]:
                 bits = _count_bits(b, col)
                 tgt = new[cpos % R]
                 for off, wire in enumerate(bits):
-                    assert cpos + off not in tgt
+                    if cpos + off in tgt:
+                        raise SynthError(f"itadd: two bits at column "
+                                         f"{cpos + off} in one row")
                     tgt[cpos + off] = wire
             out = []
             for tgt in new:
@@ -616,7 +620,8 @@ def _itadd(b: Builder, summands, out_width: int = None) -> list[int]:
 
         rows = reduce_round(rows)
         rows = reduce_round(rows)
-        assert len(rows) <= ITADD_TREE, "reduction did not reach the tree"
+        if len(rows) > ITADD_TREE:
+            raise SynthError("itadd: reduction did not reach the tree")
         while len(rows) < ITADD_TREE:
             rows.append([zero])
         t1 = _adder2(b, rows[0], rows[1])

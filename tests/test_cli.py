@@ -63,6 +63,25 @@ def test_run_spec_file_and_parse_error(tmp_path, capsys):
     assert "error:" in out(capsys).err
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("(proj)", "(proj ...) wants 2 operands, got 0"),
+    ("(div (tok 1))", "(div ...) wants 2 operands, got 1"),
+    ("(select (tok 1) (pos))", "(select ...) wants 3 operands, got 2"),
+    ("(affine)", "(affine ...) wants at least 2 operands, got 0"),
+    ("(head 1)", "(head ...) wants 2 operands, got 1"),
+    ("(neg (pos) (pos))", "(neg ...) wants 1 operand, got 2"),
+    ("(add (pos))", "(add ...) wants at least 2 operands, got 1"),
+    ("(proj (pos) (arg 1))", "expected a 1-based index, got ['pos']"),
+])
+def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
+                                                       capsys):
+    spec = tmp_path / "bad.sexp"
+    spec.write_text(MAJ_TEXT.replace("(const 1)", expr))
+    assert main(["run", "--spec", str(spec), "--input", "01",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"error: {want}" in out(capsys).err
+
+
 def test_usage_errors(tmp_path, capsys):
     # neither or both spec sources, missing input, missing n
     assert main(["run", "--input", "01"]) == 2
@@ -125,6 +144,9 @@ PINNED = {
     ("hard-demo", 8, False): (
         "a5693a3d514e1d924c4c92f60e6ca256f9979d724743422379b1b02dfd8ecfcb",
         "13c84fde9b35fdf1a7b51db5fb350b9a6df32abb8316f1ed02c4090028f343d0"),
+    ("hard-demo", 12, False): (
+        "ada2f962063e31d6af9f515c0a2aaeddfbded85302eb77fe5d5d576f892cc0de",
+        "97063f19847c1ce87ff29861a8978fce9826a95c9c969c928480a07b78554165"),
     ("hard-demo", 8, True): (
         "95ceda2582a74ba020d6f81d8324ee5eeac121e4145a6f90fe34afaa486cd2d6",
         "e93b1cf0cdbe1a44309576776ce153b293c86fab73eccb00a57f8756309726e0"),
@@ -234,6 +256,24 @@ def test_host_checks_survive_python_O():
     assert r.stdout.splitlines() == ["optimize: 1", "refused: den == 1"]
 
 
+DOMAIN_PROBE = """
+import sys
+from satcirc.machine import Domain, MachineError
+print("optimize:", sys.flags.optimize)
+try:
+    Domain("R")
+except MachineError as e:
+    print("refused:", e)
+"""
+
+
+def test_domain_check_survives_python_O():
+    r = _satcirc(["-c", DOMAIN_PROBE], 60, "-O")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "optimize: 1", "refused: unknown datatype 'R' (want F or Q)"]
+
+
 def test_compile_rejects_rational_specs(tmp_path, capsys):
     assert main(["compile", "--builtin", "maj-q", "--n", "4",
                  "--out-dir", str(tmp_path)]) == 2
@@ -289,6 +329,16 @@ def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
 @pytest.mark.parametrize("doc, why", [
     ("[]", "circuit JSON must be an object"),
     ('{"gates": "x"}', "'gates' must be a list of records"),
+    ('{"n": 1, "gates": [], "outputs": [], "labels": []}',
+     "'labels' must be an object"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "NOT", "inputs": 5}], '
+     '"outputs": [0]}', "gate 0: 'inputs' must be a list of ints"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0.5}], '
+     '"outputs": [0]}', "gate 0: 'idx' must be an int"),
+    ('{"n": 1, "gates": [{"id": null, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "malformed field"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [[0]]}', "malformed field"),
 ])
 def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -7,22 +7,26 @@ correctness means agreeing with it on every tested word.
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 
+from satcirc import compile as C
+from satcirc import synth as S
 from satcirc.bitnum import flt
 from satcirc.builtins import (build_hard_demo, build_majority,
                               build_majority_layernorm,
                               build_prime_universal,
-                              build_resource_bounded)
+                              build_resource_bounded, builtin_spec)
 from satcirc.circuit import eval_batch, metrics
-from satcirc.compile import (CompileError, _Compiler, compile_hard,
-                             compile_planned, compile_saturated,
-                             default_samples, encode_word, plan_widths,
-                             verify_equivalence)
-from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, HeadSpec,
-                             LayerSpec, Proj, Select, Sqrt, TransformerSpec,
-                             Tup, recognize, run)
+from satcirc.compile import (CompileError, _Compiler, _read_paths,
+                             _read_view, compile_hard, compile_planned,
+                             compile_saturated, default_samples,
+                             encode_word, plan_widths, verify_equivalence)
+from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
+                             HeadSpec, LayerSpec, Proj, Select, Sqrt,
+                             TransformerSpec, Tup, eval_expr, load_spec,
+                             recognize, run)
 
 
 def all_words(spec, n):
@@ -184,22 +188,212 @@ def test_division_by_live_value_is_refused():
         compile_saturated(spec, 3)
 
 
-def test_every_scorer_alias_pattern_is_cross_checked(monkeypatch):
-    """The i = j scorer reads the same wires twice and i != j reads two
-    positions; their tables differ, so each is cross-checked and a wrong
-    row in the i != j table is caught."""
-    scorer = MAJ.layers[0].heads[0].scorer
+def _corrupting(monkeypatch, which):
+    """Flip every bit of row 0 of each table whose call matches."""
     real = _Compiler._table_rows
 
-    def corrupt(self, e, args, ref, live):
-        rows = real(self, e, args, ref, live)
-        if e is scorer and args[0] is not args[1] and rows:
+    def corrupt(self, e, args, ref, read):
+        rows = real(self, e, args, ref, read)
+        if which(e, args) and rows:
             rows[0] = tuple(1 - bit for bit in rows[0])
         return rows
 
     monkeypatch.setattr(_Compiler, "_table_rows", corrupt)
-    with pytest.raises(CompileError, match="cross-check failed"):
-        compile_saturated(MAJ, 6)
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = _Compiler._table_rows
+
+    def counted(self, e, args, ref, read):
+        calls.append((e, args[0] is args[1], len(read)))
+        return real(self, e, args, ref, read)
+
+    monkeypatch.setattr(_Compiler, "_table_rows", counted)
+    return calls
+
+
+def eq_scorer_spec():
+    """maj with a scorer that reads both positions' token bits."""
+    head = HeadSpec(AttentionKind.SATURATED,
+                    Eq(Proj(0, Arg(0)), Proj(0, Arg(1))))
+    layer = LayerSpec((head,), MAJ.layers[0].activation)
+    return dataclasses.replace(MAJ, layers=(layer,), name="eq-scorer")
+
+
+def test_a_scorer_reading_both_positions_gets_one_table_per_alias(
+        monkeypatch):
+    """i = j reads one token wire twice and i != j reads two, so the
+    tables differ: each is built and cross-checked."""
+    spec = eq_scorer_spec()
+    scorer = spec.layers[0].heads[0].scorer
+    calls = _counting(monkeypatch)
+    c = compile_saturated(spec, 4)
+    got = sorted((same, r) for e, same, r in calls if e is scorer)
+    assert [same for same, r in got] == [False, True]
+    assert got[0][1] == 2 * got[1][1]  # i != j reads both token packs
+    assert_matches_machine(spec, c, all_words(spec, 4))
+
+
+def test_every_scorer_alias_pattern_is_cross_checked(monkeypatch):
+    """A wrong row is caught in any table maj's scorer gets (it reads
+    nothing, so all n^2 calls share one) and in either alias table of a
+    scorer that reads both positions."""
+    maj_scorer = MAJ.layers[0].heads[0].scorer
+    spec = eq_scorer_spec()
+    eq_scorer = spec.layers[0].heads[0].scorer
+    cases = [(MAJ, lambda e, args: e is maj_scorer)] + [
+        (spec, lambda e, args, aliased=aliased:
+            e is eq_scorer and (args[0] is args[1]) == aliased)
+        for aliased in (True, False)]
+    for case_spec, which in cases:
+        with monkeypatch.context() as mp:
+            _corrupting(mp, which)
+            with pytest.raises(CompileError, match="cross-check failed"):
+                compile_saturated(case_spec, 6)
+
+
+@pytest.mark.parametrize("builtin,n,tables", [("hard-demo", 16, 18),
+                                              ("maj", 16, 2)])
+def test_table_count_is_pinned(monkeypatch, builtin, n, tables):
+    """One table per distinct read key: hard-demo's embedding reads the
+    position constant (n tables), its scorer and activation one each;
+    maj's constant scorer reads nothing, so all n^2 calls share one."""
+    calls = _counting(monkeypatch)
+    compile_planned(builtin_spec(builtin), n)
+    assert len(calls) == tables
+
+
+def test_read_paths_follow_proj_chains_only():
+    assert _read_paths(Const(1), set()) == set()
+    assert _read_paths(Proj(1, Proj(0, Arg(1))), set()) == {(1, 0, 1)}
+    assert _read_paths(Eq(Proj(0, Arg(0)), Arg(1)), set()) == {(0, 0), (1,)}
+    # proj of anything but a chain reads what its operand reads
+    assert _read_paths(Proj(0, Tup(Arg(0), Proj(2, Arg(1)))), set()) == {
+        (0,), (1, 2)}
+    assert _read_paths(Proj(0, Select(Arg(0), Arg(1), Arg(1))), set()) == {
+        (0,), (1,)}
+
+
+def test_read_view_hides_only_unreachable_components():
+    args = (("a0", "a1"), ("b0", ("b10", "b11")))
+    assert _read_view(args, set()) is None
+    assert _read_view(args, {(1,)}) == (None, args[1])
+    assert _read_view(args, {(1, 1, 0), (0, 1)}) == (
+        (None, "a1"), (None, ("b10", None)))
+    assert _read_view(args, {(1, 1), (1, 1, 0)}) == (None, (None, args[1][1]))
+
+
+def _full_table(spec, e, args, const_value, ref):
+    """Tabulate e over every live wire of args, independently of the
+    compiler's read set: (live wires, one row per assignment)."""
+    packs = []
+    C._flatten_packs(args, packs)
+    live = list(dict.fromkeys(w for pk in packs for w in pk.wires
+                              if const_value(w) is None))
+    rows = []
+    for m in range(1 << len(live)):
+        bit = {w: (m >> t) & 1 for t, w in enumerate(live)}
+
+        def dec(v):
+            if isinstance(v, tuple):
+                return tuple(dec(x) for x in v)
+            bits = [bit[w] if const_value(w) is None else const_value(w)
+                    for w in v.wires]
+            return S.decode_flt(bits, v.p_width, v.e_width)
+
+        row = []
+
+        def enc(v, r):
+            if isinstance(r, tuple):
+                assert isinstance(v, tuple) and len(v) == len(r)
+                for vv, rr in zip(v, r):
+                    enc(vv, rr)
+            else:
+                assert v.e <= r.e_max
+                row.extend(S.encode_flt(v, r.p_width, r.e_width))
+
+        enc(eval_expr(e, dec(args), spec.domain, spec.hosts), ref)
+        rows.append(tuple(row))
+    return live, rows
+
+
+def _emitted_tables(monkeypatch):
+    """Every expression emitted as a table: (e, args, const_value,
+    table inputs, table rows, emitted value)."""
+    seen, dnf_calls = [], []
+    real_dnf, real_auto = C._dnf_wires, _Compiler._expr_auto
+
+    def dnf(b, in_wires, rows):
+        outs = real_dnf(b, in_wires, rows)
+        dnf_calls.append((list(in_wires), rows, outs))
+        return outs
+
+    def auto(self, e, args):
+        before = len(dnf_calls)
+        val = real_auto(self, e, args)
+        packs = []
+        C._flatten_packs(val, packs)
+        if len(dnf_calls) > before and dnf_calls[-1][2] == [
+                w for pk in packs for w in pk.wires]:
+            seen.append((e, args, self.b.const_value, *dnf_calls[-1][:2],
+                         val))
+        return val
+
+    monkeypatch.setattr(C, "_dnf_wires", dnf)
+    monkeypatch.setattr(_Compiler, "_expr_auto", auto)
+    return seen
+
+
+def pos_eq_spec():
+    """The embedding compares token + 1 with the position constant: the
+    same live wires and result shape at every position, but a different
+    table at positions 1 and 2, so the read constants must be keyed."""
+    embed = Tup(Eq(Add(Proj(1, Arg(0)), Const(1)), Arg(1)), Const(0))
+    layer = LayerSpec((HeadSpec(AttentionKind.UNIFORM, Const(1)),),
+                      Tup(Proj(0, Arg(1)), Const(0)))
+    return TransformerSpec(("a", "b"), "F", 2, embed, (layer,),
+                           ((1, 1), (0, 1)), (-1, 4), name="pos-eq")
+
+
+def test_read_constants_are_keyed():
+    spec = pos_eq_spec()
+    for n in (1, 2, 3, 4):
+        assert_matches_machine(spec, compile_saturated(spec, n),
+                               all_words(spec, n))
+
+
+SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
+TABLE_SPECS = {  # name -> (spec, largest n)
+    "maj": (lambda: MAJ, 6), "hard-demo": (build_hard_demo, 6),
+    "maj_f.sexp": (lambda: load_spec(str(SPEC_FILE)), 6),
+    "two-layer": (two_layer_spec, 4), "uniform": (uniform_spec, 4),
+    "sqrt": (sqrt_spec, 4), "eq-scorer": (eq_scorer_spec, 4),
+    "pos-eq": (pos_eq_spec, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+def test_expanded_tables_equal_full_tabulation(monkeypatch, name):
+    """A table tabulated over the read wires and expanded to every live
+    wire has the rows a tabulation over every live wire gives."""
+    build, n_max = TABLE_SPECS[name]
+    spec = build()
+
+    def sig(v):  # within one build, equal wires carry equal values
+        if isinstance(v, tuple):
+            return tuple(sig(x) for x in v)
+        return v.wires, v.p_width, v.e_width, v.e_max
+
+    for n in range(1, n_max + 1):
+        seen = _emitted_tables(monkeypatch)
+        compile_saturated(spec, n)
+        assert seen
+        full = {}
+        for e, args, const_value, in_wires, rows, val in seen:
+            key = (e, sig(args), sig(val))
+            if key not in full:
+                full[key] = _full_table(spec, e, args, const_value, val)
+            assert (in_wires, rows) == full[key], (n, e)
 
 
 def test_encode_word_rejects_unknown_tokens():

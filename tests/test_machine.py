@@ -405,6 +405,22 @@ def test_parse_expr_sugar_and_numbers():
      "(embedding (tup (tok 1) (pos) (pos))) "
      "(layer (head hard (const 0)) (head hard (const 0)) "
      "(activation (arg 1))) (classifier (w 1 1 1) (b 0)))", "multiple"),
+    ("(transformer (alphabet 0 1) (datatype F) (width 2) (embedding (pos)) "
+     "(layer (head hard) (activation (arg 1))) "
+     "(classifier (w 1 1) (b 0)))", r"\(head ...\) wants 2 operands"),
+    ("(transformer (alphabet 0 1) (datatype F) (width 2) (embedding) "
+     "(layer (head hard (const 0)) (activation (arg 1))) "
+     "(classifier (w 1 1) (b 0)))", "at least 1 operand, got 0"),
+    ("(transformer (alphabet 0 1) (datatype F) (width 2) (embedding (pos)) "
+     "(layer (head hard (const 0)) (activation (arg 1))) "
+     "(classifier (w 1 1) (b)))", r"\(b ...\) wants 1 operand, got 0"),
+    ("(transformer (alphabet 0 (1)) (datatype F) (width 2) (embedding (pos)) "
+     "(layer (head hard (const 0)) (activation (arg 1))) "
+     "(classifier (w 1 1) (b 0)))", "alphabet symbols must be atoms"),
+    ("(transformer (alphabet 0 1) (datatype F) (width (2)) (embedding (pos)) "
+     "(layer (head hard (const 0)) (activation (arg 1))) "
+     "(classifier (w 1 1) (b 0)))", "width must be a count"),
+    ("(transformer ((name)) (alphabet 0 1))", "bad section"),
 ])
 def test_parse_spec_errors(bad, msg):
     with pytest.raises(MachineError, match=msg):
