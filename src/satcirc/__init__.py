@@ -30,7 +30,7 @@ from .circuit import (
 from .synth import SynthError, Builder, manifest
 from .compile import (
     CompileError, WidthPlan, plan_widths, default_samples, encode_word,
-    compile_saturated, compile_hard, verify_equivalence,
+    compile_saturated, compile_hard, check_circuit, verify_equivalence,
 )
 
 __version__ = "0.1.0"

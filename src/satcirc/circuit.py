@@ -392,7 +392,7 @@ def to_json(c: Circuit, indent: int = None) -> str:
 def from_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # or an int past the interpreter's digit limit
         raise CircuitError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitError("circuit JSON must be an object")
@@ -421,9 +421,11 @@ def from_json(text: str) -> Circuit:
         labels = {int(k): str(v) for k, v in doc.get("labels", {}).items()}
         return Circuit(int(doc["n"]), gates,
                        tuple(int(o) for o in doc["outputs"]), labels)
+    except CircuitError:
+        raise
     except KeyError as exc:
         raise CircuitError(f"missing field {exc}") from exc
-    except TypeError as exc:  # e.g. an id or output that is null or a list
+    except (TypeError, ValueError) as exc:  # an id that is null, [0] or "a"
         raise CircuitError(f"malformed field: {exc}") from exc
 
 

@@ -19,18 +19,18 @@ from dataclasses import dataclass
 
 from .bitnum import BitNumError
 from .builtins import BUILTIN_NAMES, builtin_spec
-from .circuit import (CircuitError, eval_batch, family_analyze, from_json,
-                      metrics, to_dot, to_json)
+from .circuit import (CircuitError, family_analyze, from_json, metrics,
+                      to_dot, to_json)
 from .compile import (CompileError, compile_hard, compile_planned,
-                      compile_saturated, default_samples, encode_word,
-                      hard_only, verify_equivalence)
+                      compile_saturated, default_samples, hard_only,
+                      verify_equivalence)
 from .machine import (MachineError, instrument_sizes, load_spec,
                       recognize, run)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
 USER_ERRORS = (MachineError, CompileError, CircuitError, BitNumError,
-               SynthError, OSError, ValueError)
+               SynthError, OSError)
 
 
 @dataclass
@@ -155,24 +155,19 @@ def cmd_compile(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_against_file(cfg: RunConfig, spec):
-    """Recheck a circuit artifact; a corrupted file shows up as plain
-    mismatches, not a crash."""
-    if len(_ns(cfg)) != 1:
-        raise MachineError("--circuit verification takes a single --n")
-    n = _ns(cfg)[0]
-    with open(cfg.circuit) as f:
-        c = from_json(f.read())
-    from .compile import EquivReport, EquivRow, _word_batch
-    words = _word_batch(spec, n, cfg.mode, cfg.samples, cfg.seed)
-    got = eval_batch(c, [encode_word(spec, w) for w in words])
-    bad, first = 0, None
-    for w, out in zip(words, got):
-        if bool(out[0]) != recognize(spec, w):
-            bad += 1
-            first = first if first is not None else w
-    return EquivReport(spec.name or "spec",
-                       (EquivRow(n, cfg.mode, len(words), bad, first),))
+def _circuit_file(path: str):
+    """A compile_fn that reads the circuit artifact at path instead of
+    compiling; a corrupted file shows up as plain mismatches, not a
+    crash."""
+    def read(spec, n, plan):
+        with open(path, encoding="utf-8") as f:
+            try:
+                text = f.read()
+            except UnicodeDecodeError as e:
+                raise CircuitError(f"{path}: not UTF-8 text ({e.reason} at "
+                                   f"byte {e.start})") from None
+        return from_json(text)
+    return read
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -180,11 +175,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise MachineError(f"--samples must be at least 1 in random mode, "
                            f"got {cfg.samples}")
     spec = _load(cfg)
-    if cfg.circuit:
-        rep = _verify_against_file(cfg, spec)
-    else:
-        rep = verify_equivalence(spec, _ns(cfg), cfg.mode, cfg.samples,
-                                 cfg.seed, compile_fn=_compiler_for(spec))
+    if cfg.circuit and len(_ns(cfg)) != 1:
+        raise MachineError("--circuit verification takes a single --n")
+    compile_fn = (_circuit_file(cfg.circuit) if cfg.circuit
+                  else _compiler_for(spec))
+    rep = verify_equivalence(spec, _ns(cfg), cfg.mode, cfg.samples,
+                             cfg.seed, compile_fn=compile_fn)
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["n", "mode", "tested", "mismatches",

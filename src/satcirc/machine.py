@@ -349,13 +349,19 @@ def attend(kind: AttentionKind, scores: Sequence[Scalar],
     the reciprocals go through flt_div, so they are the approximate
     floor-reciprocal floats; over Q they are exact and sum to 1.
     """
-    n = len(scores)
-    if n == 0:
+    if not scores:
         raise MachineError("empty score sequence")
+    ties = None if kind is AttentionKind.UNIFORM else max_set(scores, domain)
+    return _tie_weights(kind, len(scores), ties, domain)
+
+
+def _tie_weights(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
+                domain: Domain) -> tuple[Scalar, ...]:
+    """attend's weights for a row of n scores whose maximizer set is
+    ties (unused by uniform heads)."""
     if kind is AttentionKind.UNIFORM:
         w = domain.div(domain.one, domain.from_int(n))
         return (w,) * n
-    ties = max_set(scores, domain)
     if kind is AttentionKind.HARD:
         hot = ties[0]
         return tuple(domain.one if j == hot else domain.zero for j in range(n))
@@ -503,7 +509,8 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
                 for s in row:
                     if isinstance(s, tuple):
                         raise MachineError("scorer must produce a scalar")
-                weights = attend(head.attention, row, domain)
+                ties = max_set(row, domain)
+                weights = _tie_weights(head.attention, n, ties, domain)
                 block = range(h * bw, (h + 1) * bw)
                 acc = [domain.zero] * bw
                 for j, wt in enumerate(weights):
@@ -512,7 +519,7 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
                     for c, comp in enumerate(block):
                         acc[c] = domain.add(acc[c], domain.mul(wt, prev[j][comp]))
                 rows.append(row)
-                ties_h.append(max_set(row, domain))
+                ties_h.append(ties)
                 outs.append(tuple(acc))
             layer_scores.append(tuple(rows))
             layer_ties.append(tuple(ties_h))
@@ -639,9 +646,9 @@ def instrument_sizes(spec: TransformerSpec,
                 for h in range(spec.n_heads):
                     key = (li, h)
                     for i in range(n):
-                        row = t.scores[li][h][i]
-                        weights = attend(spec.layers[li].heads[h].attention,
-                                         row, domain)
+                        weights = _tie_weights(
+                            spec.layers[li].heads[h].attention, n,
+                            t.ties[li][h][i], domain)
                         block = range(h * spec.block_width,
                                       (h + 1) * spec.block_width)
                         for j, wt in enumerate(weights):
@@ -739,10 +746,18 @@ def _parse_number(atom: str) -> Number:
     m = _NUM_RE.fullmatch(atom) if isinstance(atom, str) else None
     if not m:
         raise MachineError(f"not a number literal: {atom!r}")
-    num = int(m.group(1))
+    num = _int(m.group(1))
     if m.group(2) is not None:
-        return _number(num, 2 ** int(m.group(2)))
-    return _number(num, int(m.group(3) or 1))
+        return _number(num, 2 ** _int(m.group(2)))
+    return _number(num, _int(m.group(3) or "1"))
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit, or "²"
+        raise MachineError(f"unusable integer literal {digits[:20]!r}"
+                           f"{'...' * (len(digits) > 20)}") from None
 
 
 def _is_number(atom) -> bool:
@@ -770,7 +785,7 @@ def _index(atom) -> int:
     """A 1-based index literal as a 0-based int."""
     if not (isinstance(atom, str) and atom.isdigit()):
         raise MachineError(f"expected a 1-based index, got {atom!r}")
-    return int(atom) - 1
+    return _int(atom) - 1
 
 
 def _parse_expr(form, block_width: int) -> FuncExpr:
@@ -880,7 +895,7 @@ def parse_spec(text: str) -> TransformerSpec:
     width = fields["width"][0]
     if not (isinstance(width, str) and width.isdigit()):
         raise MachineError(f"width must be a count, got {width!r}")
-    width = int(width)
+    width = _int(width)
 
     head_counts = [sum(1 for it in lf if isinstance(it, list)
                        and it[:1] == ["head"])
@@ -928,4 +943,9 @@ def parse_spec(text: str) -> TransformerSpec:
 
 def load_spec(path: str) -> TransformerSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise MachineError(f"{path}: not UTF-8 text ({e.reason} at "
+                               f"byte {e.start})") from None
+    return parse_spec(text)

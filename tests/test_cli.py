@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import satcirc.compile
+import satcirc.machine
 from satcirc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -339,6 +340,13 @@ def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
      '"outputs": [0]}', "malformed field"),
     ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
      '"outputs": [[0]]}', "malformed field"),
+    ('{"n": "x", "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "malformed field"),
+    ('{"n": 1, "gates": [{"id": "a", "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "malformed field"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0], "labels": {"a": "accept"}}', "malformed field"),
+    ('{"n": ' + "1" * 5000 + "}", "not valid JSON"),
 ])
 def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -377,3 +385,52 @@ def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--builtin", "maj", "--n", "3"]) == 0
     assert (tmp_path / "envout" / "verify.csv").exists()
     capsys.readouterr()
+
+
+def test_non_utf8_spec_and_circuit_files_are_refused(tmp_path, capsys):
+    bad = tmp_path / "latin1.bin"
+    bad.write_bytes(MAJ_TEXT.encode() + b"; caf\xe9\n")
+    assert main(["run", "--spec", str(bad), "--input", "01",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "not UTF-8 text" in out(capsys).err
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--circuit",
+                 str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "not UTF-8 text" in out(capsys).err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_integer_literal_is_refused(tmp_path, capsys):
+    spec = tmp_path / "wide.sexp"
+    spec.write_text(MAJ_TEXT.replace("(b 0)", f"(b {'9' * 5000})"))
+    assert main(["run", "--spec", str(spec), "--input", "01",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "unusable integer literal '99999" in out(capsys).err
+
+
+def test_internal_value_error_is_not_a_user_error(tmp_path, monkeypatch):
+    def bug(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("satcirc.cli.compile_planned", bug)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["compile", "--builtin", "maj", "--n", "4",
+              "--out-dir", str(tmp_path)])
+
+
+def test_worker_machine_error_exits_2_with_its_message(tmp_path, capsys,
+                                                       monkeypatch):
+    def judge(spec, w):
+        if w.count("1") == 5:
+            raise satcirc.machine.MachineError(f"cannot judge {w}")
+        return satcirc.machine.recognize(spec, w)
+
+    monkeypatch.setattr(satcirc.compile, "recognize", judge)
+    monkeypatch.setattr(satcirc.compile, "_cpu_count", lambda: 2)
+    args = ["verify", "--builtin", "maj", "--n", "8",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == 2
+    assert out(capsys).err == "error: cannot judge 00011111\n"
+    monkeypatch.setattr(satcirc.compile, "_fork_context", lambda: None)
+    assert main(args) == 2
+    assert out(capsys).err == "error: cannot judge 00011111\n"
+    assert not (tmp_path / "verify.csv").exists()

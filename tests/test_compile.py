@@ -5,8 +5,14 @@ Everything here leans on one oracle: recognize() is already trusted
 correctness means agreeing with it on every tested word.
 """
 
+import contextlib
 import dataclasses
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,8 +30,8 @@ from satcirc.compile import (CompileError, _Compiler, _read_paths,
                              compile_saturated, default_samples,
                              encode_word, plan_widths, verify_equivalence)
 from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
-                             HeadSpec, LayerSpec, Proj, Select, Sqrt,
-                             TransformerSpec, Tup, eval_expr, load_spec,
+                             HeadSpec, LayerSpec, MachineError, Proj, Select,
+                             Sqrt, TransformerSpec, Tup, eval_expr, load_spec,
                              recognize, run)
 
 
@@ -529,3 +535,193 @@ def test_verify_hard_compiles_through_compile_fn():
     rep = verify_equivalence(build_hard_demo(), [3, 5],
                              compile_fn=compile_hard)
     assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the verifier's forked workers: same answers as in-process, none left over
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Forked workers for every batch, however small; returns a setter
+    for the number of CPUs the checker believes it has."""
+    monkeypatch.setattr(C, "MIN_CHUNK", 1)
+
+    def cpus(k):
+        monkeypatch.setattr(C, "_cpu_count", lambda: k)
+
+    cpus(2)
+    return cpus
+
+
+def _in_process(monkeypatch):
+    monkeypatch.setattr(C, "_fork_context", lambda: None)
+
+
+@pytest.mark.parametrize("spec, ns", [(MAJ, range(1, 9)),
+                                      (build_hard_demo(), range(1, 7)),
+                                      (load_spec(SPEC_FILE), range(1, 5))],
+                         ids=["maj", "hard-demo", "maj_f"])
+def test_pool_equals_the_in_process_reference(spec, ns, pool, monkeypatch):
+    circuits = {n: C.compile_planned(spec, n)[0] for n in ns}
+
+    def compile_fn(spec, n, plan):
+        return circuits[n]
+
+    # corrupted: accept read straight off an input wire
+    cases = [(c, all_words(spec, n)) for n, c in circuits.items()]
+    cases += [(dataclasses.replace(c, outputs=(next(
+        g.id for g in c.gates if g.kind == "INPUT"),)), words)
+        for c, words in cases]
+
+    def answers():
+        return ([C.check_circuit(spec, c, words) for c, words in cases],
+                verify_equivalence(spec, ns, compile_fn=compile_fn),
+                verify_equivalence(spec, ns, mode="random", samples=90,
+                                   seed=4, compile_fn=compile_fn))
+
+    got = {}
+    for k in (2, 3):
+        pool(k)
+        got[k] = answers()
+    _in_process(monkeypatch)
+    want = answers()
+    assert got[2] == got[3] == want
+    assert want[1].ok and want[2].ok
+    assert any(bad for bad, _ in want[0])
+
+
+def test_pool_runs_the_machine_in_the_workers(pool, monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(C, "recognize", lambda spec, w: (
+        recognize(spec, w) == (os.getpid() != parent)))
+    c, words = compile_saturated(MAJ, 5), all_words(MAJ, 5)
+    assert C.check_circuit(MAJ, c, words) == (0, None)
+    _in_process(monkeypatch)
+    assert C.check_circuit(MAJ, c, words) == (32, "00000")
+
+
+def test_the_machine_runs_while_the_circuit_builds(pool, monkeypatch,
+                                                   tmp_path):
+    mark = tmp_path / "machine-started"
+
+    def judge(spec, w):
+        mark.touch()
+        return recognize(spec, w)
+
+    def build():
+        deadline = time.monotonic() + 30
+        while not mark.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen.append(mark.exists())
+        return compile_saturated(MAJ, 5)
+
+    seen = []
+    monkeypatch.setattr(C, "recognize", judge)
+    assert C.check_circuit(MAJ, build, all_words(MAJ, 5)) == (0, None)
+    assert seen == [True]
+
+
+def test_patched_recognize_reaches_every_worker(pool, monkeypatch):
+    monkeypatch.setattr(C, "recognize",
+                        lambda spec, w: not recognize(spec, w))
+    rep = verify_equivalence(MAJ, [6, 7])
+    assert [(r.mismatches, r.first_counterexample) for r in rep.rows] == \
+        [(64, "000000"), (128, "0000000")]
+
+
+def test_worker_machine_error_is_the_first_in_word_order(pool, monkeypatch):
+    def judge(spec, w):
+        if w.count("1") == 5:
+            raise MachineError(f"cannot judge {w}")
+        return recognize(spec, w)
+
+    monkeypatch.setattr(C, "recognize", judge)
+    pool(3)
+    with pytest.raises(MachineError) as e:
+        verify_equivalence(MAJ, [7])
+    assert str(e.value) == "cannot judge 0011111"
+    # a compile error still wins over the machine's
+    with pytest.raises(CompileError, match="need n >= 1"):
+        verify_equivalence(MAJ, [0, 7])
+
+
+def _reaped():
+    import multiprocessing
+    return multiprocessing.active_children() == []
+
+
+class _Alarm(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise _Alarm from a SIGALRM handler after seconds."""
+    def ring(signum, frame):
+        raise _Alarm
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_no_worker_outlives_the_call(pool, monkeypatch):
+    c, words = compile_saturated(MAJ, 6), all_words(MAJ, 6)
+    assert C.check_circuit(MAJ, c, words) == (0, None)
+    assert _reaped()
+
+    def refuse():
+        raise CompileError("refused while the workers run")
+
+    with pytest.raises(CompileError, match="refused"):
+        C.check_circuit(MAJ, refuse, words)
+    assert _reaped()
+    # the alarm lands in the parent's compile, then in its wait
+    with pytest.raises(_Alarm), _alarm(0.2):
+        C.check_circuit(MAJ, lambda: time.sleep(60), words)
+    assert _reaped()
+    monkeypatch.setattr(C, "recognize", lambda spec, w: time.sleep(60))
+    with pytest.raises(_Alarm), _alarm(0.2):
+        C.check_circuit(MAJ, c, words)
+    assert _reaped()
+
+
+def test_workers_ignore_sigint(pool, monkeypatch):
+    parent = os.getpid()
+
+    def judge(spec, w):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return recognize(spec, w)
+
+    monkeypatch.setattr(C, "recognize", judge)
+    c, words = compile_saturated(MAJ, 4), all_words(MAJ, 4)
+    assert C.check_circuit(MAJ, c, words) == (0, None)
+
+
+def test_a_killed_worker_raises_instead_of_hanging(pool, monkeypatch):
+    def die(spec, w):  # the last word: the last worker's last chunk
+        if w == "111111":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return recognize(spec, w)
+
+    monkeypatch.setattr(C, "recognize", die)
+    c, words = compile_saturated(MAJ, 6), all_words(MAJ, 6)
+    with _alarm(30), pytest.raises(RuntimeError,
+                                   match="died with exit code -9"):
+        C.check_circuit(MAJ, c, words)
+    assert _reaped()
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    probe = "import sys, satcirc.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    r = subprocess.run([sys.executable, "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.stdout.strip() == "False", r.stderr

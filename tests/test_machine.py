@@ -260,6 +260,19 @@ def test_run_trace_contents():
     assert t.layer_max_size[0] >= 1 and len(t.layer_max_size) == 2
 
 
+def test_run_finds_each_tie_set_once(monkeypatch):
+    import satcirc.machine as M
+
+    calls = []
+    monkeypatch.setattr(M, "max_set", lambda row, domain: calls.append(
+        len(row)) or max_set(row, domain))
+    t = run(mean_majority_spec("F"), "1101")
+    assert calls == [4] * 4 and t.ties[0][0][2] == (0, 1, 2, 3)
+    calls.clear()
+    run(mean_majority_spec("F"), "1101", _final_positions=(0,))
+    assert calls == [4]
+
+
 def test_run_rejects_bad_input():
     spec = mean_majority_spec("F")
     with pytest.raises(MachineError):
