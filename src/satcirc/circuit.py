@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import workers
+
 INPUT = "INPUT"
 NEG_INPUT = "NEG_INPUT"
 CONST = "CONST"
@@ -299,15 +301,31 @@ class FamilyReport:
         return tuple(r.depth for r in self.rows)
 
 
+def _family_row(family: Callable[[int], Circuit], n: int) -> tuple:
+    m = metrics(family(n))
+    return n, m.size, m.depth, m.theta_count, m.max_fanin
+
+
 def family_analyze(family: Callable[[int], Circuit],
                    ns: Sequence[int]) -> FamilyReport:
-    """Measure one circuit per n; slope is d log2(size) / d log2(n)."""
-    if len(ns) < 3:
-        raise CircuitError("need at least three values of n")
-    rows = []
-    for n in ns:
-        m = metrics(family(n))
-        rows.append(FamilyRow(n, m.size, m.depth, m.theta_count, m.max_fanin))
+    """Measure one circuit per n; slope is d log2(size) / d log2(n).
+
+    Each distinct n is measured once, on forked workers that inherit
+    family and send back only a row's five integers
+    (workers.forked_map). The largest n is handed out first and an idle
+    worker takes the next, so the sweep takes about as long as its
+    largest n. Rows follow ns, and a failure is the one from the first
+    failing n in ns.
+    """
+    distinct = list(dict.fromkeys(ns))
+    if len(distinct) < 3:
+        raise CircuitError(f"need at least three distinct values of n, "
+                           f"got {len(distinct)}")
+    largest_first = sorted(range(len(distinct)), key=lambda i: -distinct[i])
+    with workers.forked_map(lambda n: _family_row(family, n), distinct,
+                            largest_first) as got:
+        by_n = {r[0]: FamilyRow(*r) for r in got}
+    rows = [by_n[n] for n in ns]
     xs = [math.log2(r.n) for r in rows]
     ys = [math.log2(max(r.size, 1)) for r in rows]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)

@@ -202,8 +202,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_complexity(cfg: RunConfig) -> int:
     spec = _load(cfg)
     ns = _ns(cfg)
-    if len(ns) < 3:
-        raise MachineError("complexity wants --n-list with at least three n")
+    if len(set(ns)) < 3:
+        raise MachineError("complexity wants --n-list with at least three "
+                           "distinct n")
     compiler = _compiler_for(spec)
     fam = family_analyze(lambda n: compiler(spec, n), ns)
     inputs = {n: default_samples(spec, n, seed=cfg.seed) for n in ns}

@@ -36,18 +36,19 @@ the plan from the widths that build recorded.
 
 Verification compares the circuit with the machine word by word. The
 machine's verdicts come from forked workers, one per available CPU,
-while the parent compiles and evaluates the circuit (check_circuit).
+while the parent compiles and evaluates the circuit (check_circuit,
+through workers.forked_map).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import synth as S
+from . import workers
 from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, eval_batch, metrics
 from .machine import (
@@ -808,13 +809,7 @@ def _word_batch(spec, n, mode, samples, seed):
 
 MIN_CHUNK = 64  # words per chunk; smaller batches are not worth a fork
 CHUNKS_PER_WORKER = 8  # so the parent reads verdicts as they come
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+EVAL_BLOCK = 4096  # words per eval_batch call, which bounds its memory
 
 
 def _machine_chunk(spec, words, bounds) -> list:
@@ -822,100 +817,40 @@ def _machine_chunk(spec, words, bounds) -> list:
     return [recognize(spec, w) for w in words[lo:hi]]
 
 
-def _serve(conn, spec, words, chunks):
-    """A worker: send the machine's verdicts on each chunk in turn, or
-    the exception that stopped them."""
-    try:
-        for bounds in chunks:
-            conn.send(_machine_chunk(spec, words, bounds))
-    except Exception as e:
-        conn.send(e)
-
-
-def _in_order(workers, count: int):
-    """The verdicts of chunks 0..count-1, chunk i from worker i mod k. A
-    worker that dies (say, killed from outside) closes its pipe, which
-    raises here instead of leaving the wait to hang."""
-    for i in range(count):
-        p, conn = workers[i % len(workers)]
-        try:
-            got = conn.recv()
-        except EOFError:
-            p.join()
-            raise RuntimeError(f"machine worker {p.pid} died with exit "
-                               f"code {p.exitcode}") from None
-        if isinstance(got, Exception):
-            raise got
-        yield from got
-
-
-def _fork_context():
-    """The fork start method's context, or None where there is no fork."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
     """(mismatches, first counterexample) of the circuit's accept bit
     against the machine on words, in word order.
 
     circuit is a Circuit or a callable that returns one; a callable runs
-    while the machine's verdicts are computed. With fork and more than
-    one available CPU, one forked worker per CPU calls the module-level
-    recognize on contiguous chunks of words, dealt round robin, and the
-    parent reads the chunks back in order; spec and words are inherited,
-    never pickled. Otherwise the same chunks run in-process after the
-    circuit. Either way the result does not depend on the chunking or
-    the CPU count: a circuit error wins over a machine error, and a
-    machine error is the one from the first failing word. No worker
-    outlives the call.
+    while the machine's verdicts are computed. Forked workers
+    (workers.forked_map) call the module-level recognize on contiguous
+    chunks of words, and the parent evaluates the circuit in blocks of
+    EVAL_BLOCK words and reads the verdicts back in word order; spec and
+    words are inherited, never pickled. Where no workers start, the same
+    chunks run in-process after the circuit. Either way the result does
+    not depend on the chunking or the CPU count: a circuit error wins
+    over a machine error, and a machine error is the one from the first
+    failing word. No worker outlives the call.
     """
-    procs = _cpu_count()
-    size = max(MIN_CHUNK, -(-len(words) // (procs * CHUNKS_PER_WORKER)))
+    size = max(MIN_CHUNK, -(-len(words) // (workers._cpu_count()
+                                             * CHUNKS_PER_WORKER)))
     bounds = [(lo, min(lo + size, len(words)))
               for lo in range(0, len(words), size)]
-    ctx = _fork_context() if procs > 1 and len(bounds) > 1 else None
-    workers = []
-    try:
-        if ctx is None:
-            verdicts = itertools.chain.from_iterable(
-                _machine_chunk(spec, words, b) for b in bounds)
-        else:
-            import signal
-            # SIGINT and SIGALRM wait until every started worker is on
-            # the list, so an interrupt cannot orphan one. The workers
-            # inherit the mask and keep it: a Ctrl-C stops the parent,
-            # which stops them.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK,
-                                          {signal.SIGINT, signal.SIGALRM})
-            try:
-                k = min(procs, len(bounds))
-                for j in range(k):
-                    conn, end = ctx.Pipe(duplex=False)
-                    p = ctx.Process(target=_serve, daemon=True,
-                                    args=(end, spec, words, bounds[j::k]))
-                    p.start()
-                    workers.append((p, conn))
-                    end.close()  # so a dead worker reads as EOF
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            verdicts = _in_order(workers, len(bounds))
+    with workers.forked_map(lambda b: _machine_chunk(spec, words, b),
+                            bounds) as chunks:
         c = circuit() if callable(circuit) else circuit
-        got = eval_batch(c, [encode_word(spec, w) for w in words])
+        verdicts = itertools.chain.from_iterable(chunks)
         bad, first = 0, None
-        for w, out, accept in zip(words, got, verdicts, strict=True):
-            if bool(out[0]) != accept:
-                bad += 1
-                if first is None:
-                    first = w
+        for lo in range(0, len(words), EVAL_BLOCK):
+            block = words[lo:lo + EVAL_BLOCK]
+            got = eval_batch(c, [encode_word(spec, w) for w in block])
+            for w, out, accept in zip(block, got, itertools.islice(
+                    verdicts, len(block)), strict=True):
+                if bool(out[0]) != accept:
+                    bad += 1
+                    if first is None:
+                        first = w
         return bad, first
-    finally:
-        for p, conn in workers:
-            p.terminate()
-            p.join()
-            conn.close()
 
 
 def verify_equivalence(spec: TransformerSpec, ns: Sequence[int],

@@ -235,6 +235,12 @@ def test_family_analyze_bigram():
 def test_family_analyze_needs_three_points():
     with pytest.raises(CircuitError):
         family_analyze(bigram_family, [4, 8])
+    with pytest.raises(CircuitError, match="three distinct values of n"):
+        family_analyze(bigram_family, [8, 8, 8])
+    with pytest.raises(CircuitError, match="three distinct values of n"):
+        family_analyze(bigram_family, [4, 8, 4, 8])
+    rep = family_analyze(bigram_family, [4, 8, 4, 16])
+    assert [r.n for r in rep.rows] == [4, 8, 4, 16]
 
 
 # ---------------------------------------------------------------------------

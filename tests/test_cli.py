@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, artifacts, reproducibility."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import satcirc.compile
 import satcirc.machine
+import satcirc.workers
 from satcirc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -237,6 +239,15 @@ def test_theta_free_check_survives_python_O(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_no_assert_statements_under_src():
+    # checks that guard results must still run under python -O
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(SRC, "satcirc").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 HOST_PROBE = """
 import sys
 from satcirc.bitnum import rat
@@ -379,6 +390,16 @@ def test_complexity_csv_and_slopes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_complexity_refuses_fewer_than_three_distinct_n(tmp_path, capsys):
+    assert main(["complexity", "--builtin", "hard-demo", "--n-list", "8,8,8",
+                 "--out-dir", str(tmp_path)]) == 2
+    got = out(capsys)
+    assert got.err == ("error: complexity wants --n-list with at least "
+                       "three distinct n\n")
+    assert "depth constant" not in got.out
+    assert not (tmp_path / "complexity.csv").exists()
+
+
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SATCIRC_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
@@ -425,12 +446,12 @@ def test_worker_machine_error_exits_2_with_its_message(tmp_path, capsys,
         return satcirc.machine.recognize(spec, w)
 
     monkeypatch.setattr(satcirc.compile, "recognize", judge)
-    monkeypatch.setattr(satcirc.compile, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(satcirc.workers, "_cpu_count", lambda: 2)
     args = ["verify", "--builtin", "maj", "--n", "8",
             "--out-dir", str(tmp_path)]
     assert main(args) == 2
     assert out(capsys).err == "error: cannot judge 00011111\n"
-    monkeypatch.setattr(satcirc.compile, "_fork_context", lambda: None)
+    monkeypatch.setattr(satcirc.workers, "_fork_context", lambda: None)
     assert main(args) == 2
     assert out(capsys).err == "error: cannot judge 00011111\n"
     assert not (tmp_path / "verify.csv").exists()

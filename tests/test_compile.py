@@ -19,12 +19,14 @@ import pytest
 
 from satcirc import compile as C
 from satcirc import synth as S
+from satcirc import workers as W
 from satcirc.bitnum import flt
 from satcirc.builtins import (build_hard_demo, build_majority,
                               build_majority_layernorm,
                               build_prime_universal,
                               build_resource_bounded, builtin_spec)
-from satcirc.circuit import eval_batch, metrics
+from satcirc.circuit import eval_batch, family_analyze, metrics
+from satcirc.cli import main as cli_main
 from satcirc.compile import (CompileError, _Compiler, _read_paths,
                              _read_view, compile_hard, compile_planned,
                              compile_saturated, default_samples,
@@ -548,14 +550,14 @@ def pool(monkeypatch):
     monkeypatch.setattr(C, "MIN_CHUNK", 1)
 
     def cpus(k):
-        monkeypatch.setattr(C, "_cpu_count", lambda: k)
+        monkeypatch.setattr(W, "_cpu_count", lambda: k)
 
     cpus(2)
     return cpus
 
 
 def _in_process(monkeypatch):
-    monkeypatch.setattr(C, "_fork_context", lambda: None)
+    monkeypatch.setattr(W, "_fork_context", lambda: None)
 
 
 @pytest.mark.parametrize("spec, ns", [(MAJ, range(1, 9)),
@@ -712,9 +714,142 @@ def test_a_killed_worker_raises_instead_of_hanging(pool, monkeypatch):
 
     monkeypatch.setattr(C, "recognize", die)
     c, words = compile_saturated(MAJ, 6), all_words(MAJ, 6)
-    with _alarm(30), pytest.raises(RuntimeError,
+    with _alarm(30), pytest.raises(ChildProcessError,
                                    match="died with exit code -9"):
         C.check_circuit(MAJ, c, words)
+    assert _reaped()
+
+
+def test_the_circuit_is_evaluated_in_bounded_blocks(pool, monkeypatch):
+    c, words = compile_saturated(MAJ, 8), all_words(MAJ, 8)
+    wrong = dataclasses.replace(c, outputs=(next(
+        g.id for g in c.gates if g.kind == "INPUT"),))
+    whole = [C.check_circuit(MAJ, x, words) for x in (c, wrong)]
+    assert whole[0] == (0, None) and whole[1][0] > 0
+    monkeypatch.setattr(C, "EVAL_BLOCK", 7)
+    assert [C.check_circuit(MAJ, x, words) for x in (c, wrong)] == whole
+    _in_process(monkeypatch)
+    assert [C.check_circuit(MAJ, x, words) for x in (c, wrong)] == whole
+
+
+def test_exhaustive_verify_evaluates_at_most_4096_words_per_call(
+        monkeypatch, tmp_path, capsys):
+    rows = []
+
+    def spy(c, xs):
+        rows.append(len(xs))
+        return eval_batch(c, xs)
+
+    monkeypatch.setattr(C, "eval_batch", spy)
+    assert cli_main(["verify", "--builtin", "maj", "--n", "14",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # the compile's own checks evaluate a few rows first
+    assert max(rows) <= 4096 and rows[-4:] == [4096] * 4
+    assert (tmp_path / "verify.csv").read_bytes() == (
+        b"n,mode,tested,mismatches,first_counterexample\r\n"
+        b"14,exhaustive,16384,0,\r\n")
+
+
+# ---------------------------------------------------------------------------
+# the complexity sweep on the same workers
+
+
+def _sweep_csv(tmp_path, name):
+    out_dir = tmp_path / name
+    assert cli_main(["complexity", "--builtin", "hard-demo", "--n-list",
+                     "4,2,8,3,3", "--out-dir", str(out_dir)]) == 0
+    return (out_dir / "complexity.csv").read_bytes()
+
+
+def test_sweep_csv_does_not_depend_on_the_workers(pool, monkeypatch,
+                                                 tmp_path, capsys):
+    got = {}
+    for k in (1, 2, 4):
+        pool(k)
+        got[k] = _sweep_csv(tmp_path, f"cpus{k}")
+        assert _reaped()
+    _in_process(monkeypatch)
+    want = _sweep_csv(tmp_path, "in-process")
+    capsys.readouterr()
+    assert got == {1: want, 2: want, 4: want}
+    assert [r.split(b",")[0] for r in want.splitlines()] == \
+        [b"n", b"4", b"2", b"8", b"3", b"3"]
+
+
+def test_sweep_hands_out_the_largest_n_first(pool, tmp_path):
+    log = tmp_path / "started"
+
+    def family(n):
+        with open(log, "a") as f:
+            f.write(f"{n}\n")
+        # hold each worker on its first n until both have taken one
+        deadline = time.monotonic() + 30
+        while (len(log.read_text().split()) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return compile_saturated(MAJ, n)
+
+    rep = family_analyze(family, [5, 2, 6, 3, 4])
+    assert [r.n for r in rep.rows] == [5, 2, 6, 3, 4]
+    started = log.read_text().split()
+    assert sorted(started) == ["2", "3", "4", "5", "6"]
+    assert set(started[:2]) == {"5", "6"}
+    assert _reaped()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_sweep_error_is_from_the_first_failing_n_in_the_list(
+        cpus, pool, monkeypatch):
+    def family(n):
+        if n == 6:  # handed out first, fails at once
+            raise MachineError("six failed")
+        if n == 3:  # listed before 6, fails last
+            time.sleep(0.3)
+            raise CompileError("three failed")
+        return compile_saturated(MAJ, n)
+
+    if cpus is None:
+        _in_process(monkeypatch)
+    else:
+        pool(cpus)
+    with pytest.raises(CompileError, match="three failed"):
+        family_analyze(family, [2, 3, 4, 6])
+    assert _reaped()
+
+
+def test_a_killed_sweep_worker_raises_instead_of_hanging(
+        pool, monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+
+    def family(n):
+        if n == 4 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return compile_hard(build_hard_demo(), n)
+
+    with _alarm(30), pytest.raises(ChildProcessError,
+                                   match="died with exit code -9"):
+        family_analyze(family, [2, 3, 4])
+    assert _reaped()
+    # the CLI names the dead worker and exits 2, without a traceback
+    monkeypatch.setattr("satcirc.cli.compile_hard",
+                        lambda spec, n: family(n))
+    with _alarm(30):
+        assert cli_main(["complexity", "--builtin", "hard-demo", "--n-list",
+                         "2,3,4", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker ") and err.endswith(
+        " died with exit code -9\n")
+    assert _reaped()
+
+
+def test_a_sweep_worker_verifies_in_process(pool):
+    def family(n):  # a nested map runs in the sweep's worker
+        assert verify_equivalence(MAJ, [n]).ok
+        return compile_saturated(MAJ, n)
+
+    rep = family_analyze(family, [4, 5, 6])
+    assert [r.n for r in rep.rows] == [4, 5, 6] and rep.depth_constant
     assert _reaped()
 
 
