@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 

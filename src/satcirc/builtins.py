@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 from .bitnum import Rat, UNat
 from .machine import (
-    Add, Affine, Arg, AttentionKind, Const, Div, Eq, FuncExpr, Gt, HeadSpec,
-    Host, LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Select, Sqrt,
+    Add, Affine, Arg, AttentionKind, Const, Div, Gt, HeadSpec, Host,
+    LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Select, Sqrt,
     TransformerSpec, Tup, run,
 )
 

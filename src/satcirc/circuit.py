@@ -1,9 +1,8 @@
 """Boolean/threshold circuit IR.
 
 Gates form a DAG with unbounded fan-in AND/OR/THRESHOLD nodes, leaf
-INPUT/NEG_INPUT/CONST nodes, and (internally) NOT gates that a
-normalization pass can push down to negated leaves. Conventions fixed
-here and relied on everywhere else:
+INPUT/NEG_INPUT/CONST nodes, and NOT gates. Conventions fixed here and
+relied on everywhere else:
 
   depth   leaves are at depth 0, every internal gate is 1 + max over
           its inputs, circuit depth is the max over output gates
@@ -16,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import workers
 
@@ -268,18 +267,6 @@ def metrics(c: Circuit) -> Metrics:
     return Metrics(size, depth, theta, fanin)
 
 
-def bigram11_fixture() -> Circuit:
-    """n=5 detector for the substring 11: OR of AND(x_i, x_{i+1})."""
-    gates = [Gate(i, INPUT, idx=i) for i in range(5)]
-    ands = []
-    for i in range(4):
-        gid = 5 + i
-        gates.append(Gate(gid, AND, (i, i + 1)))
-        ands.append(gid)
-    gates.append(Gate(9, OR, tuple(ands)))
-    return Circuit(5, tuple(gates), (9,), {9: "has-11"})
-
-
 @dataclass(frozen=True)
 class FamilyRow:
     n: int
@@ -335,55 +322,6 @@ def family_analyze(family: Callable[[int], Circuit],
     return FamilyReport(tuple(rows), slope,
                         len({r.depth for r in rows}) == 1,
                         all(r.theta_count == 0 for r in rows))
-
-
-def normalize_negations(c: Circuit) -> Circuit:
-    """Push every NOT down to the leaves (De Morgan), eliminating NOT
-    gates; thresholds flip between >=k and <=k-1 forms."""
-    out_gates: list[Gate] = []
-    memo: dict[tuple[int, bool], int] = {}
-
-    def emit(kind, inputs=(), k=None, idx=None):
-        gid = len(out_gates)
-        out_gates.append(Gate(gid, kind, tuple(inputs), k, idx))
-        return gid
-
-    def walk(gid: int, negate: bool) -> int:
-        key = (gid, negate)
-        if key in memo:
-            return memo[key]
-        g = c.gate(gid)
-        if g.kind == INPUT:
-            res = emit(NEG_INPUT if negate else INPUT, idx=g.idx)
-        elif g.kind == NEG_INPUT:
-            res = emit(INPUT if negate else NEG_INPUT, idx=g.idx)
-        elif g.kind == CONST:
-            res = emit(CONST, k=(1 - g.k) if negate else g.k)
-        elif g.kind == NOT:
-            res = walk(g.inputs[0], not negate)
-        elif g.kind in (AND, OR):
-            kind = g.kind
-            if negate:
-                kind = OR if kind == AND else AND
-            res = emit(kind, [walk(i, negate) for i in g.inputs])
-        elif g.kind == THRESHOLD_GE:
-            ins = [walk(i, False) for i in g.inputs]
-            if negate:
-                res = emit(THRESHOLD_LE, ins, k=g.k - 1) if g.k >= 1 \
-                    else emit(CONST, k=0)
-            else:
-                res = emit(THRESHOLD_GE, ins, k=g.k)
-        else:
-            ins = [walk(i, False) for i in g.inputs]
-            res = emit(THRESHOLD_GE, ins, k=g.k + 1) if negate \
-                else emit(THRESHOLD_LE, ins, k=g.k)
-        memo[key] = res
-        return res
-
-    outs = tuple(walk(o, False) for o in c.outputs)
-    labels = {o2: c.labels[o1] for o1, o2 in zip(c.outputs, outs)
-              if o1 in c.labels}
-    return Circuit(c.n, tuple(out_gates), outs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +406,9 @@ def to_dot(c: Circuit) -> str:
             label = f"<={g.k}"
         else:
             label = g.kind
-        if g.id in c.labels:
-            label += f"\\n{c.labels[g.id]}"
+        if g.id in c.labels:  # escape the text, not DOT's \n line break
+            text = c.labels[g.id].replace("\\", "\\\\")
+            label += "\\n" + text.replace('"', '\\"')
         style = ' style=bold' if g.id in outset else ""
         lines.append(f'  g{g.id} [label="{label}" '
                      f'shape={_DOT_SHAPE[g.kind]}{style}];')

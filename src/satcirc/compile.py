@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from . import synth as S
@@ -325,7 +325,9 @@ class _Compiler:
         for w in live:
             bit = 1 << index[w] if w in index else 0
             sel += [s | bit for s in sel]
-        return _unflatten(_dnf_wires(b, live, [rows[s] for s in sel]), ref)
+        outs = _dnf_wires(b, live, [rows[s] for s in sel])
+        return _split(outs, ref, lambda ws, r: replace(
+            r, wires=tuple(ws), canonical=True))
 
     def _table_rows(self, e, args, ref, read):
         """One row per assignment of the read live wires; every other
@@ -355,8 +357,7 @@ class _Compiler:
             for w in val.wires:
                 cv = main_b.const_value(w)
                 ws.append(wmap.get(w, zero) if cv is None else b2.const(cv))
-            return WirePack(val.tag, tuple(ws), val.p_width, val.e_width,
-                            val.e_max, val.canonical, val.name)
+            return replace(val, wires=tuple(ws))
 
         self.b = b2
         try:
@@ -496,18 +497,6 @@ class _Compiler:
                             [b.and_(g, w) for w in pack.e], pack.e_max,
                             False, pack.name)
 
-    def _onehot_merge(self, hots, packs) -> WirePack:
-        b = self.b
-        pw = max(len(pk.p) for pk in packs)
-        ew = max(len(pk.e) for pk in packs)
-        emax = max(pk.e_max for pk in packs)
-        p = [b.or_(*[b.and_(h, S._pad(b, list(pk.p), pw)[t])
-                     for h, pk in zip(hots, packs)]) for t in range(pw)]
-        e = [b.or_(*[b.and_(h, S._pad(b, list(pk.e), ew)[t])
-                     for h, pk in zip(hots, packs)]) for t in range(ew)]
-        sign = b.or_(*[b.and_(h, pk.sign) for h, pk in zip(hots, packs)])
-        return S.float_pack(sign, p, e, emax, False)
-
     def _head_output(self, li: int, h: int, head, vecs, i: int,
                      block) -> tuple:
         b = self.b
@@ -524,18 +513,10 @@ class _Compiler:
             s = self._scalar(
                 self._expr_auto(head.scorer, (vecs[i], vecs[j])), "scorer")
             scores.append(self._register(f"L{li}.h{h}.score", s))
-        flags = []  # flags[j]: score j is maximal in the row
-        for j in range(n):
-            comps = [S.f_ge(b, scores[j], scores[k])
-                     for k in range(n) if k != j]
-            flags.append(b.and_(*comps))
-        if kind is AttentionKind.HARD:
-            hots = []  # one-hot at the least maximizer
-            for j in range(n):
-                hots.append(b.and_(flags[j],
-                                   *[b.not_(flags[t]) for t in range(j)]))
-            return tuple(self._onehot_merge(hots, [vecs[j][c]
-                                                   for j in range(n)])
+        flags = S.f_maximizers(b, scores)
+        if kind is AttentionKind.HARD:  # the least maximizer's value
+            hots = S.first_hot(b, flags)
+            return tuple(S.f_onehot(b, hots, [vecs[j][c] for j in range(n)])
                          for c in block)
         counts = S._exact_count(b, flags)  # |M| one-hot over 0..n
         outs = []
@@ -688,35 +669,25 @@ def _encode_result(val, ref) -> tuple:
     return tuple(bits)
 
 
+def _split(flat, ref, make):
+    """Cut flat into one chunk per pack of ref, in order, and rebuild
+    ref's shape from make(chunk, pack)."""
+    pos = 0
+
+    def go(r):
+        nonlocal pos
+        if isinstance(r, tuple):
+            return tuple(go(rr) for rr in r)
+        w = 1 + r.p_width + r.e_width
+        pos += w
+        return make(flat[pos - w:pos], r)
+
+    return go(ref)
+
+
 def _decode_result(bits, ref):
-    pos = 0
-
-    def go(r):
-        nonlocal pos
-        if isinstance(r, tuple):
-            return tuple(go(rr) for rr in r)
-        w = 1 + r.p_width + r.e_width
-        chunk = bits[pos:pos + w]
-        pos += w
-        return S.decode_flt(chunk, r.p_width, r.e_width)
-
-    return go(ref)
-
-
-def _unflatten(outs, ref):
-    pos = 0
-
-    def go(r):
-        nonlocal pos
-        if isinstance(r, tuple):
-            return tuple(go(rr) for rr in r)
-        w = 1 + r.p_width + r.e_width
-        ws = outs[pos:pos + w]
-        pos += w
-        return S.float_pack(ws[0], ws[1:1 + r.p_width], ws[1 + r.p_width:],
-                            r.e_max, canonical=True, name=r.name)
-
-    return go(ref)
+    return _split(bits, ref,
+                  lambda c, r: S.decode_flt(c, r.p_width, r.e_width))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
@@ -936,6 +937,10 @@ def parse_spec(text: str) -> TransformerSpec:
         raise MachineError("classifier wants (w ...) and (b ...)")
 
     name = fields["name"][0] if fields["name"] else ""
+    seps = {"/", os.sep, os.altsep} - {None}
+    if (not isinstance(name, str) or name in (".", "..")
+            or any(sep in name for sep in seps)):
+        raise MachineError(f"spec name {name!r} is not a plain file name")
     return TransformerSpec(alphabet, datatype, width,
                            _parse_expr(fields["embedding"][0], bw),
                            tuple(layers), tuple(wf), bf, {}, name)

@@ -17,7 +17,14 @@ agreement with the evaluator's canonical form is required.
 Data-dependent exponent arithmetic is done by value enumeration (muxes
 keyed on "e == u" indicators, u <= e_max), never by ripple arithmetic on
 the e wires; this keeps every float gadget's depth independent of the
-widths that grow with n.
+widths that grow with n. _e_sels gives those indicators, and _enum_shift
+is the one shift: it OR-merges copies of a bit vector, each shifted by
+the amount paired with its indicator. Alignment to a common exponent,
+the cross-multiplied comparators and f_canon's strip are all calls of it.
+
+Attention's argmax is f_maximizers (a flag on every tied maximum, from
+pairwise f_ge), first_hot (keep the first flag) and f_onehot (the pack
+whose hot wire is set).
 """
 
 from __future__ import annotations
@@ -247,27 +254,20 @@ def _flatten(ws) -> list:
 
 @dataclass(frozen=True)
 class WirePack:
-    """Fixed-width bundle of wires with a numeric reading.
+    """A float on wires: wires[0] is the sign (1 = nonnegative), then
+    p_width numerator bits (little-endian), then the exponent bits;
+    e_max bounds the exponent's value."""
 
-    uint: wires are little-endian value bits. float: wires[0] is the
-    sign (1 = nonnegative), then p_width numerator bits (little-endian),
-    then the exponent bits; e_max bounds the exponent's value.
-    """
-
-    tag: str
     wires: tuple[int, ...]
-    p_width: int = None
-    e_width: int = None
-    e_max: int = None
+    p_width: int
+    e_width: int
+    e_max: int
     canonical: bool = False
     name: str = ""
 
     def __post_init__(self):
-        if self.tag == "float":
-            if len(self.wires) != 1 + self.p_width + self.e_width:
-                raise SynthError("float pack width mismatch")
-        elif self.tag != "uint":
-            raise SynthError(f"unknown pack tag {self.tag!r}")
+        if len(self.wires) != 1 + self.p_width + self.e_width:
+            raise SynthError("float pack width mismatch")
 
     @property
     def sign(self) -> int:
@@ -282,13 +282,9 @@ class WirePack:
         return self.wires[1 + self.p_width:]
 
 
-def uint_pack(wires, name="") -> WirePack:
-    return WirePack("uint", tuple(wires), name=name)
-
-
 def float_pack(sign, p, e, e_max, canonical=False, name="") -> WirePack:
-    return WirePack("float", (sign, *p, *e), len(tuple(p)), len(tuple(e)),
-                    e_max, canonical, name)
+    return WirePack((sign, *p, *e), len(tuple(p)), len(tuple(e)), e_max,
+                    canonical, name)
 
 
 def encode_uint(value: int, width: int) -> list[int]:
@@ -415,26 +411,8 @@ def _count_bits(b: Builder, ws) -> list[int]:
     return bits
 
 
-def exact_count_indicators(n: int) -> Circuit:
-    if n < 1:
-        raise SynthError("need n >= 1")
-    b = Builder(n)
-    with b.no_fold():
-        outs = _exact_count(b, [b.input(i) for i in range(n)])
-    return b.build(outs, {o: f"count={m}" for m, o in enumerate(outs)})
-
-
-def count_bits(n: int) -> Circuit:
-    if n < 1:
-        raise SynthError("need n >= 1")
-    b = Builder(n)
-    with b.no_fold():
-        outs = _count_bits(b, [b.input(i) for i in range(n)])
-    return b.build(outs, {o: f"bit{t}" for t, o in enumerate(outs)})
-
-
 # ---------------------------------------------------------------------------
-# two-number adder, subtractor, comparators (theta-free, flat)
+# two-number adder, subtractor, comparator, one-hot mux (theta-free, flat)
 
 
 def _pad(b: Builder, ws, width: int) -> list[int]:
@@ -512,24 +490,13 @@ def _sub(b: Builder, aws, bws) -> list[int]:
     return out
 
 
-def _geq_u(b: Builder, aws, bws) -> int:
-    """a >= b on unsigned wires, theta-free depth <= 4."""
+def _geq_u(b: Builder, aws, bws, strict=False) -> int:
+    """a >= b (a > b if strict) on unsigned wires, theta-free depth <= 4."""
     W = max(len(aws), len(bws), 1)
     a = _pad(b, aws, W)
     c = _pad(b, bws, W)
     eq = _eq_bits(b, a, c, W)
-    terms = [b.and_(*eq)]
-    for j in range(W):
-        terms.append(b.and_(a[j], b.not_(c[j]), *eq[j + 1:]))
-    return b.or_(*terms)
-
-
-def _gt_u(b: Builder, aws, bws) -> int:
-    W = max(len(aws), len(bws), 1)
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
-    eq = _eq_bits(b, a, c, W)
-    terms = []
+    terms = [] if strict else [b.and_(*eq)]
     for j in range(W):
         terms.append(b.and_(a[j], b.not_(c[j]), *eq[j + 1:]))
     return b.or_(*terms)
@@ -542,31 +509,13 @@ def _eq_u(b: Builder, aws, bws) -> int:
     return b.and_(*_eq_bits(b, a, c, W))
 
 
-def _mux_bits(b: Builder, cond: int, aws, bws) -> list[int]:
-    W = max(len(aws), len(bws))
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
-    nc = b.not_(cond)
-    return [b.or_(b.and_(cond, a[t]), b.and_(nc, c[t])) for t in range(W)]
-
-
-def adder2(B: int) -> Circuit:
-    if B < 1:
-        raise SynthError("need B >= 1")
-    b = Builder(2 * B)
-    with b.no_fold():
-        outs = _adder2(b, [b.input(i) for i in range(B)],
-                       [b.input(B + i) for i in range(B)])
-    return b.build(outs, {o: f"s{t}" for t, o in enumerate(outs)})
-
-
-def comparator(B: int) -> Circuit:
-    if B < 1:
-        raise SynthError("need B >= 1")
-    b = Builder(2 * B)
-    out = _geq_u(b, [b.input(i) for i in range(B)],
-                 [b.input(B + i) for i in range(B)])
-    return b.build([out], {out: "a>=b"})
+def _onehot_bits(b: Builder, hots, rows) -> list[int]:
+    """The row whose hot wire is set, rows zero-padded to one width: an
+    OR of hot-gated rows, so at most one hot wire may be set."""
+    W = max(len(r) for r in rows)
+    rows = [_pad(b, r, W) for r in rows]
+    return [b.or_(*[b.and_(h, r[t]) for h, r in zip(hots, rows)])
+            for t in range(W)]
 
 
 # ---------------------------------------------------------------------------
@@ -632,51 +581,6 @@ def _itadd(b: Builder, summands, out_width: int = None) -> list[int]:
     return total
 
 
-def itadd(n: int, B: int) -> Circuit:
-    """Sum of n unsigned B-bit numbers; inputs summand-major."""
-    if n < 1 or B < 1:
-        raise SynthError("need n >= 1 and B >= 1")
-    b = Builder(n * B)
-    rows = [[b.input(i * B + t) for t in range(B)] for i in range(n)]
-    outs = _itadd(b, rows, out_width=B + clog2(n))
-    return b.build(outs, {o: f"s{t}" for t, o in enumerate(outs)})
-
-
-# ---------------------------------------------------------------------------
-# max selection
-
-
-def _max_select(b: Builder, vecs) -> tuple[list[int], list[int]]:
-    """(max value bits, one-hot first-winner flags)."""
-    n = len(vecs)
-    flags = []
-    for i in range(n):
-        comps = [_geq_u(b, vecs[i], vecs[j]) for j in range(n) if j != i]
-        flags.append(b.and_(*comps))
-    wins = []
-    for i in range(n):
-        wins.append(b.and_(flags[i], *[b.not_(flags[t]) for t in range(i)]))
-    W = max(len(v) for v in vecs)
-    value = []
-    for t in range(W):
-        value.append(b.or_(*[b.and_(wins[i], _pad(b, vecs[i], W)[t])
-                             for i in range(n)]))
-    return value, wins
-
-
-def max_select(n: int, B: int) -> Circuit:
-    """Outputs: B max-value bits, then n winner flags (first maximal)."""
-    if n < 1 or B < 1:
-        raise SynthError("need n >= 1 and B >= 1")
-    b = Builder(n * B)
-    vecs = [[b.input(i * B + t) for t in range(B)] for i in range(n)]
-    value, wins = _max_select(b, vecs)
-    outs = value + wins
-    labels = {o: f"max{t}" for t, o in enumerate(value)}
-    labels.update({o: f"win{i}" for i, o in enumerate(wins)})
-    return b.build(outs, labels)
-
-
 # ---------------------------------------------------------------------------
 # multiplication and shifting
 
@@ -722,41 +626,25 @@ def _enum_eq(b: Builder, ws, value: int) -> int:
     return b.and_(*lits)
 
 
-def _barrel_left(b: Builder, vws, sws, max_shift: int) -> list[int]:
-    """value << shift for shift in 0..max_shift, by equality-gated
-    pre-shifted copies; width len(v) + max_shift."""
-    vws = list(vws)
-    W = len(vws) + max_shift
-    sels = [_enum_eq(b, sws, s) for s in range(max_shift + 1)]
-    out = []
-    for t in range(W):
-        terms = []
-        for s in range(max_shift + 1):
-            src = t - s
-            if 0 <= src < len(vws):
-                terms.append(b.and_(sels[s], vws[src]))
-        out.append(b.or_(*terms))
-    return out
+def _e_sels(b: Builder, x: WirePack) -> list[tuple[int, int]]:
+    """(u, indicator of x's exponent == u) for every u <= e_max; a
+    static exponent is the single pair (0, 1)."""
+    if not x.e:
+        return [(0, b.const(1))]
+    return [(u, _enum_eq(b, x.e, u)) for u in range(x.e_max + 1)]
 
 
-def tc0_multiplier(B: int) -> Circuit:
-    if not 1 <= B <= 64:
-        raise SynthError("need 1 <= B <= 64")
-    b = Builder(2 * B)
-    outs = _mul_u(b, [b.input(i) for i in range(B)],
-                  [b.input(B + i) for i in range(B)])
-    return b.build(outs, {o: f"p{t}" for t, o in enumerate(outs)})
-
-
-def barrel_shift(B: int, max_shift: int) -> Circuit:
-    """Inputs: B value bits, then ceil(log2(max_shift+1)) shift bits."""
-    if B < 1 or max_shift < 0:
-        raise SynthError("need B >= 1 and max_shift >= 0")
-    sw = clog2(max_shift + 1)
-    b = Builder(B + sw)
-    outs = _barrel_left(b, [b.input(i) for i in range(B)],
-                        [b.input(B + i) for i in range(sw)], max_shift)
-    return b.build(outs, {o: f"v{t}" for t, o in enumerate(outs)})
+def _enum_shift(b: Builder, bits, sels, width: int) -> list[int]:
+    """bits << s for the (s, indicator) pair whose indicator is set, as
+    an OR of indicator-gated shifted copies; a negative s shifts right.
+    width output wires; at most one indicator may be set."""
+    L = len(bits)
+    if len(sels) == 1 and b.folding and b.const_value(sels[0][1]) == 1:
+        s = sels[0][0]  # a static shift: each gated copy folds to the copy
+        return [bits[t - s] if 0 <= t - s < L else b.const(0)
+                for t in range(width)]
+    return [b.or_(*[b.and_(sel, bits[t - s]) for s, sel in sels
+                    if 0 <= t - s < L]) for t in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -775,28 +663,6 @@ def f_const(b: Builder, x: Flt, name="") -> WirePack:
 
 def f_from_bit(b: Builder, w: int, name="") -> WirePack:
     return float_pack(b.const(1), (w,), (), 0, canonical=True, name=name)
-
-
-def _aligned_mags(b: Builder, packs) -> tuple[list[list[int]], int]:
-    """Numerators scaled to the common denominator 2^ecap."""
-    ecap = max(pk.e_max for pk in packs)
-    rows = []
-    for pk in packs:
-        if not pk.e:  # exponent statically 0
-            rows.append([b.const(0)] * ecap + list(pk.p))
-            continue
-        width = len(pk.p) + ecap
-        sels = [_enum_eq(b, pk.e, u) for u in range(pk.e_max + 1)]
-        row = []
-        for t in range(width):
-            terms = []
-            for u in range(pk.e_max + 1):
-                src = t - (ecap - u)
-                if 0 <= src < len(pk.p):
-                    terms.append(b.and_(sels[u], pk.p[src]))
-            row.append(b.or_(*terms))
-        rows.append(row)
-    return rows, ecap
 
 
 def _const_e_wires(b: Builder, value: int, e_max: int) -> list[int]:
@@ -829,7 +695,9 @@ def _banked_sum(b: Builder, packs, usum, name="") -> WirePack:
     packs = list(packs)
     if not packs:
         raise SynthError("need at least one float")
-    mags, ecap = _aligned_mags(b, packs)
+    ecap = max(pk.e_max for pk in packs)  # numerators over 2^ecap
+    mags = [_enum_shift(b, pk.p, [(ecap - u, s) for u, s in _e_sels(b, pk)],
+                        pk.p_width + ecap) for pk in packs]
     out_w = max(len(m) for m in mags) + clog2(len(packs) + 1) + 1
     one, zero = b.const(1), b.const(0)
     signs = [pk.sign for pk in packs]
@@ -845,7 +713,8 @@ def _banked_sum(b: Builder, packs, usum, name="") -> WirePack:
         P = usum(pos, out_w)
         N = usum(neg, out_w)
         sign = _geq_u(b, P, N)
-        mag = _mux_bits(b, sign, _sub(b, P, N), _sub(b, N, P))
+        diffs = (_sub(b, P, N), _sub(b, N, P))
+        mag = _onehot_bits(b, (sign, b.not_(sign)), diffs)
     return float_pack(sign, mag, _const_e_wires(b, ecap, ecap), ecap,
                       canonical=False, name=name)
 
@@ -894,13 +763,9 @@ def _e_value_map(b: Builder, x: WirePack, f: Callable[[int], int],
     width = clog2(new_max + 1)
     if not width:
         return []
-    if not x.e:
-        return [b.const(bit) for bit in encode_uint(f(0), width)]
-    sels = [(u, _enum_eq(b, x.e, u)) for u in range(x.e_max + 1)]
-    out = []
-    for t in range(width):
-        out.append(b.or_(*[s for u, s in sels if (f(u) >> t) & 1]))
-    return out
+    sels = _e_sels(b, x)
+    return [b.or_(*[s for u, s in sels if (f(u) >> t) & 1])
+            for t in range(width)]
 
 
 def f_mul(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
@@ -965,8 +830,7 @@ def f_div_by_indicators(b: Builder, x: WirePack, indicators,
     ew = clog2(emax + 1)
     p_terms = [[] for _ in range(pw)]
     e_terms = [[] for _ in range(ew)]
-    e_sels = ([(u, _enum_eq(b, x.e, u)) for u in range(x.e_max + 1)]
-              if x.e else [(0, b.const(1))])
+    e_sels = _e_sels(b, x)
     for m in range(1, n + 1):
         ind = indicators[m]
         L = m.bit_length()
@@ -998,18 +862,13 @@ def f_canon(b: Builder, x: WirePack, name="") -> WirePack:
     tz = []  # tz[t]: p != 0 and trailing zeros == t
     for t in range(pw):
         tz.append(b.and_(*npbits[:t], x.p[t]))
-    e_sels = ([(u, _enum_eq(b, x.e, u)) for u in range(x.e_max + 1)]
-              if x.e else [(0, b.const(1))])
+    e_sels = _e_sels(b, x)
     pairs = []  # (r, e-after, indicator)
     for t, tzw in enumerate(tz):
         for u, esel in e_sels:
             r = min(t, u)
             pairs.append((r, u - r, b.and_(tzw, esel)))
-    p_out = []
-    for i in range(pw):
-        terms = [b.and_(sel, x.p[i + r]) for r, _, sel in pairs
-                 if i + r < pw]
-        p_out.append(b.or_(*terms))
+    p_out = _enum_shift(b, x.p, [(-r, sel) for r, _, sel in pairs], pw)
     ew = clog2(x.e_max + 1)
     e_out = []
     for t in range(ew):
@@ -1021,35 +880,21 @@ def f_canon(b: Builder, x: WirePack, name="") -> WirePack:
 
 def _cross_mags(b: Builder, x: WirePack, y: WirePack):
     """p_x * 2^(e_y) and p_y * 2^(e_x): common-denominator numerators."""
-    def scaled(p, e_wires, e_max):
-        if not e_wires:
-            return list(p)
-        width = len(p) + e_max
-        sels = [(u, _enum_eq(b, e_wires, u)) for u in range(e_max + 1)]
-        out = []
-        for t in range(width):
-            terms = [b.and_(sel, p[t - u]) for u, sel in sels
-                     if 0 <= t - u < len(p)]
-            out.append(b.or_(*terms))
-        return out
-
-    return scaled(x.p, y.e, y.e_max), scaled(y.p, x.e, x.e_max)
+    return (_enum_shift(b, x.p, _e_sels(b, y), x.p_width + y.e_max),
+            _enum_shift(b, y.p, _e_sels(b, x), y.p_width + x.e_max))
 
 
-def f_ge(b: Builder, x: WirePack, y: WirePack) -> int:
+def f_ge(b: Builder, x: WirePack, y: WirePack, strict=False) -> int:
+    """x >= y, or x > y if strict."""
     A, B_ = _cross_mags(b, x, y)
     sx, sy = f_pos_or_zero(b, x), f_pos_or_zero(b, y)
     return b.or_(b.and_(sx, b.not_(sy)),
-                 b.and_(sx, sy, _geq_u(b, A, B_)),
-                 b.and_(b.not_(sx), b.not_(sy), _geq_u(b, B_, A)))
+                 b.and_(sx, sy, _geq_u(b, A, B_, strict)),
+                 b.and_(b.not_(sx), b.not_(sy), _geq_u(b, B_, A, strict)))
 
 
 def f_gt(b: Builder, x: WirePack, y: WirePack) -> int:
-    A, B_ = _cross_mags(b, x, y)
-    sx, sy = f_pos_or_zero(b, x), f_pos_or_zero(b, y)
-    return b.or_(b.and_(sx, b.not_(sy)),
-                 b.and_(sx, sy, _gt_u(b, A, B_)),
-                 b.and_(b.not_(sx), b.not_(sy), _gt_u(b, B_, A)))
+    return f_ge(b, x, y, strict=True)
 
 
 def f_eq(b: Builder, x: WirePack, y: WirePack) -> int:
@@ -1059,36 +904,42 @@ def f_eq(b: Builder, x: WirePack, y: WirePack) -> int:
     return b.and_(same_sign, _eq_u(b, A, B_))
 
 
+def f_onehot(b: Builder, hots, packs, canonical=False,
+             name="") -> WirePack:
+    """The pack whose hot wire is set; at most one may be set. Pass
+    canonical=True only when every pack is canonical."""
+    p = _onehot_bits(b, hots, [pk.p for pk in packs])
+    e = _onehot_bits(b, hots, [pk.e for pk in packs])
+    sign = _onehot_bits(b, hots, [(pk.sign,) for pk in packs])[0]
+    return float_pack(sign, p, e, max(pk.e_max for pk in packs), canonical,
+                      name)
+
+
 def f_select(b: Builder, cond: int, x: WirePack, y: WirePack,
              name="") -> WirePack:
-    pw = max(len(x.p), len(y.p))
-    ew = max(len(x.e), len(y.e))
-    ncond = b.not_(cond)
-    p = [b.or_(b.and_(cond, w1), b.and_(ncond, w2))
-         for w1, w2 in zip(_pad(b, x.p, pw), _pad(b, y.p, pw))]
-    e = [b.or_(b.and_(cond, w1), b.and_(ncond, w2))
-         for w1, w2 in zip(_pad(b, x.e, ew), _pad(b, y.e, ew))]
-    sign = b.or_(b.and_(cond, x.sign), b.and_(ncond, y.sign))
-    return float_pack(sign, p, e, max(x.e_max, y.e_max),
-                      x.canonical and y.canonical, name)
+    return f_onehot(b, (cond, b.not_(cond)), (x, y),
+                    x.canonical and y.canonical, name)
 
 
 # ---------------------------------------------------------------------------
-# public float gadgets
+# argmax
 
 
-def _declare_float_inputs(b: Builder, n: int, p_width: int, e_max: int):
-    ew = clog2(e_max + 1)
-    stride = 1 + p_width + ew
-    packs = []
-    for i in range(n):
-        base = i * stride
-        packs.append(float_pack(
-            b.input(base),
-            [b.input(base + 1 + t) for t in range(p_width)],
-            [b.input(base + 1 + p_width + t) for t in range(ew)],
-            e_max, canonical=True, name=f"x{i}"))
-    return packs
+def f_maximizers(b: Builder, packs) -> list[int]:
+    """flags[j] = 1 iff packs[j] is maximal: every tied maximum is
+    flagged. Theta-free, one f_ge per ordered pair."""
+    return [b.and_(*[f_ge(b, x, y) for k, y in enumerate(packs) if k != j])
+            for j, x in enumerate(packs)]
+
+
+def first_hot(b: Builder, flags) -> list[int]:
+    """One-hot at the first set flag; all zero when none is set."""
+    return [b.and_(f, *[b.not_(g) for g in flags[:j]])
+            for j, f in enumerate(flags)]
+
+
+# ---------------------------------------------------------------------------
+# outputs
 
 
 def _emit_float(c_outputs: list, labels: dict, pack: WirePack, prefix: str):
@@ -1100,43 +951,6 @@ def _emit_float(c_outputs: list, labels: dict, pack: WirePack, prefix: str):
     for t, w in enumerate(pack.e):
         c_outputs.append(w)
         labels[w] = f"{prefix}.e{t}"
-
-
-def float_sum(n: int, p_width: int, e_max: int) -> Circuit:
-    """Sum n canonical floats (packs of 1+p_width+ew wires each);
-    output is the canonical float of the exact sum."""
-    if n < 1 or p_width < 1 or e_max < 0:
-        raise SynthError("need n >= 1, p_width >= 1, e_max >= 0")
-    ew = clog2(e_max + 1)
-    b = Builder(n * (1 + p_width + ew))
-    packs = _declare_float_inputs(b, n, p_width, e_max)
-    result = f_canon(b, f_sum(b, packs, "sum"))
-    outs, labels = [], {}
-    _emit_float(outs, labels, result, "sum")
-    c = b.build(outs, labels)
-    return c
-
-
-def float_sum_widths(n: int, p_width: int, e_max: int):
-    """(p, e) output widths of float_sum with these parameters."""
-    return p_width + e_max + clog2(n + 1) + 1, clog2(e_max + 1)
-
-
-def divide_by_count(B: int, n: int, e_max: int = 8) -> Circuit:
-    """Inputs: a float pack (1+B+ew wires), then n+1 one-hot count
-    indicator wires; output: the canonical float of pack / count."""
-    if B < 1 or n < 1:
-        raise SynthError("need B >= 1 and n >= 1")
-    ew = clog2(e_max + 1)
-    b = Builder(1 + B + ew + n + 1)
-    pack = float_pack(b.input(0), [b.input(1 + t) for t in range(B)],
-                      [b.input(1 + B + t) for t in range(ew)], e_max,
-                      canonical=True)
-    inds = [b.input(1 + B + ew + m) for m in range(n + 1)]
-    result = f_canon(b, f_div_by_indicators(b, pack, inds, "q"))
-    outs, labels = [], {}
-    _emit_float(outs, labels, result, "q")
-    return b.build(outs, labels)
 
 
 def manifest(circuit: Circuit, name: str, **params) -> dict:

@@ -1,4 +1,4 @@
-"""Circuit IR: evaluation, metrics, normalization, serialization."""
+"""Circuit IR: evaluation, metrics, serialization."""
 
 import random
 
@@ -6,9 +6,8 @@ import pytest
 
 from satcirc.circuit import (
     AND, CONST, Circuit, CircuitError, Gate, INPUT, Metrics, NEG_INPUT, NOT,
-    OR, THRESHOLD_GE, THRESHOLD_LE, bigram11_fixture, depth_map, eval,
-    eval_batch, family_analyze, from_json, metrics, normalize_negations,
-    to_dot, to_json,
+    OR, THRESHOLD_GE, THRESHOLD_LE, depth_map, eval, eval_batch,
+    family_analyze, from_json, metrics, to_dot, to_json,
 )
 
 from oracles import contains_bigram11, recursive_eval
@@ -25,6 +24,18 @@ def circ_to_dict(c):
 
 def all_bits(n):
     return [tuple((m >> i) & 1 for i in range(n)) for m in range(2 ** n)]
+
+
+def bigram11_fixture():
+    """n=5 detector for the substring 11: OR of AND(x_i, x_{i+1})."""
+    gates = [Gate(i, INPUT, idx=i) for i in range(5)]
+    ands = []
+    for i in range(4):
+        gid = 5 + i
+        gates.append(Gate(gid, AND, (i, i + 1)))
+        ands.append(gid)
+    gates.append(Gate(9, OR, tuple(ands)))
+    return Circuit(5, tuple(gates), (9,), {9: "has-11"})
 
 
 # ---------------------------------------------------------------------------
@@ -244,44 +255,6 @@ def test_family_analyze_needs_three_points():
 
 
 # ---------------------------------------------------------------------------
-# negation normalization
-
-
-def test_normalize_negations_removes_nots():
-    rng = random.Random(31)
-    for _ in range(200):
-        c = random_circuit(rng, rng.randint(1, 3), rng.randint(1, 14))
-        norm = normalize_negations(c)
-        assert all(g.kind != NOT for g in norm.gates)
-        for bits in all_bits(c.n):
-            assert eval(norm, bits) == eval(c, bits)
-
-
-def test_normalize_negations_exhaustive_wider():
-    # a fixed NOT-heavy circuit over 12 inputs, checked on all 4096 inputs
-    n = 12
-    gates = [Gate(i, INPUT, idx=i) for i in range(n)]
-    gates.append(Gate(12, THRESHOLD_GE, tuple(range(6)), k=2))
-    gates.append(Gate(13, NOT, (12,)))
-    gates.append(Gate(14, THRESHOLD_LE, tuple(range(6, 12)), k=3))
-    gates.append(Gate(15, NOT, (14,)))
-    gates.append(Gate(16, AND, (13, 15)))
-    gates.append(Gate(17, NOT, (16,)))
-    gates.append(Gate(18, OR, (17, 13)))
-    c = Circuit(n, tuple(gates), (18, 17))
-    norm = normalize_negations(c)
-    assert all(g.kind != NOT for g in norm.gates)
-    inputs = all_bits(n)
-    assert eval_batch(norm, inputs) == eval_batch(c, inputs)
-
-
-def test_normalize_preserves_labels():
-    c = bigram11_fixture()
-    norm = normalize_negations(c)
-    assert list(norm.labels.values()) == ["has-11"]
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -329,3 +302,4 @@ def test_dot_export_mentions_gates():
     assert dot.startswith("digraph")
     assert "x1" in dot and "AND" in dot and "has-11" in dot
     assert dot.count("->") == 12
+

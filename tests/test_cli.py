@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import satcirc.workers
 from satcirc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 MAJ_TEXT = """
 ; majority, 1-based indices throughout
@@ -118,8 +120,14 @@ def test_compile_hard_demo_is_theta_free(tmp_path, capsys):
 
 
 # sha256 of (circuit JSON, manifest): a compiler speed-up must not
-# change a byte of either
+# change a byte of either. A key ending in .sexp names a file in specs/.
 PINNED = {
+    ("maj_f.sexp", 2, False): (
+        "ca8fd2a17c4f4339b4305d877f3e95dc9079ec051f04f8318bc25622053d5e6f",
+        "eebebf6c393e678761dbf64975e588c98c5f5b720922d22c154062f7ff3812b7"),
+    ("maj_f.sexp", 3, False): (
+        "8b848818dbb79cffdd9474f29bd243b435a49ea44fb48e870d312c5decd9885d",
+        "e5b0461d79c79656be4653099aff83b8e5d05e6339372a50848fdeae96f23655"),
     ("maj", 4, False): (
         "d6ef63323ea2b6e43795f4740d16723203d5186697e7bd92f35458fc8116cc8d",
         "923528c697dfcca2cb9a61ceb8d214c3bb03feeeaece8674fc4146922a171cf8"),
@@ -164,13 +172,43 @@ PINNED = {
 
 @pytest.mark.parametrize("builtin,n,values", sorted(PINNED))
 def test_compile_artifacts_are_pinned(builtin, n, values, tmp_path, capsys):
-    args = ["compile", "--builtin", builtin, "--n", str(n),
+    if builtin.endswith(".sexp"):
+        source = ["--spec", str(SPECS / builtin)]
+        name = satcirc.machine.load_spec(source[1]).name
+    else:
+        source, name = ["--builtin", builtin], builtin
+    args = ["compile", *source, "--n", str(n),
             "--out-dir", str(tmp_path)] + (["--values"] if values else [])
     assert main(args) == 0
-    got = tuple(hashlib.sha256((tmp_path / f"{builtin}_n{n}{ext}")
+    got = tuple(hashlib.sha256((tmp_path / f"{name}_n{n}{ext}")
                                .read_bytes()).hexdigest()
                 for ext in (".json", ".manifest.json"))
     assert got == PINNED[builtin, n, values]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ".."])
+def test_spec_name_cannot_leave_the_out_dir(name, tmp_path, capsys):
+    spec = tmp_path / "spec.sexp"
+    spec.write_text(MAJ_TEXT.replace("maj-file", name))
+    out_dir = tmp_path / "o"
+    for cmd in (["compile", "--n", "1"], ["run", "--input", "1", "--trace"]):
+        assert main([*cmd, "--spec", str(spec),
+                     "--out-dir", str(out_dir)]) == 2
+        assert f"spec name {name!r} is not a plain file name" in out(
+            capsys).err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.sexp"]
+
+
+def test_dot_labels_with_quote_and_backslash_stay_closed(tmp_path, capsys):
+    spec = tmp_path / "spec.sexp"
+    spec.write_text(MAJ_TEXT.replace("(alphabet 0 1)", '(alphabet \\ ")'))
+    assert main(["compile", "--spec", str(spec), "--n", "1", "--format",
+                 "dot", "--out-dir", str(tmp_path)]) == 0
+    dot = (tmp_path / "maj-file_n1.dot").read_text()
+    closed = re.findall(r'label="((?:[^"\\\n]|\\.)*)" ', dot)
+    assert len(closed) == dot.count("label=") > 0
+    assert "x1\\nw1=\\\\" in closed and 'x2\\nw1=\\"' in closed
     capsys.readouterr()
 
 
@@ -245,6 +283,24 @@ def test_no_assert_statements_under_src():
              for path in sorted(Path(SRC, "satcirc").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports_under_src():
+    # __init__.py imports to re-export; __future__ imports switch features
+    found = []
+    for path in sorted(Path(SRC, "satcirc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                  for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (alias.asname or alias.name.split(".")[0]) not in used]
     assert found == []
 
 

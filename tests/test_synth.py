@@ -6,19 +6,22 @@ build. Float gadgets must agree bit-for-bit with the evaluator's float
 arithmetic, not just numerically.
 """
 
+import contextlib
+import functools
 import itertools
+import operator
 import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from satcirc import synth as S
 from satcirc.bitnum import (
     Flt, UNat, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg, relu, uadd,
 )
-from satcirc.circuit import THRESHOLD_KINDS, depth_map, eval_batch, metrics
+from satcirc.circuit import depth_map, eval_batch, metrics
 from satcirc.circuit import eval as ceval
 from satcirc.synth import (
     Builder, LookupSpec, SynthError, WirePack, clog2, decode_flt,
@@ -35,12 +38,42 @@ def rand_flt(rng, pmax=4, emax=3):
                rng.randint(0, emax))
 
 
+def build(fn, *widths, no_fold=False):
+    """The circuit of fn(b, *groups) over fresh input groups of the given
+    widths, and fn's result. A wire or a list of wires is the output; a
+    float pack is emitted canonical, and that canonical pack returned."""
+    b = Builder(sum(widths))
+    wires = [b.input(i) for i in range(sum(widths))]
+    ends = list(itertools.accumulate(widths))
+    groups = [wires[end - w:end] for w, end in zip(widths, ends)]
+    with b.no_fold() if no_fold else contextlib.nullcontext():
+        res = fn(b, *groups)
+    if isinstance(res, WirePack):
+        res = S.f_canon(b, res)
+        return b.build(res.wires), res
+    return b.build([res] if isinstance(res, int) else res), res
+
+
+def fpack(g, p_width, e_max):
+    """A canonical float pack over an input group of fwidth wires."""
+    return S.float_pack(g[0], g[1:1 + p_width], g[1 + p_width:], e_max,
+                        canonical=True)
+
+
+def fwidth(p_width, e_max):
+    return 1 + p_width + clog2(e_max + 1)
+
+
+def _encode_pack(f: Flt, p_width: int, e_max: int):
+    return encode_flt(f, p_width, clog2(e_max + 1))
+
+
 # ---------------------------------------------------------------------------
 # counting
 
 
 def test_exact_count_indicators_exhaustive():
-    c = S.exact_count_indicators(6)
+    c, _ = build(S._exact_count, 6, no_fold=True)
     for bits in all_bits(6):
         want = tuple(int(m == sum(bits)) for m in range(7))
         assert ceval(c, bits) == want
@@ -49,7 +82,7 @@ def test_exact_count_indicators_exhaustive():
 
 def test_count_bits_exhaustive():
     for n in (1, 3, 6, 9):
-        c = S.count_bits(n)
+        c, _ = build(S._count_bits, n, no_fold=True)
         assert len(c.outputs) == n.bit_length()
         for bits in all_bits(n):
             assert decode_uint(ceval(c, bits)) == sum(bits)
@@ -57,7 +90,7 @@ def test_count_bits_exhaustive():
 
 
 def test_count_bits_random_wide():
-    c = S.count_bits(40)
+    c, _ = build(S._count_bits, 40, no_fold=True)
     rng = random.Random(5)
     xs = [[rng.randint(0, 1) for _ in range(40)] for _ in range(10_000)]
     for row, out in zip(xs, eval_batch(c, xs)):
@@ -69,7 +102,7 @@ def test_count_bits_random_wide():
 
 
 def test_adder2_exhaustive():
-    c = S.adder2(5)
+    c, _ = build(S._adder2, 5, 5, no_fold=True)
     m = metrics(c)
     assert m.theta_count == 0
     assert m.depth <= 4
@@ -80,7 +113,7 @@ def test_adder2_exhaustive():
 
 
 def test_adder2_matches_unat_addition():
-    c = S.adder2(16)
+    c, _ = build(S._adder2, 16, 16, no_fold=True)
     rng = random.Random(9)
     xs, want = [], []
     for _ in range(10_000):
@@ -92,21 +125,29 @@ def test_adder2_matches_unat_addition():
 
 
 def test_comparator_exhaustive_and_theta_free():
-    c = S.comparator(7)
-    assert metrics(c).theta_count == 0
-    for a in range(128):
-        for b in range(128):
-            got = ceval(c, encode_uint(a, 7) + encode_uint(b, 7))[0]
-            assert got == int(a >= b), (a, b)
+    pairs = [(a, b) for a in range(128) for b in range(128)]
+    xs = [encode_uint(a, 7) + encode_uint(b, 7) for a, b in pairs]
+    for fn, want in ((S._geq_u, operator.ge), (S._eq_u, operator.eq),
+                     (functools.partial(S._geq_u, strict=True), operator.gt)):
+        c, _ = build(fn, 7, 7)
+        assert metrics(c).theta_count == 0
+        for (a, b), out in zip(pairs, eval_batch(c, xs)):
+            assert out == (int(want(a, b)),), (fn, a, b)
 
 
 # ---------------------------------------------------------------------------
 # iterated addition
 
 
+def itadd(n, B):
+    """Circuit summing n unsigned B-bit numbers; inputs summand-major."""
+    return build(lambda b, *rows: S._itadd(b, rows, out_width=B + clog2(n)),
+                 *[B] * n)[0]
+
+
 def test_itadd_exhaustive_small():
     for n, B in ((2, 3), (4, 3), (3, 4)):
-        c = S.itadd(n, B)
+        c = itadd(n, B)
         assert len(c.outputs) == B + clog2(n)
         for bits in all_bits(n * B):
             want = sum(decode_uint(bits[i * B:(i + 1) * B]) for i in range(n))
@@ -117,7 +158,7 @@ def test_itadd_random_wide():
     rng = random.Random(21)
     total = 0
     for n, B in ((3, 10), (7, 8), (16, 6), (40, 4)):
-        c = S.itadd(n, B)
+        c = itadd(n, B)
         xs, want = [], []
         for _ in range(2600):
             vals = [rng.randrange(1 << B) for _ in range(n)]
@@ -133,55 +174,71 @@ def test_itadd_random_wide():
 
 
 def test_itadd_depth_constant_across_n():
-    depths = {n: metrics(S.itadd(n, 4)).depth for n in (4, 8, 16, 32, 64)}
+    depths = {n: metrics(itadd(n, 4)).depth for n in (4, 8, 16, 32, 64)}
     assert len(set(depths.values())) == 1, depths
 
 
 def test_itadd_single_summand():
-    c = S.itadd(1, 5)
+    c = itadd(1, 5)
     for v in range(32):
         assert decode_uint(ceval(c, encode_uint(v, 5))) == v
 
 
 def test_itadd_rejects_bad_shapes():
-    with pytest.raises(SynthError):
-        S.itadd(0, 4)
-    with pytest.raises(SynthError):
-        S.itadd(3, 0)
     b = Builder(1)
-    with pytest.raises(SynthError):
+    with pytest.raises(SynthError, match="at least one"):
         S._itadd(b, [])
+    with pytest.raises(SynthError, match="at most"):
+        S._itadd(b, [[b.input(0)]] * (S.ITADD_MAX_N + 1))
 
 
 # ---------------------------------------------------------------------------
-# max selection
+# argmax: f_maximizers, first_hot and f_onehot on float packs
+
+
+def argmax(p_width, e_max):
+    """fn for build: maximizer flags, first-hot flags, then the canonical
+    value the first maximizer holds, over one float pack per group."""
+    def fn(b, *groups):
+        packs = [fpack(g, p_width, e_max) for g in groups]
+        flags = S.f_maximizers(b, packs)
+        hots = S.first_hot(b, flags)
+        value = S.f_canon(b, S.f_onehot(b, hots, packs))
+        return flags + hots + list(value.wires)
+    return fn
+
+
+def check_argmax(vals, out, p_width, e_max):
+    n = len(vals)
+    top = max(vals, key=functools.cmp_to_key(flt_cmp))
+    flags = tuple(int(flt_cmp(v, top) == 0) for v in vals)
+    assert out[:n] == flags, vals  # every tied maximum
+    first = flags.index(1)
+    assert out[n:2 * n] == tuple(int(j == first) for j in range(n)), vals
+    assert decode_flt(out[2 * n:], p_width, clog2(e_max + 1)) == top, vals
 
 
 def test_max_select_exhaustive_with_ties():
-    c = S.max_select(3, 2)
+    # every raw encoding of three p2/e1 floats: 2/2^1 ties 1/2^0, and a
+    # sign-0 zero ties +0
+    c, _ = build(argmax(2, 1), 4, 4, 4)
     assert metrics(c).theta_count == 0
-    for bits in all_bits(6):
-        vals = [decode_uint(bits[i * 2:(i + 1) * 2]) for i in range(3)]
-        out = ceval(c, bits)
-        assert decode_uint(out[:2]) == max(vals)
-        first = vals.index(max(vals))  # least maximizer wins
-        assert out[2:] == tuple(int(i == first) for i in range(3))
+    xs = all_bits(12)
+    for bits, out in zip(xs, eval_batch(c, xs)):
+        vals = [decode_flt(bits[4 * j:4 * j + 4], 2, 1) for j in range(3)]
+        check_argmax(vals, out, 2, 1)
 
 
 def test_max_select_random_wide():
-    c = S.max_select(6, 8)
+    c, _ = build(argmax(4, 3), *[fwidth(4, 3)] * 6)
     rng = random.Random(31)
-    xs, want = [], []
-    for _ in range(10_000):
-        vals = [rng.randrange(256) for _ in range(6)]
-        bits = []
-        for v in vals:
-            bits += encode_uint(v, 8)
-        xs.append(bits)
-        want.append((max(vals), vals.index(max(vals))))
-    for (mv, mi), out in zip(want, eval_batch(c, xs)):
-        assert decode_uint(out[:8]) == mv
-        assert out[8:] == tuple(int(i == mi) for i in range(6))
+    pool = [rand_flt(rng) for _ in range(5)]  # few values: many ties
+    rows = [[rng.choice(pool) if rng.random() < 0.5 else rand_flt(rng)
+             for _ in range(6)] for _ in range(10_000)]
+    xs = [[bit for v in vals for bit in _encode_pack(v, 4, 3)]
+          for vals in rows]
+    for vals, out in zip(rows, eval_batch(c, xs)):
+        check_argmax(vals, out, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +246,7 @@ def test_max_select_random_wide():
 
 
 def test_multiplier_exhaustive():
-    c = S.tc0_multiplier(7)
+    c, _ = build(S._mul_u, 7, 7)
     assert len(c.outputs) == 14
     rows = [(a, b) for a in range(128) for b in range(128)]
     xs = [encode_uint(a, 7) + encode_uint(b, 7) for a, b in rows]
@@ -198,7 +255,7 @@ def test_multiplier_exhaustive():
 
 
 def test_multiplier_random_wide():
-    c = S.tc0_multiplier(16)
+    c, _ = build(S._mul_u, 16, 16)
     rng = random.Random(17)
     xs, want = [], []
     for _ in range(10_000):
@@ -210,19 +267,31 @@ def test_multiplier_random_wide():
 
 
 def test_barrel_shift_exhaustive():
-    c = S.barrel_shift(8, 5)  # 3 shift bits: encodings 6, 7 are dead
+    # _enum_shift by k - 2 for the 3-bit amount k in 0..4: right shifts,
+    # no shift and left shifts; encodings 5, 6, 7 are dead and give 0
+    def fn(b, v, k):
+        return S._enum_shift(b, v, [(u - 2, S._enum_eq(b, k, u))
+                                    for u in range(5)], 10)
+    c, _ = build(fn, 8, 3)
     assert metrics(c).theta_count == 0
     for bits in all_bits(11):
         v = decode_uint(bits[:8])
-        s = decode_uint(bits[8:])
-        want = (v << s) if s <= 5 else 0
+        s = decode_uint(bits[8:]) - 2
+        want = 0 if s > 2 else v << s if s >= 0 else v >> -s
         assert decode_uint(ceval(c, bits)) == want
 
 
 def test_barrel_shift_zero_range():
-    c = S.barrel_shift(4, 0)
-    for v in range(16):
-        assert decode_uint(ceval(c, encode_uint(v, 4))) == v
+    # a static shift (the single pair (s, 1)) folds to wiring; without
+    # folding the gated copies give the same bits
+    for s in (-2, 0, 3):
+        for no_fold in (False, True):
+            c, _ = build(lambda b, v: S._enum_shift(b, v, [(s, b.const(1))],
+                                                    6), 4, no_fold=no_fold)
+            assert (metrics(c).size == 0) != no_fold
+            for v in range(16):
+                want = (v << s if s >= 0 else v >> -s) & 63
+                assert decode_uint(ceval(c, encode_uint(v, 4))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +349,11 @@ def test_lookup_spec_validation():
 # float gadgets
 
 
-def _encode_pack(f: Flt, p_width: int, e_max: int):
-    return encode_flt(f, p_width, clog2(e_max + 1))
+def float_sum(n, p_width, e_max):
+    """(circuit, canonical result) of f_sum over n canonical floats."""
+    return build(lambda b, *gs: S.f_sum(b, [fpack(g, p_width, e_max)
+                                            for g in gs]),
+                 *[fwidth(p_width, e_max)] * n)
 
 
 def test_float_sum_matches_fold_bit_for_bit():
@@ -289,8 +361,10 @@ def test_float_sum_matches_fold_bit_for_bit():
     p_width, e_max = 4, 3
     total = 0
     for n in (1, 2, 3, 5, 8):
-        c = S.float_sum(n, p_width, e_max)
-        p_out, e_out = S.float_sum_widths(n, p_width, e_max)
+        c, res = float_sum(n, p_width, e_max)
+        p_out, e_out = len(res.p), len(res.e)
+        assert p_out == p_width + e_max + clog2(n + 1) + 1
+        assert e_out == clog2(e_max + 1)
         assert len(c.outputs) == 1 + p_out + e_out
         xs, want = [], []
         for _ in range(2100):
@@ -307,8 +381,7 @@ def test_float_sum_matches_fold_bit_for_bit():
 
 
 def test_float_sum_signed_edges():
-    c = S.float_sum(2, 4, 2)
-    p_out, e_out = S.float_sum_widths(2, 4, 2)
+    c, res = float_sum(2, 4, 2)
     cases = [
         (flt(-3, 1), flt(-5, 2)),
         (flt(3, 1), flt(-3, 1)),  # exact cancellation -> canonical zero
@@ -319,13 +392,13 @@ def test_float_sum_signed_edges():
     ]
     for a, b in cases:
         bits = _encode_pack(a, 4, 2) + _encode_pack(b, 4, 2)
-        got = decode_flt(ceval(c, bits), p_out, e_out)
+        got = decode_flt(ceval(c, bits), len(res.p), len(res.e))
         assert got == flt_add(a, b), (a, b, got)
 
 
 def test_float_sum_output_is_canonical_encoding():
-    c = S.float_sum(2, 3, 1)
-    p_out, e_out = S.float_sum_widths(2, 3, 1)
+    c, res = float_sum(2, 3, 1)
+    p_out = len(res.p)
     bits = _encode_pack(flt(1, 1), 3, 1) + _encode_pack(flt(1, 1), 3, 1)
     out = ceval(c, bits)  # 1/2 + 1/2 = 1, not 2/2
     assert out[0] == 1
@@ -333,13 +406,21 @@ def test_float_sum_output_is_canonical_encoding():
     assert decode_uint(out[1 + p_out:]) == 0
 
 
+def divide_by_count(B, n, e_max):
+    """(circuit, canonical result) of a float pack divided by the count
+    given as n + 1 one-hot indicator wires after it."""
+    return build(lambda b, x, inds: S.f_div_by_indicators(
+        b, fpack(x, B, e_max), inds), fwidth(B, e_max), n + 1)
+
+
 def test_divide_by_count_matches_float_division():
     B, n, e_max = 5, 6, 3
-    c = S.divide_by_count(B, n, e_max)
+    c, res = divide_by_count(B, n, e_max)
     assert metrics(c).theta_count == 0
     rng = random.Random(29)
     p_out = B + 1
     e_out = clog2(e_max + n.bit_length() + 1)
+    assert (len(res.p), len(res.e)) == (p_out, e_out)
     xs, want = [], []
     for _ in range(10_000):
         f = rand_flt(rng, B, e_max)
@@ -352,7 +433,7 @@ def test_divide_by_count_matches_float_division():
 
 
 def test_divide_by_count_spotlights():
-    c = S.divide_by_count(2, 3, 2)
+    c, _ = divide_by_count(2, 3, 2)
     p_out, e_out = 3, clog2(2 + 2 + 1)
     for f, m in ((flt(3, 2), 2), (flt(1), 3)):
         bits = _encode_pack(f, 2, 2) + [int(t == m) for t in range(4)]
@@ -370,20 +451,13 @@ def test_divide_by_count_spotlights():
 def _run_float_op(op, ins, pmax=4, emax=3):
     """Build a one-off circuit applying op to float inputs; decode the
     canonical result (or return the bare wire for predicates)."""
-    ew = clog2(emax + 1)
-    b = Builder(len(ins) * (1 + pmax + ew))
-    packs = S._declare_float_inputs(b, len(ins), pmax, emax)
-    res = op(b, packs)
+    c, res = build(lambda b, *gs: op(b, [fpack(g, pmax, emax) for g in gs]),
+                   *[fwidth(pmax, emax)] * len(ins))
     bits = []
     for f in ins:
-        bits += encode_flt(f, pmax, ew)
+        bits += _encode_pack(f, pmax, emax)
     if isinstance(res, WirePack):
-        res = S.f_canon(b, res)
-        outs, labels = [], {}
-        S._emit_float(outs, labels, res, "r")
-        c = b.build(outs, labels)
         return decode_flt(ceval(c, bits), len(res.p), len(res.e)), c
-    c = b.build([res])
     return ceval(c, bits)[0], c
 
 
@@ -439,14 +513,11 @@ def test_tree_sum_is_theta_free_and_exact():
 
 def test_reciprocal_times_three_is_not_one():
     # the constructive witness that float division truncates
-    b = Builder(1)
-    one = S.f_const(b, flt(1))
-    third = S.f_div_const(b, one, flt(3))
-    back = S.f_canon(b, S.f_mul_const(b, third, flt(3)))
-    outs, labels = [], {}
-    S._emit_float(outs, labels, back, "w")
-    c = b.build(outs, labels)
-    got = decode_flt(ceval(c, [0]), len(back.p), len(back.e))
+    def fn(b):
+        third = S.f_div_const(b, S.f_const(b, flt(1)), flt(3))
+        return S.f_mul_const(b, third, flt(3))
+    c, back = build(fn)
+    got = decode_flt(ceval(c, []), len(back.p), len(back.e))
     assert got == flt(3, 2)
     assert got != flt(1)
 
@@ -513,7 +584,7 @@ def test_builder_input_range():
 
 
 def test_manifest_fields():
-    c = S.adder2(3)
+    c, _ = build(S._adder2, 3, 3, no_fold=True)
     man = S.manifest(c, "adder2", B=3)
     assert man["name"] == "adder2"
     assert man["params"] == {"B": 3}
