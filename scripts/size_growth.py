@@ -8,13 +8,13 @@ python3 scripts/size_growth.py --builtin maj --n-list 8,16,64,256,512
 
 import argparse
 import csv
+import io
 import os
 import sys
 
-from satcirc.builtins import builtin_spec
-from satcirc.cli import OUT_DIR_ENV, _int_list, _write
+from satcirc.cli import OUT_DIR_ENV, USER_ERRORS, _int_list, _load, _write
 from satcirc.compile import default_samples
-from satcirc.machine import instrument_sizes, load_spec
+from satcirc.machine import instrument_sizes
 
 
 def main(argv=None) -> int:
@@ -28,14 +28,20 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     a = p.parse_args(argv)
-    spec = (load_spec(a.spec) if a.spec
-            else builtin_spec(a.builtin, a.pred))
+    try:
+        return report(a)
+    except USER_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+def report(a) -> int:
+    spec = _load(a)
     inputs = {n: default_samples(spec, n, count=a.samples, seed=a.seed)
               for n in a.n_list}
     rep = instrument_sizes(spec, inputs)
     out = a.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
     path = os.path.join(out, "size_growth.csv")
-    import io
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["n", "max_value_bits"] +

@@ -426,14 +426,18 @@ def check_size_preserving(f: Callable[..., object],
         out = f(*args)
         ins = size(args[0]) if len(args) == 1 else size(args)
         pairs.append((ins, size(out)))
-    c = None
-    worst = None
+    return fit_size_profile(pairs, n0, cap)
+
+
+def fit_size_profile(pairs, n0: int, cap: int) -> SizeProfile:
+    """The least c with |out| <= c*|in| over the (|in|, |out|) pairs
+    whose input size is nonzero and at least n0, and whether c <= cap."""
+    c = worst = None
     for ins, outs in pairs:
-        if ins < n0:
+        if ins < n0 or ins == 0:
             continue
-        need = -(-outs // ins) if ins else None
-        if ins and (c is None or need > c):
-            c = need
-            worst = (ins, outs)
-    ok = c is not None and c <= cap
-    return SizeProfile(tuple(pairs), c, n0, cap, ok, worst)
+        need = -(-outs // ins)
+        if c is None or need > c:
+            c, worst = need, (ins, outs)
+    return SizeProfile(tuple(pairs), c, n0, cap, c is not None and c <= cap,
+                       worst)

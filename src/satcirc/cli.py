@@ -21,9 +21,8 @@ from .bitnum import BitNumError
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .circuit import (CircuitError, family_analyze, from_json, metrics,
                       to_dot, to_json)
-from .compile import (CompileError, compile_hard, compile_planned,
-                      compile_saturated, default_samples, hard_only,
-                      verify_equivalence)
+from .compile import (CompileError, compile_planned, compile_saturated,
+                      default_samples, verify_equivalence)
 from .machine import (MachineError, instrument_sizes, load_spec,
                       recognize, run)
 from .synth import SynthError, manifest
@@ -80,12 +79,8 @@ def _load(cfg: RunConfig):
     return builtin_spec(cfg.builtin, cfg.pred)
 
 
-def _compiler_for(spec):
-    return compile_hard if hard_only(spec) else compile_saturated
-
-
 def _ns(cfg: RunConfig) -> tuple:
-    ns = cfg.n_list or ((cfg.n,) if cfg.n else ())
+    ns = cfg.n_list or ((cfg.n,) if cfg.n is not None else ())
     if not ns:
         raise MachineError("need --n or --n-list")
     return ns
@@ -159,7 +154,7 @@ def _circuit_file(path: str):
     """A compile_fn that reads the circuit artifact at path instead of
     compiling; a corrupted file shows up as plain mismatches, not a
     crash."""
-    def read(spec, n, plan):
+    def read(spec, n):
         with open(path, encoding="utf-8") as f:
             try:
                 text = f.read()
@@ -178,7 +173,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.circuit and len(_ns(cfg)) != 1:
         raise MachineError("--circuit verification takes a single --n")
     compile_fn = (_circuit_file(cfg.circuit) if cfg.circuit
-                  else _compiler_for(spec))
+                  else compile_saturated)
     rep = verify_equivalence(spec, _ns(cfg), cfg.mode, cfg.samples,
                              cfg.seed, compile_fn=compile_fn)
     buf = io.StringIO()
@@ -205,8 +200,7 @@ def cmd_complexity(cfg: RunConfig) -> int:
     if len(set(ns)) < 3:
         raise MachineError("complexity wants --n-list with at least three "
                            "distinct n")
-    compiler = _compiler_for(spec)
-    fam = family_analyze(lambda n: compiler(spec, n), ns)
+    fam = family_analyze(lambda n: compile_saturated(spec, n), ns)
     inputs = {n: default_samples(spec, n, seed=cfg.seed) for n in ns}
     sizes = instrument_sizes(spec, inputs)
     bits = {r.n: r.overall for r in sizes.rows}

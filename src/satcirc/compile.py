@@ -25,14 +25,13 @@ its 2^r rows against the structural form with unread live wires tied to
 the r-bit row at m's read bits, so the circuit is the one a 2^k
 tabulation gives.
 
-Width plans certify how wide every value role is. Analytic plans carry
-the structurally propagated widths, which the compiler records per role
-as it builds; empirical plans carry widths measured on sample traces
-plus a safety margin, and the compiler narrows its packs to the plan, so
-a plan that understates a role either fails loudly here (when it cannot
-even hold the measured traces) or shows up as a verification mismatch.
-Planning and compiling share one pass: build with no plan, then derive
-the plan from the widths that build recorded.
+Width plans certify how wide every value role is. The compiler records
+the structurally propagated (p bits, exponent bound) of every role as
+it builds, and compile_planned checks that the machine's values on
+sample traces fit under them; the plan is those recorded widths, so it
+certifies the circuit it came with. Every entry point builds through
+one _build, which also refuses a threshold gate in the circuit of a
+spec whose heads are all hard.
 
 Verification compares the circuit with the machine word by word. The
 machine's verdicts come from forked workers, one per available CPU,
@@ -110,14 +109,9 @@ class WidthPlan:
     """Certified per-role (p bits, exponent bound) widths at one n."""
 
     n: int
-    mode: str  # analytic | empirical
     roles: Mapping[str, tuple[int, int]]
     measured: Mapping[str, tuple[int, int]]
     samples: tuple[str, ...]
-
-
-def _covers(have: tuple[int, int], need: tuple[int, int]) -> bool:
-    return have[0] >= need[0] and have[1] >= need[1]
 
 
 def default_samples(spec: TransformerSpec, n: int, count: int = 6,
@@ -159,68 +153,6 @@ def _measure_roles(spec: TransformerSpec, n: int, samples) -> dict:
     return meas
 
 
-def _planned(spec: TransformerSpec, n: int, samples, mode: str,
-             include_values: bool = False) -> tuple[Circuit, WidthPlan]:
-    """Build with no plan, then derive the plan from the roles the
-    build recorded, checking that the sample traces fit under them. An
-    analytic plan never narrows a pack, so it certifies this circuit."""
-    _check_compilable(spec)
-    if n < 1:
-        raise CompileError("need n >= 1")
-    if mode not in ("analytic", "empirical"):
-        raise CompileError(f"unknown width plan mode {mode!r}")
-    if samples is None:
-        samples = default_samples(spec, n)
-    samples = list(samples)
-    if not samples:
-        raise CompileError("width planning needs at least one sample input")
-    for w in samples:
-        if len(w) != n:
-            raise CompileError(f"sample {w!r} is not length {n}")
-    measured = _measure_roles(spec, n, samples)
-    comp = _Compiler(spec, n, None)
-    circuit = comp.build(include_values)
-    for role, need in measured.items():
-        have = comp.roles.get(role)
-        if have is not None and not _covers(have, need):
-            raise CompileError(
-                f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
-                f"sample trace reached p{need[0]}/e{need[1]}")
-    if mode == "analytic":
-        roles = dict(comp.roles)
-    else:
-        roles = {r: (p + 2, e + 1) for r, (p, e) in measured.items()}
-    return circuit, WidthPlan(n, mode, roles, measured, tuple(samples))
-
-
-def plan_widths(spec: TransformerSpec, n: int, samples=None,
-                mode: str = "analytic") -> WidthPlan:
-    """Derive a width plan, measuring sample traces and checking they
-    fit under the structurally propagated bounds."""
-    return _planned(spec, n, samples, mode)[1]
-
-
-def _check_plan(spec: TransformerSpec, n: int, plan: WidthPlan):
-    if plan is None:
-        return
-    if plan.n != n:
-        raise CompileError(f"width plan is for n={plan.n}, compiling n={n}")
-    for role, need in plan.measured.items():
-        have = plan.roles.get(role)
-        if have is not None and not _covers(have, need):
-            raise CompileError(
-                f"width plan overflow at {role}: declared p{have[0]}/"
-                f"e{have[1]} cannot hold the traced p{need[0]}/e{need[1]}")
-
-
-def _narrow(b: Builder, pack: WirePack, p_bits: int, e_max: int) -> WirePack:
-    ew = clog2(e_max + 1)
-    p = S._pad(b, list(pack.p[:p_bits]), p_bits)
-    e = S._pad(b, list(pack.e[:ew]), ew)
-    still = pack.canonical and p_bits >= len(pack.p) and e_max >= pack.e_max
-    return S.float_pack(pack.sign, p, e, e_max, still, pack.name)
-
-
 # ---------------------------------------------------------------------------
 # expression values: WirePack or nested tuples of packs
 
@@ -235,15 +167,10 @@ def _flatten_packs(val, out: list):
 
 def _pack_const(b: Builder, pack: WirePack):
     """The Flt a pack always encodes, or None if any wire is live."""
-    bits = []
-    for w in pack.wires:
-        v = b.const_value(w)
-        if v is None:
-            return None
-        bits.append(v)
-    pv = S.decode_uint(bits[1:1 + pack.p_width])
-    ev = S.decode_uint(bits[1 + pack.p_width:])
-    return Flt.make(pv if bits[0] else -pv, ev)
+    bits = [b.const_value(w) for w in pack.wires]
+    if None in bits:
+        return None
+    return S.decode_flt(bits, pack.p_width, pack.e_width)
 
 
 def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
@@ -267,10 +194,9 @@ def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
 
 
 class _Compiler:
-    def __init__(self, spec: TransformerSpec, n: int, plan: WidthPlan):
+    def __init__(self, spec: TransformerSpec, n: int):
         self.spec = spec
         self.n = n
-        self.plan = plan
         self.b = Builder(n * len(spec.alphabet))
         self.roles: dict = {}
         self._tables: dict = {}  # _expr_auto key -> table rows or None
@@ -278,16 +204,9 @@ class _Compiler:
     # role bookkeeping ------------------------------------------------
 
     def _register(self, role: str, pack: WirePack) -> WirePack:
-        got = (len(pack.p), pack.e_max)
-        old = self.roles.get(role, (0, 0))
-        self.roles[role] = (max(old[0], got[0]), max(old[1], got[1]))
-        if self.plan is None:
-            return pack
-        want = self.plan.roles.get(role)
-        if want is None or _covers(want, got):
-            return pack
-        return _narrow(self.b, pack, min(got[0], want[0]),
-                       min(got[1], want[1]))
+        p, e = self.roles.get(role, (0, 0))
+        self.roles[role] = (max(p, len(pack.p)), max(e, pack.e_max))
+        return pack
 
     # expression compilation -------------------------------------------
 
@@ -694,30 +613,31 @@ def _decode_result(bits, ref):
 # entry points
 
 
-def compile_saturated(spec: TransformerSpec, n: int, plan: WidthPlan = None,
-                      include_values: bool = False) -> Circuit:
-    """Compile for saturated/uniform (and mux-style hard) attention."""
+def _build(spec: TransformerSpec, n: int, include_values: bool):
+    """The one build behind every entry point: the circuit and the
+    (p bits, exponent bound) it recorded per value role. A spec whose
+    heads are all hard must come out threshold-free."""
     _check_compilable(spec)
     if n < 1:
         raise CompileError("need n >= 1")
-    _check_plan(spec, n, plan)
-    return _Compiler(spec, n, plan).build(include_values)
+    comp = _Compiler(spec, n)
+    c = comp.build(include_values)
+    if {h.attention for l in spec.layers for h in l.heads} == {
+            AttentionKind.HARD}:
+        theta = metrics(c).theta_count
+        if theta:
+            raise CompileError(
+                f"hard compilation emitted {theta} threshold gates")
+    return c, comp.roles
 
 
-def hard_only(spec: TransformerSpec) -> bool:
-    """True when every head is hard, so the circuit must be threshold-free."""
-    kinds = {h.attention for l in spec.layers for h in l.heads}
-    return kinds == {AttentionKind.HARD}
+def compile_saturated(spec: TransformerSpec, n: int, *,
+                      include_values: bool = False) -> Circuit:
+    """Compile for saturated/uniform (and mux-style hard) attention."""
+    return _build(spec, n, include_values)[0]
 
 
-def _check_theta_free(c: Circuit):
-    theta = metrics(c).theta_count
-    if theta:
-        raise CompileError(
-            f"hard compilation emitted {theta} threshold gates")
-
-
-def compile_hard(spec: TransformerSpec, n: int, plan: WidthPlan = None,
+def compile_hard(spec: TransformerSpec, n: int, *,
                  include_values: bool = False) -> Circuit:
     """All-hard compilation; the result must be threshold-free."""
     for layer in spec.layers:
@@ -725,20 +645,29 @@ def compile_hard(spec: TransformerSpec, n: int, plan: WidthPlan = None,
             if head.attention is not AttentionKind.HARD:
                 raise CompileError("compile_hard wants hard heads only; "
                                    f"found {head.attention.value}")
-    c = compile_saturated(spec, n, plan, include_values)
-    _check_theta_free(c)
-    return c
+    return compile_saturated(spec, n, include_values=include_values)
 
 
-def compile_planned(spec: TransformerSpec, n: int,
+def compile_planned(spec: TransformerSpec, n: int, *,
                     include_values: bool = False) -> tuple[Circuit, WidthPlan]:
-    """The circuit and the analytic width plan certifying it, in one
-    build: the circuit compile_saturated(spec, n, plan_widths(spec, n))
-    gives. All-hard specs get compile_hard's threshold-free check."""
-    c, plan = _planned(spec, n, None, "analytic", include_values)
-    if hard_only(spec):
-        _check_theta_free(c)
-    return c, plan
+    """The circuit compile_saturated gives and the width plan certifying
+    it, from one build: every role the sample traces reach must fit
+    under the width the build recorded."""
+    c, roles = _build(spec, n, include_values)
+    samples = default_samples(spec, n)
+    measured = _measure_roles(spec, n, samples)
+    for role, need in measured.items():
+        have = roles.get(role)
+        if have is not None and (have[0] < need[0] or have[1] < need[1]):
+            raise CompileError(
+                f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
+                f"sample trace reached p{need[0]}/e{need[1]}")
+    return c, WidthPlan(n, roles, measured, tuple(samples))
+
+
+def plan_widths(spec: TransformerSpec, n: int) -> WidthPlan:
+    """The width plan compile_planned certifies its circuit with."""
+    return compile_planned(spec, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +694,8 @@ class EquivReport:
 
 
 def _word_batch(spec, n, mode, samples, seed):
+    if n < 1:
+        raise CompileError("need n >= 1")
     if mode == "exhaustive":
         if len(spec.alphabet) ** n > 1 << 20:
             raise CompileError(f"exhaustive verification over "
@@ -826,18 +757,16 @@ def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
 
 def verify_equivalence(spec: TransformerSpec, ns: Sequence[int],
                        mode: str = "exhaustive", samples: int = 1000,
-                       seed: int = 0, plans: Mapping[int, WidthPlan] = None,
-                       compile_fn: Callable = None) -> EquivReport:
+                       seed: int = 0, compile_fn: Callable = None
+                       ) -> EquivReport:
     """Compare the compiled circuit's accept bit against the machine on
     every word in the batch, compiling each n while the machine runs
     (check_circuit); reports per-n counts and the first counterexample
-    if any. compile_fn(spec, n, plan) defaults to compile_saturated."""
+    if any. compile_fn(spec, n) defaults to compile_saturated."""
     builder = compile_fn or compile_saturated
     rows = []
     for n in ns:
-        plan = plans.get(n) if plans else None
         words = _word_batch(spec, n, mode, samples, seed)
-        bad, first = check_circuit(spec, lambda: builder(spec, n, plan),
-                                   words)
+        bad, first = check_circuit(spec, lambda: builder(spec, n), words)
         rows.append(EquivRow(n, mode, len(words), bad, first))
     return EquivReport(spec.name or "spec", tuple(rows))

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .bitnum import (
-    BitNumError, Flt, Rat, SizeProfile, flt, flt_add, flt_cmp, flt_div,
-    flt_mul, flt_neg, flt_sqrt, rat, rat_add, rat_cmp, rat_mul, rat_neg,
-    relu as bitnum_relu, size,
+    BitNumError, Flt, Rat, SizeProfile, fit_size_profile, flt, flt_add,
+    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, rat, rat_add, rat_cmp,
+    rat_mul, rat_neg, relu as bitnum_relu, size,
 )
 
 
@@ -630,6 +630,8 @@ def instrument_sizes(spec: TransformerSpec,
     """Trace the given inputs and report per-layer max value sizes, the
     fitted log envelope, and the head-sum bound 4cz + 2 log2 n + 1 where
     z is the largest summand size feeding that head."""
+    if not inputs_by_n:
+        raise MachineError("size instrumentation needs at least one n")
     domain = spec.domain
     rows, head_bounds = [], []
     for n in sorted(inputs_by_n):
@@ -693,16 +695,7 @@ def check_elementwise_size_preserving(kind: AttentionKind,
         ins = max(size(s) for s in row)
         for wt in weights:
             pairs.append((ins, size(wt)))
-    c = None
-    worst = None
-    for ins, outs in pairs:
-        if ins < n0 or ins == 0:
-            continue
-        need = -(-outs // ins)
-        if c is None or need > c:
-            c, worst = need, (ins, outs)
-    ok = c is not None and c <= cap
-    return SizeProfile(tuple(pairs), c, n0, cap, ok, worst)
+    return fit_size_profile(pairs, n0, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,13 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["compile", "--builtin", "maj",
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+    # n below 1 is named, for compile and for verify
+    for cmd in ("compile", "verify"):
+        for n in ("0", "-3"):
+            assert main([cmd, "--builtin", "maj", "--n", n,
+                         "--out-dir", str(tmp_path)]) == 2
+            assert out(capsys).err == "error: need n >= 1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_compile_artifacts_and_reproducibility(tmp_path, capsys):
@@ -248,6 +255,28 @@ def test_smallest_n_terminate(tmp_path):
         r = _satcirc(["-m", "satcirc.cli", *args, "--out-dir",
                       str(tmp_path)], 60)
         assert r.returncode == 0, r.stderr
+
+
+def test_size_growth_script(tmp_path):
+    script = str(Path(__file__).resolve().parents[1] / "scripts"
+                 / "size_growth.py")
+    for args, err in (
+            (["--n-list", "4,8"], "give exactly one of --spec FILE or "
+                                  "--builtin NAME"),
+            (["--builtin", "maj", "--n-list", "0,4"], "empty input"),
+            (["--builtin", "maj", "--n-list", ","],
+             "size instrumentation needs at least one n")):
+        r = _satcirc([script, *args, "--out-dir", str(tmp_path)], 60)
+        assert r.returncode == 2 and r.stderr.startswith(f"error: {err}"), \
+            r.stderr
+        assert "Traceback" not in r.stderr
+    assert not list(tmp_path.iterdir())
+    r = _satcirc([script, "--builtin", "maj", "--n-list", "4,8,16",
+                  "--out-dir", str(tmp_path)], 60)
+    assert r.returncode == 0, r.stderr
+    rows = (tmp_path / "size_growth.csv").read_text().splitlines()
+    assert rows[0] == "n,max_value_bits,layer0_bits,layer1_bits"
+    assert [row.split(",")[0] for row in rows[1:]] == ["4", "8", "16"]
 
 
 THETA_PROBE = """

@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -414,11 +415,10 @@ def test_encode_word_rejects_unknown_tokens():
 
 
 def test_analytic_plan_changes_nothing():
-    plan = plan_widths(MAJ, 5)
-    assert plan.mode == "analytic"
-    a = compile_saturated(MAJ, 5)
-    b = compile_saturated(MAJ, 5, plan)
-    assert a.gates == b.gates and a.outputs == b.outputs
+    comp = _Compiler(MAJ, 5)
+    plain = comp.build()
+    c, plan = compile_planned(MAJ, 5)
+    assert c == plain and plan.roles == comp.roles
 
 
 def test_analytic_plan_covers_every_measured_role():
@@ -426,12 +426,6 @@ def test_analytic_plan_covers_every_measured_role():
     for role, need in plan.measured.items():
         have = plan.roles[role]
         assert have[0] >= need[0] and have[1] >= need[1], role
-
-
-def test_empirical_plan_still_bit_exact():
-    plan = plan_widths(MAJ, 5, mode="empirical")
-    c = compile_saturated(MAJ, 5, plan)
-    assert_matches_machine(MAJ, c, all_words(MAJ, 5))
 
 
 MAJ_ROLES = {"L0.act[0]": (1, 0), "L0.act[1]": (1, 0),
@@ -453,21 +447,17 @@ MAJ_PLANS = {  # n -> (samples, measured)
 @pytest.mark.parametrize("n", sorted(MAJ_PLANS))
 def test_plan_widths_is_pinned(n):
     samples, measured = MAJ_PLANS[n]
-    analytic = plan_widths(MAJ, n)
-    assert analytic.roles == MAJ_ROLES
-    empirical = plan_widths(MAJ, n, mode="empirical")
-    assert empirical.roles == {r: (p + 2, e + 1)
-                               for r, (p, e) in measured.items()}
-    for plan in (analytic, empirical):
-        assert plan.measured == measured and plan.samples == samples
+    plan = plan_widths(MAJ, n)
+    assert plan.roles == MAJ_ROLES
+    assert plan.measured == measured and plan.samples == samples
 
 
 def test_compile_planned_is_compile_under_the_analytic_plan():
     c, plan = compile_planned(MAJ, 5, include_values=True)
     assert plan == plan_widths(MAJ, 5)
-    assert c == compile_saturated(MAJ, 5, plan, include_values=True)
+    assert c == compile_saturated(MAJ, 5, include_values=True)
     c, plan = compile_planned(build_hard_demo(), 4)
-    assert c == compile_hard(build_hard_demo(), 4, plan)
+    assert c == compile_hard(build_hard_demo(), 4)
 
 
 def test_default_samples_stop_at_the_number_of_words():
@@ -476,35 +466,32 @@ def test_default_samples_stop_at_the_number_of_words():
     assert len(default_samples(MAJ, 3)) == 6
 
 
-def test_corrupted_plan_fails_loudly_naming_the_role():
-    plan = plan_widths(MAJ, 5, mode="empirical")
-    role = "L0.h0.out[0]"
-    bad = dataclasses.replace(plan, roles={**plan.roles, role: (1, 0)})
-    with pytest.raises(CompileError, match="L0.h0.out"):
-        compile_saturated(MAJ, 5, bad)
+def test_a_trace_wider_than_its_analytic_width_is_refused(
+        monkeypatch, tmp_path, capsys):
+    measure = C._measure_roles
 
+    def wider(spec, n, samples):
+        roles = measure(spec, n, samples)
+        roles["L0.h0.out[0]"] = (7, 3)  # the build records p6/e3
+        return roles
 
-def test_silent_plan_corruption_shows_up_as_mismatch():
-    plan = plan_widths(MAJ, 5, mode="empirical")
-    role = "L0.h0.out[0]"
-    bad = dataclasses.replace(plan, roles={**plan.roles, role: (1, 0)},
-                              measured={**plan.measured, role: (1, 0)})
-    rep = verify_equivalence(MAJ, [5], plans={5: bad})
-    assert not rep.ok
-    assert rep.rows[0].mismatches > 0
-    assert rep.rows[0].first_counterexample is not None
+    monkeypatch.setattr(C, "_measure_roles", wider)
+    with pytest.raises(CompileError, match=re.escape(
+            "analytic width for L0.h0.out[0] is p6/e3 but a sample trace "
+            "reached p7/e3")):
+        compile_planned(MAJ, 5)
+    assert cli_main(["compile", "--builtin", "maj", "--n", "5",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "L0.h0.out[0]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_plan_validation():
-    with pytest.raises(CompileError, match="sample"):
-        plan_widths(MAJ, 4, samples=[])
-    with pytest.raises(CompileError, match="length"):
-        plan_widths(MAJ, 4, samples=["000"])
-    with pytest.raises(CompileError, match="mode"):
-        plan_widths(MAJ, 4, mode="psychic")
-    plan = plan_widths(MAJ, 4)
-    with pytest.raises(CompileError, match="n=4"):
-        compile_saturated(MAJ, 5, plan)
+    for n in (0, -3):
+        with pytest.raises(CompileError, match="n >= 1"):
+            plan_widths(MAJ, n)
+    with pytest.raises(TypeError):  # widths come from the build, not a plan
+        compile_saturated(MAJ, 5, plan_widths(MAJ, 5))
     assert len(default_samples(MAJ, 7)) >= 3
 
 
@@ -567,7 +554,7 @@ def _in_process(monkeypatch):
 def test_pool_equals_the_in_process_reference(spec, ns, pool, monkeypatch):
     circuits = {n: C.compile_planned(spec, n)[0] for n in ns}
 
-    def compile_fn(spec, n, plan):
+    def compile_fn(spec, n):
         return circuits[n]
 
     # corrupted: accept read straight off an input wire
@@ -832,7 +819,7 @@ def test_a_killed_sweep_worker_raises_instead_of_hanging(
         family_analyze(family, [2, 3, 4])
     assert _reaped()
     # the CLI names the dead worker and exits 2, without a traceback
-    monkeypatch.setattr("satcirc.cli.compile_hard",
+    monkeypatch.setattr("satcirc.cli.compile_saturated",
                         lambda spec, n: family(n))
     with _alarm(30):
         assert cli_main(["complexity", "--builtin", "hard-demo", "--n-list",
