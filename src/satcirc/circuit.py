@@ -8,6 +8,9 @@ relied on everywhere else:
           its inputs, circuit depth is the max over output gates
   size    internal gates only; leaves are free (they are just wires)
   AND()   = 1, OR() = 0, THRESHOLD_GE(0) = 1   (identity elements)
+  order   gate i has id i and reads only ids below i, so the gate list
+          is a topological order; Circuit refuses any other list, and
+          every evaluator walks it as it stands
 """
 
 from __future__ import annotations
@@ -72,56 +75,20 @@ class Circuit:
     def __post_init__(self):
         if not self.outputs:
             raise CircuitError("circuit needs at least one output")
-        table = {}
-        for g in self.gates:
-            if g.id in table:
-                raise CircuitError(f"duplicate gate id {g.id}")
-            table[g.id] = g
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
+            if g.id != i:
+                raise CircuitError(f"gate {g.id} is at position {i}: ids "
+                                   "must be 0..N-1 in list order")
             for ref in g.inputs:
-                if ref not in table:
-                    raise CircuitError(f"gate {g.id} references missing id {ref}")
+                if not 0 <= ref < i:
+                    raise CircuitError(f"gate {i} reads id {ref}, which is "
+                                       "not an earlier gate")
             if g.kind in (INPUT, NEG_INPUT) and g.idx >= self.n:
-                raise CircuitError(f"gate {g.id}: input index {g.idx} >= n={self.n}")
+                raise CircuitError(f"gate {i}: input index {g.idx} >= "
+                                   f"n={self.n}")
         for o in self.outputs:
-            if o not in table:
-                raise CircuitError(f"output references missing id {o}")
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_order", _topo_order(table))
-
-    def gate(self, gid: int) -> Gate:
-        return self._table[gid]
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self._order
-
-
-def _topo_order(table: Mapping[int, Gate]) -> tuple[int, ...]:
-    """DFS topological order; raises on cycles."""
-    order, state = [], {}
-    for root in table:
-        if state.get(root):
-            continue
-        stack = [(root, 0)]
-        while stack:
-            gid, phase = stack.pop()
-            if phase == 0:
-                st = state.get(gid)
-                if st == 2:
-                    continue
-                if st == 1:
-                    raise CircuitError(f"cycle through gate {gid}")
-                state[gid] = 1
-                stack.append((gid, 1))
-                for ref in table[gid].inputs:
-                    if state.get(ref) != 2:
-                        stack.append((ref, 0))
-            else:
-                if state[gid] != 2:
-                    state[gid] = 2
-                    order.append(gid)
-    return tuple(order)
+            if not 0 <= o < len(self.gates):
+                raise CircuitError(f"output reads missing id {o}")
 
 
 @dataclass(frozen=True)
@@ -144,27 +111,24 @@ def _coerce_bits(x, n: int) -> tuple[int, ...]:
 
 def eval(c: Circuit, x) -> tuple[int, ...]:
     bits = _coerce_bits(x, c.n)
-    val = {}
-    for gid in c.order:
-        g = c.gate(gid)
+    val = []  # val[i] is gate i's value; inputs are earlier gates
+    for g in c.gates:
         if g.kind == INPUT:
-            val[gid] = bits[g.idx]
+            v = bits[g.idx]
         elif g.kind == NEG_INPUT:
-            val[gid] = 1 - bits[g.idx]
+            v = 1 - bits[g.idx]
         elif g.kind == CONST:
-            val[gid] = g.k
+            v = g.k
         elif g.kind == NOT:
-            val[gid] = 1 - val[g.inputs[0]]
+            v = 1 - val[g.inputs[0]]
         elif g.kind == AND:
-            val[gid] = int(all(val[i] for i in g.inputs))
+            v = int(all(val[i] for i in g.inputs))
         elif g.kind == OR:
-            val[gid] = int(any(val[i] for i in g.inputs))
+            v = int(any(val[i] for i in g.inputs))
         else:
             ones = sum(val[i] for i in g.inputs)
-            if g.kind == THRESHOLD_GE:
-                val[gid] = int(ones >= g.k)
-            else:
-                val[gid] = int(ones <= g.k)
+            v = int(ones >= g.k if g.kind == THRESHOLD_GE else ones <= g.k)
+        val.append(v)
     return tuple(val[o] for o in c.outputs)
 
 
@@ -211,10 +175,9 @@ def eval_batch(c: Circuit, xs: Sequence) -> list[tuple[int, ...]]:
         for i, b in enumerate(row):
             if b:
                 in_masks[i] |= 1 << s
-    val = {}
+    val = []
     plane_cache: dict[tuple[int, ...], list[int]] = {}
-    for gid in c.order:
-        g = c.gate(gid)
+    for g in c.gates:
         if g.kind == INPUT:
             v = in_masks[g.idx]
         elif g.kind == NEG_INPUT:
@@ -243,19 +206,16 @@ def eval_batch(c: Circuit, xs: Sequence) -> list[tuple[int, ...]]:
             ge = _planes_ge(planes, g.k, full)
             v = ge if g.kind == THRESHOLD_GE else full ^ _planes_ge(
                 planes, g.k + 1, full)
-        val[gid] = v
+        val.append(v)
     return [tuple((val[o] >> s) & 1 for o in c.outputs) for s in range(m)]
 
 
 def depth_map(c: Circuit) -> dict[int, int]:
-    d = {}
-    for gid in c.order:
-        g = c.gate(gid)
-        if g.kind in LEAF_KINDS:
-            d[gid] = 0
-        else:
-            d[gid] = 1 + max((d[i] for i in g.inputs), default=0)
-    return d
+    d = []
+    for g in c.gates:
+        d.append(0 if g.kind in LEAF_KINDS
+                 else 1 + max((d[i] for i in g.inputs), default=0))
+    return dict(enumerate(d))
 
 
 def metrics(c: Circuit) -> Metrics:
@@ -370,19 +330,27 @@ def from_json(text: str) -> Circuit:
                                    "an int")
     try:
         gates = tuple(
-            Gate(int(rec["id"]), rec["kind"],
+            Gate(_int(rec["id"], "a gate id"), rec["kind"],
                  tuple(rec.get("inputs", ())),
                  rec.get("k"), rec.get("idx"))
             for rec in doc["gates"])
         labels = {int(k): str(v) for k, v in doc.get("labels", {}).items()}
-        return Circuit(int(doc["n"]), gates,
-                       tuple(int(o) for o in doc["outputs"]), labels)
+        return Circuit(_int(doc["n"], "'n'"), gates,
+                       tuple(_int(o, "an output") for o in doc["outputs"]),
+                       labels)
     except CircuitError:
         raise
     except KeyError as exc:
         raise CircuitError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # an id that is null, [0] or "a"
+    except (TypeError, ValueError) as exc:  # a label key "a", a kind [0]
         raise CircuitError(f"malformed field: {exc}") from exc
+
+
+def _int(x, what: str) -> int:
+    """x if it is a JSON integer; 1.9, "1" and true are refused."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {json.dumps(x)}")
+    return x
 
 
 _DOT_SHAPE = {INPUT: "plaintext", NEG_INPUT: "plaintext", CONST: "plaintext",

@@ -166,9 +166,6 @@ def _circuit_file(path: str):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.mode == "random" and cfg.samples < 1:
-        raise MachineError(f"--samples must be at least 1 in random mode, "
-                           f"got {cfg.samples}")
     spec = _load(cfg)
     if cfg.circuit and len(_ns(cfg)) != 1:
         raise MachineError("--circuit verification takes a single --n")

@@ -116,6 +116,8 @@ class WidthPlan:
 
 def default_samples(spec: TransformerSpec, n: int, count: int = 6,
                     seed: int = 0) -> list[str]:
+    if n < 1:
+        raise CompileError("need n >= 1")
     alpha = spec.alphabet
     words = {alpha[0] * n, alpha[-1] * n,
              "".join(alpha[i % len(alpha)] for i in range(n))}
@@ -703,6 +705,9 @@ def _word_batch(spec, n, mode, samples, seed):
         return ["".join(t) for t in
                 itertools.product(spec.alphabet, repeat=n)]
     if mode == "random":
+        if samples < 1:
+            raise CompileError(f"samples must be at least 1 in random "
+                               f"mode, got {samples}")
         rng = random.Random(f"{seed}:{n}")
         return ["".join(rng.choice(spec.alphabet) for _ in range(n))
                 for _ in range(samples)]
@@ -763,6 +768,8 @@ def verify_equivalence(spec: TransformerSpec, ns: Sequence[int],
     every word in the batch, compiling each n while the machine runs
     (check_circuit); reports per-n counts and the first counterexample
     if any. compile_fn(spec, n) defaults to compile_saturated."""
+    if not ns:
+        raise CompileError("need at least one n to verify")
     builder = compile_fn or compile_saturated
     rows = []
     for n in ns:

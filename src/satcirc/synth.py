@@ -21,6 +21,8 @@ widths that grow with n. _e_sels gives those indicators, and _enum_shift
 is the one shift: it OR-merges copies of a bit vector, each shifted by
 the amount paired with its indicator. Alignment to a common exponent,
 the cross-multiplied comparators and f_canon's strip are all calls of it.
+_enum_value is the one enumerated value: each output bit ORs the indicators
+whose value has that bit set.
 
 Attention's argmax is f_maximizers (a flag on every tied maximum, from
 pairwise f_ge), first_hot (keep the first flag) and f_onehot (the pack
@@ -757,14 +759,11 @@ def f_relu(b: Builder, x: WirePack, name="") -> WirePack:
                       [b.and_(keep, w) for w in x.e], x.e_max, False, name)
 
 
-def _e_value_map(b: Builder, x: WirePack, f: Callable[[int], int],
-                 new_max: int) -> list[int]:
-    """Exponent wires for e' = f(e), by value enumeration."""
-    width = clog2(new_max + 1)
-    if not width:
-        return []
-    sels = _e_sels(b, x)
-    return [b.or_(*[s for u, s in sels if (f(u) >> t) & 1])
+def _enum_value(b: Builder, pairs, width: int) -> list[int]:
+    """width bits of the value whose indicator is set, from (value,
+    indicator) pairs: bit t ORs the indicators whose value has bit t
+    set. At most one indicator may be set."""
+    return [b.or_(*[sel for v, sel in pairs if (v >> t) & 1])
             for t in range(width)]
 
 
@@ -773,7 +772,6 @@ def f_mul(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
     sign = b.or_(b.and_(x.sign, y.sign),
                  b.and_(b.not_(x.sign), b.not_(y.sign)))
     emax = x.e_max + y.e_max
-    width = clog2(emax + 1)
     if not x.e:
         e = list(y.e)
     elif not y.e:
@@ -784,8 +782,7 @@ def f_mul(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
             su = _enum_eq(b, x.e, u)
             for v in range(y.e_max + 1):
                 pairs.append((u + v, b.and_(su, _enum_eq(b, y.e, v))))
-        e = [b.or_(*[s for val, s in pairs if (val >> t) & 1])
-             for t in range(width)]
+        e = _enum_value(b, pairs, clog2(emax + 1))
     return float_pack(sign, p, e, emax, False, name)
 
 
@@ -794,7 +791,8 @@ def f_mul_const(b: Builder, x: WirePack, c: Flt, name="") -> WirePack:
         return f_const(b, c, name)
     p = _mul_const_u(b, x.p, c.p.value)
     emax = x.e_max + c.e
-    e = list(x.e) if c.e == 0 else _e_value_map(b, x, lambda u: u + c.e, emax)
+    e = list(x.e) if c.e == 0 else _enum_value(
+        b, [(u + c.e, s) for u, s in _e_sels(b, x)], clog2(emax + 1))
     sign = x.sign if c.sign else b.not_(x.sign)
     return float_pack(sign, p, e, emax, False, name)
 
@@ -808,7 +806,8 @@ def f_div_const(b: Builder, x: WirePack, c: Flt, name="") -> WirePack:
     k = (1 << pw) // c.p.value
     p = _mul_const_u(b, x.p, k << c.e)
     emax = x.e_max + pw
-    e = _e_value_map(b, x, lambda u: u + pw, emax)
+    e = _enum_value(b, [(u + pw, s) for u, s in _e_sels(b, x)],
+                    clog2(emax + 1))
     sign = x.sign if c.sign else b.not_(x.sign)
     return float_pack(sign, p, e, emax, False, name)
 
@@ -827,9 +826,8 @@ def f_div_by_indicators(b: Builder, x: WirePack, indicators,
         raise SynthError("need at least one possible divisor")
     pw = len(x.p) + 1
     emax = x.e_max + n.bit_length()
-    ew = clog2(emax + 1)
     p_terms = [[] for _ in range(pw)]
-    e_terms = [[] for _ in range(ew)]
+    e_pairs = []
     e_sels = _e_sels(b, x)
     for m in range(1, n + 1):
         ind = indicators[m]
@@ -840,14 +838,9 @@ def f_div_by_indicators(b: Builder, x: WirePack, indicators,
             src = t - shift
             if 0 <= src < len(x.p):
                 p_terms[t].append(b.and_(ind, x.p[src]))
-        for u, sel in e_sels:
-            val = u + L
-            gated = b.and_(ind, sel)
-            for t in range(ew):
-                if (val >> t) & 1:
-                    e_terms[t].append(gated)
+        e_pairs += [(u + L, b.and_(ind, sel)) for u, sel in e_sels]
     p = [b.or_(*ts) for ts in p_terms]
-    e = [b.or_(*ts) for ts in e_terms]
+    e = _enum_value(b, e_pairs, clog2(emax + 1))
     return float_pack(x.sign, p, e, emax, False, name)
 
 
@@ -869,11 +862,8 @@ def f_canon(b: Builder, x: WirePack, name="") -> WirePack:
             r = min(t, u)
             pairs.append((r, u - r, b.and_(tzw, esel)))
     p_out = _enum_shift(b, x.p, [(-r, sel) for r, _, sel in pairs], pw)
-    ew = clog2(x.e_max + 1)
-    e_out = []
-    for t in range(ew):
-        e_out.append(b.or_(*[sel for _, left, sel in pairs
-                             if (left >> t) & 1]))
+    e_out = _enum_value(b, [(left, sel) for _, left, sel in pairs],
+                        clog2(x.e_max + 1))
     sign = b.or_(x.sign, b.not_(nonzero))
     return float_pack(sign, p_out, e_out, x.e_max, canonical=True, name=name)
 

@@ -1,5 +1,6 @@
 """Circuit IR: evaluation, metrics, serialization."""
 
+import json
 import random
 
 import pytest
@@ -58,13 +59,18 @@ def test_gate_validation():
 def test_circuit_validation():
     g = [Gate(0, INPUT, idx=0), Gate(1, NOT, (0,))]
     Circuit(1, tuple(g), (1,))
-    with pytest.raises(CircuitError, match="missing id 7"):
+    with pytest.raises(CircuitError, match="gate 1 reads id 7, which is not "
+                                           "an earlier gate"):
         Circuit(1, (Gate(0, INPUT, idx=0), Gate(1, NOT, (7,))), (1,))
-    with pytest.raises(CircuitError, match="output"):
+    with pytest.raises(CircuitError, match="gate 1 reads id -1,"):
+        Circuit(1, (Gate(0, INPUT, idx=0), Gate(1, NOT, (-1,))), (1,))
+    with pytest.raises(CircuitError, match="output reads missing id 5"):
         Circuit(1, (Gate(0, INPUT, idx=0),), (5,))
-    with pytest.raises(CircuitError, match="duplicate"):
+    with pytest.raises(CircuitError, match="output reads missing id -1"):
+        Circuit(1, (Gate(0, INPUT, idx=0),), (-1,))
+    with pytest.raises(CircuitError, match="gate 0 is at position 1"):
         Circuit(1, (Gate(0, INPUT, idx=0), Gate(0, INPUT, idx=0)), (0,))
-    with pytest.raises(CircuitError, match="cycle"):
+    with pytest.raises(CircuitError, match="gate 1 reads id 1,"):
         Circuit(1, (Gate(0, INPUT, idx=0), Gate(1, AND, (1, 0))), (1,))
     with pytest.raises(CircuitError, match=">= n"):
         Circuit(1, (Gate(0, INPUT, idx=3),), (0,))
@@ -206,20 +212,32 @@ def test_metrics_invariant_under_id_permutation():
     rng = random.Random(123)
     for _ in range(50):
         c = random_circuit(rng, 3, 12)
-        ids = [g.id for g in c.gates]
-        perm = ids[:]
-        rng.shuffle(perm)
-        rename = dict(zip(ids, perm))
-        gates = tuple(Gate(rename[g.id], g.kind,
-                           tuple(rename[i] for i in g.inputs), g.k, g.idx)
-                      for g in c.gates)
-        shuffled = list(gates)
-        rng.shuffle(shuffled)
-        c2 = Circuit(c.n, tuple(shuffled),
+        # the same DAG listed in another topological order (by depth,
+        # ties at random), renumbered 0..N-1
+        d = depth_map(c)
+        rename = {old: new for new, old in enumerate(
+            sorted(d, key=lambda gid: (d[gid], rng.random())))}
+        relisted = sorted((Gate(rename[g.id], g.kind,
+                                tuple(rename[i] for i in g.inputs), g.k, g.idx)
+                           for g in c.gates), key=lambda g: g.id)
+        c2 = Circuit(c.n, tuple(relisted),
                      tuple(rename[o] for o in c.outputs))
         assert metrics(c2) == metrics(c)
         bits = tuple(rng.randint(0, 1) for _ in range(c.n))
         assert eval(c2, bits) == eval(c, bits)
+        # the same DAG with shuffled ids and list order is refused
+        ids = [g.id for g in c.gates]
+        perm = ids[:]
+        rng.shuffle(perm)
+        shuffle = dict(zip(ids, perm))
+        shuffled = [Gate(shuffle[g.id], g.kind,
+                         tuple(shuffle[i] for i in g.inputs), g.k, g.idx)
+                    for g in c.gates]
+        rng.shuffle(shuffled)
+        with pytest.raises(CircuitError, match="ids must be 0..N-1 in list "
+                                               "order|not an earlier gate"):
+            Circuit(c.n, tuple(shuffled),
+                    tuple(shuffle[o] for o in c.outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +296,8 @@ def test_json_minimal_document():
 def test_json_errors_name_the_problem():
     with pytest.raises(CircuitError, match="JSON"):
         from_json("{nope")
-    with pytest.raises(CircuitError, match="missing id 9"):
+    with pytest.raises(CircuitError, match="gate 1 reads id 9, which is not "
+                                           "an earlier gate"):
         from_json('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}, '
                   '{"id": 1, "kind": "NOT", "inputs": [9]}], "outputs": [1]}')
     with pytest.raises(CircuitError, match="missing field"):
@@ -289,6 +308,25 @@ def test_json_errors_name_the_problem():
                      ('{"n": 1, "gates": [], "outputs": 0}', "'outputs'")):
         with pytest.raises(CircuitError, match=why):
             from_json(doc)
+    # ids, n and outputs are JSON integers, never coerced
+    def doc(n=1, ids=(0, 1), outputs=(1,)):
+        return json.dumps({"n": n, "outputs": list(outputs), "gates": [
+            {"id": ids[0], "kind": "INPUT", "idx": 0},
+            {"id": ids[1], "kind": "NOT", "inputs": [0]}]})
+
+    for text, why in ((doc(1.9, (0.9, "1"), (1.7, True)), "a gate id must "
+                       "be an int, got 0.9"),
+                      (doc(ids=(0, "1")), 'a gate id must be an int, got "1"'),
+                      (doc(n=1.9), "'n' must be an int, got 1.9"),
+                      (doc(n=True), "'n' must be an int, got true"),
+                      (doc(n="1"), "'n' must be an int, got \"1\""),
+                      (doc(outputs=(1.7,)), "an output must be an int, got 1.7"),
+                      (doc(outputs=(True,)), "an output must be an int, got "
+                       "true"),
+                      (doc(outputs=("1",)), 'an output must be an int, got "1"')):
+        with pytest.raises(CircuitError, match=f"malformed field: {why}"):
+            from_json(text)
+    assert from_json(doc()).outputs == (1,)
 
 
 def test_labels_survive_json():

@@ -263,7 +263,7 @@ def test_size_growth_script(tmp_path):
     for args, err in (
             (["--n-list", "4,8"], "give exactly one of --spec FILE or "
                                   "--builtin NAME"),
-            (["--builtin", "maj", "--n-list", "0,4"], "empty input"),
+            (["--builtin", "maj", "--n-list", "0,4"], "need n >= 1"),
             (["--builtin", "maj", "--n-list", ","],
              "size instrumentation needs at least one n")):
         r = _satcirc([script, *args, "--out-dir", str(tmp_path)], 60)
@@ -418,7 +418,7 @@ def test_verify_corrupted_circuit_reports_mismatch(tmp_path, capsys):
 def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
     assert main(["verify", "--builtin", "maj", "--n", "4", "--mode", "random",
                  "--samples", samples, "--out-dir", str(tmp_path)]) == 2
-    assert (f"--samples must be at least 1 in random mode, got {samples}"
+    assert (f"error: samples must be at least 1 in random mode, got {samples}"
             in out(capsys).err)
     assert not list(tmp_path.iterdir())
 
@@ -443,6 +443,25 @@ def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
     ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
      '"outputs": [0], "labels": {"a": "accept"}}', "malformed field"),
     ('{"n": ' + "1" * 5000 + "}", "not valid JSON"),
+    ('{"n": 1, "gates": [{"id": 1, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [1]}', "gate 1 is at position 0"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}, '
+     '{"id": 0, "kind": "NOT", "inputs": [0]}], "outputs": [0]}',
+     "gate 0 is at position 1"),
+    ('{"n": 1, "gates": [{"id": 0.0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "a gate id must be an int, got 0.0"),
+    ('{"n": 1, "gates": [{"id": "0", "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', 'a gate id must be an int, got "0"'),
+    ('{"n": 1.0, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "'n' must be an int, got 1.0"),
+    ('{"n": true, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0]}', "'n' must be an int, got true"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0.0]}', "an output must be an int, got 0.0"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": ["0"]}', 'an output must be an int, got "0"'),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [false]}', "an output must be an int, got false"),
 ])
 def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -450,6 +469,25 @@ def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
     assert main(["verify", "--builtin", "maj", "--n", "4", "--circuit",
                  str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     assert why in out(capsys).err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refuses_a_gate_list_out_of_topological_order(tmp_path,
+                                                             capsys):
+    assert main(["compile", "--builtin", "maj", "--n", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "maj_n4.json").read_text())
+    gates = d["gates"]
+    last = len(gates) - 1
+    gates[last - 1], gates[last] = gates[last], gates[last - 1]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--circuit",
+                 str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = out(capsys).err
+    assert err == (f"error: gate {last} is at position {last - 1}: ids must "
+                   "be 0..N-1 in list order\n")
     assert not (tmp_path / "out").exists()
 
 

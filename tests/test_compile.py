@@ -464,6 +464,9 @@ def test_default_samples_stop_at_the_number_of_words():
     assert default_samples(MAJ, 1) == ["0", "1"]
     assert default_samples(MAJ, 2) == ["00", "01", "10", "11"]
     assert len(default_samples(MAJ, 3)) == 6
+    for n in (0, -3):
+        with pytest.raises(CompileError, match="need n >= 1"):
+            default_samples(MAJ, n)
 
 
 def test_a_trace_wider_than_its_analytic_width_is_refused(
@@ -511,6 +514,15 @@ def test_verify_random_is_seeded_and_clean():
     b = verify_equivalence(MAJ, [9], mode="random", samples=60, seed=3)
     assert a.ok and a.rows == b.rows
     assert a.rows[0].tested == 60
+
+
+def test_verify_never_passes_having_checked_nothing():
+    for samples in (0, -5):
+        with pytest.raises(CompileError, match="samples must be at least 1 "
+                                               f"in random mode, got {samples}"):
+            verify_equivalence(MAJ, [4], mode="random", samples=samples)
+    with pytest.raises(CompileError, match="need at least one n to verify"):
+        verify_equivalence(MAJ, [])
 
 
 def test_verify_refuses_oversized_exhaustive_runs():
