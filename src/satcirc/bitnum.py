@@ -226,6 +226,13 @@ def rat_add(r: Rat, s: Rat) -> Rat:
     return rat(pn * qd + qn * pd, pd * qd)
 
 
+def rat_sum(rs: Sequence[Rat]) -> Rat:
+    """Exact sum over the least common denominator, reduced once; the
+    empty sum is zero."""
+    den = math.lcm(*(r.q.value for r in rs))
+    return rat(sum(r.signed_num * (den // r.q.value) for r in rs), den)
+
+
 def rat_mul(r: Rat, s: Rat) -> Rat:
     (pn, pd), (qn, qd) = r.as_pair(), s.as_pair()
     return rat(pn * qn, pd * qd)
@@ -303,6 +310,13 @@ def flt_add(x: Flt, y: Flt) -> Flt:
     e = max(x.e, y.e)
     num = (x.signed_num << (e - x.e)) + (y.signed_num << (e - y.e))
     return flt(num, e)
+
+
+def flt_sum(xs: Sequence[Flt]) -> Flt:
+    """Exact sum: every term aligned to the largest exponent, one
+    canonicalization; the empty sum is zero."""
+    e = max((x.e for x in xs), default=0)
+    return flt(sum(x.signed_num << (e - x.e) for x in xs), e)
 
 
 def flt_mul(x: Flt, y: Flt) -> Flt:

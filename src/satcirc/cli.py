@@ -23,8 +23,8 @@ from .circuit import (CircuitError, family_analyze, from_json, metrics,
                       to_dot, to_json)
 from .compile import (CompileError, compile_planned, compile_saturated,
                       default_samples, verify_equivalence)
-from .machine import (MachineError, instrument_sizes, load_spec,
-                      recognize, run)
+from .machine import (MachineError, classifier_value, instrument_sizes,
+                      load_spec, run)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
@@ -83,6 +83,8 @@ def _ns(cfg: RunConfig) -> tuple:
     ns = cfg.n_list or ((cfg.n,) if cfg.n is not None else ())
     if not ns:
         raise MachineError("need --n or --n-list")
+    if min(ns) < 1:
+        raise MachineError("need n >= 1")
     return ns
 
 
@@ -113,11 +115,12 @@ def cmd_run(cfg: RunConfig) -> int:
     spec = _load(cfg)
     if not cfg.input:
         raise MachineError("run needs --input WORD")
-    accept = recognize(spec, cfg.input)
+    t = run(spec, cfg.input) if cfg.trace else None
+    accept = spec.domain.cmp(classifier_value(spec, cfg.input, t),
+                             spec.domain.zero) > 0
     print(f"{spec.name or 'spec'} on {cfg.input!r}: "
           f"{'accept' if accept else 'reject'}")
-    if cfg.trace:
-        t = run(spec, cfg.input)
+    if t is not None:
         path = os.path.join(cfg.out, f"{spec.name or 'spec'}.trace.json")
         _write(path, json.dumps(_trace_json(spec, t, accept), indent=2))
         print(f"trace -> {path}")

@@ -52,7 +52,7 @@ from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, eval_batch, metrics
 from .machine import (
     AttentionKind, FuncExpr, MachineError, TransformerSpec, eval_expr,
-    is_size_preserving, recognize,
+    is_size_preserving, recognize, shared_tables,
 )
 from .machine import run as machine_run
 from .synth import Builder, SynthError, WirePack, clog2
@@ -695,23 +695,29 @@ class EquivReport:
         return all(r.mismatches == 0 for r in self.rows)
 
 
-def _word_batch(spec, n, mode, samples, seed):
+def _check_batch(spec, n, mode, samples):
+    """Refuse a word batch _word_batch could not make."""
     if n < 1:
         raise CompileError("need n >= 1")
     if mode == "exhaustive":
         if len(spec.alphabet) ** n > 1 << 20:
             raise CompileError(f"exhaustive verification over "
                                f"{len(spec.alphabet)}^{n} words is too large")
-        return ["".join(t) for t in
-                itertools.product(spec.alphabet, repeat=n)]
-    if mode == "random":
+    elif mode == "random":
         if samples < 1:
             raise CompileError(f"samples must be at least 1 in random "
                                f"mode, got {samples}")
-        rng = random.Random(f"{seed}:{n}")
-        return ["".join(rng.choice(spec.alphabet) for _ in range(n))
-                for _ in range(samples)]
-    raise CompileError(f"unknown verification mode {mode!r}")
+    else:
+        raise CompileError(f"unknown verification mode {mode!r}")
+
+
+def _word_batch(spec, n, mode, samples, seed):
+    if mode == "exhaustive":
+        return ["".join(t) for t in
+                itertools.product(spec.alphabet, repeat=n)]
+    rng = random.Random(f"{seed}:{n}")
+    return ["".join(rng.choice(spec.alphabet) for _ in range(n))
+            for _ in range(samples)]
 
 
 MIN_CHUNK = 64  # words per chunk; smaller batches are not worth a fork
@@ -721,7 +727,8 @@ EVAL_BLOCK = 4096  # words per eval_batch call, which bounds its memory
 
 def _machine_chunk(spec, words, bounds) -> list:
     lo, hi = bounds
-    return [recognize(spec, w) for w in words[lo:hi]]
+    with shared_tables(spec):
+        return [recognize(spec, w) for w in words[lo:hi]]
 
 
 def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
@@ -731,13 +738,14 @@ def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
     circuit is a Circuit or a callable that returns one; a callable runs
     while the machine's verdicts are computed. Forked workers
     (workers.forked_map) call the module-level recognize on contiguous
-    chunks of words, and the parent evaluates the circuit in blocks of
-    EVAL_BLOCK words and reads the verdicts back in word order; spec and
-    words are inherited, never pickled. Where no workers start, the same
-    chunks run in-process after the circuit. Either way the result does
-    not depend on the chunking or the CPU count: a circuit error wins
-    over a machine error, and a machine error is the one from the first
-    failing word. No worker outlives the call.
+    chunks of words, each chunk in one machine.shared_tables scope, and
+    the parent evaluates the circuit in blocks of EVAL_BLOCK words and
+    reads the verdicts back in word order; spec and words are inherited,
+    never pickled. Where no workers start, the same chunks run
+    in-process after the circuit. Either way the result does not depend
+    on the chunking or the CPU count: a circuit error wins over a machine
+    error, and a machine error is the one from the first failing word.
+    No worker outlives the call.
     """
     size = max(MIN_CHUNK, -(-len(words) // (workers._cpu_count()
                                              * CHUNKS_PER_WORKER)))
@@ -767,9 +775,12 @@ def verify_equivalence(spec: TransformerSpec, ns: Sequence[int],
     """Compare the compiled circuit's accept bit against the machine on
     every word in the batch, compiling each n while the machine runs
     (check_circuit); reports per-n counts and the first counterexample
-    if any. compile_fn(spec, n) defaults to compile_saturated."""
+    if any. Every n is checked before the first compile.
+    compile_fn(spec, n) defaults to compile_saturated."""
     if not ns:
         raise CompileError("need at least one n to verify")
+    for n in ns:
+        _check_batch(spec, n, mode, samples)
     builder = compile_fn or compile_saturated
     rows = []
     for n in ns:

@@ -18,6 +18,8 @@ and therefore not compilable: pow2 and named host callbacks.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import math
 import os
@@ -27,8 +29,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .bitnum import (
     BitNumError, Flt, Rat, SizeProfile, fit_size_profile, flt, flt_add,
-    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, rat, rat_add, rat_cmp,
-    rat_mul, rat_neg, relu as bitnum_relu, size,
+    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, flt_sum, rat, rat_add,
+    rat_cmp, rat_mul, rat_neg, rat_sum, relu as bitnum_relu, size,
 )
 
 
@@ -74,6 +76,11 @@ class Domain:
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return flt_add(x, y) if self.name == "F" else rat_add(x, y)
+
+    def sum(self, xs: Sequence[Scalar]) -> Scalar:
+        """Exact n-ary sum, canonicalized once; equal to a left fold of
+        add."""
+        return flt_sum(xs) if self.name == "F" else rat_sum(xs)
 
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
         return flt_mul(x, y) if self.name == "F" else rat_mul(x, y)
@@ -353,22 +360,22 @@ def attend(kind: AttentionKind, scores: Sequence[Scalar],
     if not scores:
         raise MachineError("empty score sequence")
     ties = None if kind is AttentionKind.UNIFORM else max_set(scores, domain)
-    return _tie_weights(kind, len(scores), ties, domain)
+    w, members = _pool(kind, len(scores), ties, domain)
+    members = set(members)
+    return tuple(w if j in members else domain.zero
+                 for j in range(len(scores)))
 
 
-def _tie_weights(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
-                domain: Domain) -> tuple[Scalar, ...]:
-    """attend's weights for a row of n scores whose maximizer set is
-    ties (unused by uniform heads)."""
+def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
+          domain: Domain) -> tuple[Scalar, Sequence[int]]:
+    """(w, M) for a row of n scores whose maximizer set is ties (unused
+    by uniform heads): the head weighs the positions in M by w and every
+    other position by 0."""
     if kind is AttentionKind.UNIFORM:
-        w = domain.div(domain.one, domain.from_int(n))
-        return (w,) * n
+        return domain.div(domain.one, domain.from_int(n)), range(n)
     if kind is AttentionKind.HARD:
-        hot = ties[0]
-        return tuple(domain.one if j == hot else domain.zero for j in range(n))
-    w = domain.div(domain.one, domain.from_int(len(ties)))
-    members = set(ties)
-    return tuple(w if j in members else domain.zero for j in range(n))
+        return domain.one, ties[:1]
+    return domain.div(domain.one, domain.from_int(len(ties))), ties
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +396,14 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class TransformerSpec:
+    """One transformer; the fields are the tuple in the module docstring.
+
+    ``hosts`` maps each host callback's name to ``fn(domain, *values)``.
+    A callback must be a pure function of its arguments: inside a
+    ``shared_tables`` scope each embedding and layer-0 score is computed
+    once per key, not once per word.
+    """
+
     alphabet: tuple[str, ...]
     datatype: str
     width: int
@@ -459,6 +474,27 @@ def _check_vector(v, width, what):
     return v
 
 
+_SHARED = contextvars.ContextVar("shared_tables", default=None)
+
+
+@contextlib.contextmanager
+def shared_tables(spec: TransformerSpec):
+    """A scope in which ``run`` on ``spec`` computes each embedding
+    vector once per (token, position) and each layer-0 score once per
+    (head, token_i, i, token_j, j), and shares them across the words it
+    runs. Both depend on nothing else, so every trace is the one ``run``
+    gives outside the scope; host callbacks must be pure. Other specs
+    and later layers are computed as usual, and the tables are dropped
+    when the scope exits. It is a scope rather than an argument because
+    callers such as verify's workers reach the machine only through
+    ``recognize(spec, w)``."""
+    token = _SHARED.set((spec, {}, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
     """Full evaluation of ``spec`` on token string ``w``.
 
@@ -474,19 +510,22 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
         if ch not in alpha_index:
             raise MachineError(f"token {ch!r} not in alphabet {spec.alphabet}")
     n = len(w)
-    onehot = []
-    for ch in w:
-        onehot.append(tuple(domain.one if alpha_index[ch] == k else domain.zero
-                            for k in range(len(spec.alphabet))))
+    shared = _SHARED.get()
+    embeds, scores0 = (shared[1:] if shared is not None and shared[0] is spec
+                       else ({}, {}))
 
-    values = []
-    v0 = tuple(
-        _check_vector(
-            eval_expr(spec.embedding, (onehot[i], domain.from_int(i + 1)),
-                      domain, spec.hosts),
-            spec.width, "embedding")
-        for i in range(n))
-    values.append(v0)
+    v0 = []
+    for i, ch in enumerate(w):
+        v = embeds.get((ch, i))
+        if v is None:
+            onehot = tuple(domain.one if alpha_index[ch] == k else domain.zero
+                           for k in range(len(spec.alphabet)))
+            v = embeds[ch, i] = _check_vector(
+                eval_expr(spec.embedding, (onehot, domain.from_int(i + 1)),
+                          domain, spec.hosts),
+                spec.width, "embedding")
+        v0.append(v)
+    values = [tuple(v0)]
 
     all_scores, all_ties, all_heads = [], [], []
     bw = spec.block_width
@@ -495,6 +534,8 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
         prev = values[-1]
         keep = (set(_final_positions) if (_final_positions is not None
                                           and li == last_layer) else None)
+        # later layers read the whole word, so their table is this word's
+        table = scores0 if li == 0 else {}
         layer_scores, layer_ties, layer_heads = [], [], []
         for h, head in enumerate(layer.heads):
             rows, ties_h, outs = [], [], []
@@ -504,24 +545,26 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
                     ties_h.append(None)
                     outs.append(None)
                     continue
-                row = tuple(
-                    eval_expr(head.scorer, (prev[i], prev[j]), domain, spec.hosts)
-                    for j in range(n))
+                row = []
+                for j in range(n):
+                    key = (h, w[i], i, w[j], j)
+                    s = table.get(key)
+                    if s is None:
+                        s = table[key] = eval_expr(head.scorer,
+                                                   (prev[i], prev[j]),
+                                                   domain, spec.hosts)
+                    row.append(s)
+                row = tuple(row)
                 for s in row:
                     if isinstance(s, tuple):
                         raise MachineError("scorer must produce a scalar")
                 ties = max_set(row, domain)
-                weights = _tie_weights(head.attention, n, ties, domain)
-                block = range(h * bw, (h + 1) * bw)
-                acc = [domain.zero] * bw
-                for j, wt in enumerate(weights):
-                    if domain.is_zero(wt):
-                        continue
-                    for c, comp in enumerate(block):
-                        acc[c] = domain.add(acc[c], domain.mul(wt, prev[j][comp]))
+                wt, members = _pool(head.attention, n, ties, domain)
                 rows.append(row)
                 ties_h.append(ties)
-                outs.append(tuple(acc))
+                outs.append(tuple(
+                    domain.mul(wt, domain.sum([prev[j][c] for j in members]))
+                    for c in range(h * bw, (h + 1) * bw)))
             layer_scores.append(tuple(rows))
             layer_ties.append(tuple(ties_h))
             layer_heads.append(tuple(outs))
@@ -649,14 +692,12 @@ def instrument_sizes(spec: TransformerSpec,
                 for h in range(spec.n_heads):
                     key = (li, h)
                     for i in range(n):
-                        weights = _tie_weights(
+                        wt, members = _pool(
                             spec.layers[li].heads[h].attention, n,
                             t.ties[li][h][i], domain)
                         block = range(h * spec.block_width,
                                       (h + 1) * spec.block_width)
-                        for j, wt in enumerate(weights):
-                            if domain.is_zero(wt):
-                                continue
+                        for j in members:
                             for comp in block:
                                 term = domain.mul(wt, t.values[li][j][comp])
                                 z_by_head[key] = max(z_by_head.get(key, 0),

@@ -95,9 +95,6 @@ class Builder:
         self._memo[key] = gid
         return gid
 
-    def kind_of(self, w: int) -> str:
-        return self._gates[w][0]
-
     def const_value(self, w: int):
         """0/1 if the wire is a CONST gate, else None."""
         g = self._gates[w]

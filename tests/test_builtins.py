@@ -4,11 +4,13 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from satcirc.bitnum import flt_cmp, size
-from satcirc.machine import MachineError, recognize, run
+from satcirc.machine import (MachineError, load_spec, recognize, run,
+                             shared_tables)
 from satcirc.builtins import (
     BUILTIN_NAMES, build_hard_demo, build_majority, build_majority_layernorm,
     build_prime_universal, build_resource_bounded, builtin_spec, ln_pair,
@@ -292,3 +294,21 @@ def test_traces_are_pinned(name, pred):
     got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
                 for w in TRACE_WORDS)
     assert got == TRACE_SHA256[name, pred]
+
+
+def test_shared_tables_change_no_builtin_verdict_or_trace():
+    # machine-mix's six builtins and the spec file, each over one scope
+    # of words of lengths 1-6 mixed together, repeats included
+    rng = random.Random(23)
+    words = ["".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
+             for _ in range(40)]
+    words += rng.sample(words, 20)
+    specs = [builtin_spec(name, pred) for name, pred in TRACE_SHA256]
+    specs.append(load_spec(str(Path(__file__).resolve().parents[1]
+                               / "specs" / "maj_f.sexp")))
+    for spec in specs:
+        alone = [(recognize(spec, w), repr(run(spec, w))) for w in words]
+        with shared_tables(spec):
+            inside = [(recognize(spec, w), repr(run(spec, w)))
+                      for w in words]
+        assert inside == alone, spec.name

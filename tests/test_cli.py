@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import satcirc.cli
 import satcirc.compile
 import satcirc.machine
 import satcirc.workers
@@ -53,6 +54,66 @@ def test_run_trace_artifact(tmp_path, capsys):
     t = json.loads((tmp_path / "maj.trace.json").read_text())
     assert t["input"] == "0110" and t["accept"] is False
     assert t["values"] and t["tie_sets"]
+
+
+# sha256 of the trace JSON that `run --trace` wrote while it still ran
+# the machine twice (recognize, then run); one run gives the same bytes
+RUN_TRACE_SHA256 = {
+    ("maj", "0110"): (
+        "reject",
+        "cd86b6928f6fcdaa840639bc67d8fd44de7f1b8f991c6f2ea278280126ec412b"),
+    ("maj", "1101"): (
+        "accept",
+        "78633c9ccaf3e7a4b282e7979bd7803345f3116401a74e76af9610f09842836d"),
+    ("hard-demo", "10110"): (
+        "accept",
+        "c74de1e792f378456ecd4b9a8bb190971283e26f25d5bcad9385dff7043edc3c"),
+}
+
+
+@pytest.mark.parametrize("name, word", list(RUN_TRACE_SHA256))
+def test_run_trace_runs_the_machine_once(name, word, tmp_path, capsys,
+                                         monkeypatch):
+    calls = []
+    real = satcirc.machine.run
+
+    def counted(spec, w, *args, **kwargs):
+        calls.append(w)
+        return real(spec, w, *args, **kwargs)
+
+    monkeypatch.setattr(satcirc.machine, "run", counted)
+    monkeypatch.setattr(satcirc.cli, "run", counted)
+    assert main(["run", "--builtin", name, "--input", word, "--trace",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [word]
+    verdict, sha = RUN_TRACE_SHA256[name, word]
+    path = tmp_path / f"{name}.trace.json"
+    assert out(capsys).out == (f"{name} on {word!r}: {verdict}\n"
+                               f"trace -> {path}\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("n_list, err", [
+    ("16,0", "need n >= 1"),
+    ("4,-3", "need n >= 1"),
+    ("4,21", "exhaustive verification over 2^21 words is too large"),
+])
+def test_verify_refuses_every_bad_n_before_compiling(n_list, err, tmp_path,
+                                                     capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(satcirc.cli, "compile_saturated",
+                        lambda spec, n: calls.append(n))
+    monkeypatch.setattr(satcirc.compile, "compile_saturated",
+                        lambda spec, n: calls.append(n))
+    assert main(["verify", "--builtin", "maj", "--n-list", n_list,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert calls == []
+    assert out(capsys).err == f"error: {err}\n"
+    if err == "need n >= 1":
+        assert main(["complexity", "--builtin", "maj", "--n-list",
+                     f"8,{n_list}", "--out-dir", str(tmp_path)]) == 2
+        assert out(capsys).err == f"error: {err}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_spec_file_and_parse_error(tmp_path, capsys):

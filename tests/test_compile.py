@@ -532,6 +532,19 @@ def test_verify_refuses_oversized_exhaustive_runs():
         verify_equivalence(MAJ, [3], mode="sideways")
 
 
+@pytest.mark.parametrize("ns, mode, err", [
+    ([16, 0], "random", "need n >= 1"),
+    ([4, -3], "exhaustive", "need n >= 1"),
+    ([4, 21], "exhaustive", "too large"),
+])
+def test_verify_refuses_every_bad_n_before_the_first_compile(ns, mode, err):
+    built = []
+    with pytest.raises(CompileError, match=err):
+        verify_equivalence(MAJ, ns, mode=mode, samples=50,
+                           compile_fn=lambda spec, n: built.append(n))
+    assert built == []
+
+
 def test_verify_hard_compiles_through_compile_fn():
     rep = verify_equivalence(build_hard_demo(), [3, 5],
                              compile_fn=compile_hard)

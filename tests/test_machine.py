@@ -1,10 +1,13 @@
 """Abstract machine: expressions, attention, traces, spec files."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from satcirc.bitnum import Flt, Rat, flt, rat, size
 from satcirc.machine import (
@@ -12,7 +15,7 @@ from satcirc.machine import (
     Host, LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Relu, Select, Sqrt,
     TransformerSpec, Tup, attend, check_elementwise_size_preserving,
     classifier_value, domain_of, eval_expr, instrument_sizes,
-    is_size_preserving, max_set, parse_spec, recognize, run,
+    is_size_preserving, max_set, parse_spec, recognize, run, shared_tables,
 )
 
 from oracles import majority01, popcount
@@ -312,6 +315,140 @@ def test_classifier_value_exact():
 def test_run_determinism():
     spec = mean_majority_spec("F")
     assert run(spec, "10110") == run(spec, "10110")
+
+
+# ---------------------------------------------------------------------------
+# n-ary sums and shared tables
+
+
+@pytest.mark.parametrize("dt", ["F", "Q"])
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(-(1 << 70), 1 << 70),
+                                st.integers(0, 40),
+                                st.integers(1, 1 << 40)), max_size=12))
+def test_domain_sum_is_a_left_fold_of_add(dt, terms):
+    domain = domain_of(dt)
+    xs = [flt(num, e) if dt == "F" else rat(num, den)
+          for num, e, den in terms]
+    want = functools.reduce(domain.add, xs, domain.zero)
+    got = domain.sum(xs)
+    assert got == want and repr(got) == repr(want)
+    assert as_fraction(got) == sum(map(as_fraction, xs), Fraction(0))
+
+
+def two_layer_spec():
+    """Layer 0 averages (token, position); layer 1's hard head scores a
+    key by (mean token) * position, which depends on the whole word."""
+    embed = Tup(Proj(1, Arg(0)), Arg(1))
+    l0 = LayerSpec((HeadSpec(AttentionKind.UNIFORM, Const(0)),),
+                   Tup(Proj(0, Arg(1)), Proj(1, Arg(0))))
+    l1 = LayerSpec((HeadSpec(AttentionKind.HARD,
+                             Mul(Proj(0, Arg(1)), Proj(1, Arg(1)))),),
+                   Tup(Proj(0, Arg(1)), Proj(1, Arg(1))))
+    return TransformerSpec(("0", "1"), "F", 2, embed, (l0, l1),
+                           ((0, 1), (1, 1)), (-2, 1), {}, "two-layer")
+
+
+def guarded_spec(where, calls):
+    """Majority over (token, position) vectors through a host callback
+    that refuses token 0 at position 3, called in the embedding or in the
+    layer-0 scorer; calls records the position of every callback."""
+    def guard(domain, tok, pos):
+        calls.append(pos)
+        if domain.is_zero(tok) and domain.cmp(pos, domain.from_int(3)) == 0:
+            raise MachineError(f"{where} refuses token 0 at position 3")
+        return tok
+
+    tok, pos = Proj(1, Arg(0)), Arg(1)
+    if where == "embedding":
+        embed, scorer = Tup(Host("guard", tok, pos), pos), Const(0)
+    else:
+        embed = Tup(tok, pos)
+        scorer = Mul(Const(0), Host("guard", Proj(0, Arg(1)),
+                                    Proj(1, Arg(1))))
+    head = HeadSpec(AttentionKind.SATURATED, scorer)
+    act = Tup(Proj(0, Arg(1)), Proj(1, Arg(1)))
+    return TransformerSpec(("0", "1"), "F", 2, embed,
+                           (LayerSpec((head,), act),),
+                           ((2, 1), (0, 1)), (-1, 1), {"guard": guard}, where)
+
+
+def outcome(spec, w):
+    """The verdict and full trace of w, or the machine's error text."""
+    try:
+        return recognize(spec, w), repr(run(spec, w))
+    except MachineError as e:
+        return str(e)
+
+
+_rng = random.Random(17)
+MIXED_WORDS = ["".join(_rng.choice("01") for _ in range(_rng.randint(1, 6)))
+               for _ in range(50)]
+MIXED_WORDS += _rng.sample(MIXED_WORDS, 25)  # repeated words
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mean_majority_spec("F"), lambda: mean_majority_spec("Q"),
+    first_token_spec, two_layer_spec,
+    lambda: guarded_spec("embedding", []), lambda: guarded_spec("scorer", []),
+])
+def test_shared_tables_change_no_verdict_trace_or_error(make):
+    spec = make()
+    alone = [outcome(spec, w) for w in MIXED_WORDS]
+    with shared_tables(spec):
+        inside = [outcome(spec, w) for w in MIXED_WORDS]
+    assert inside == alone
+    if spec.hosts:  # the guard refuses some words, and later ones pass
+        errors = [k for k, o in enumerate(alone) if isinstance(o, str)]
+        assert errors and not all(isinstance(o, str)
+                                  for o in alone[errors[0]:])
+
+
+def test_shared_tables_leave_later_layers_alone():
+    # layer 1 picks the last position iff the word holds a 1, so it
+    # accepts iff 1 in w and |w| >= 3; a table keyed by tokens and
+    # positions alone cannot give layer 1 that
+    spec = two_layer_spec()
+    want = ["1" in w and len(w) >= 3 for w in MIXED_WORDS]
+    assert [recognize(spec, w) for w in MIXED_WORDS] == want
+    with shared_tables(spec):
+        assert [recognize(spec, w) for w in MIXED_WORDS] == want
+
+
+def test_shared_tables_serve_only_their_spec():
+    maj, first, two = (mean_majority_spec("F"), first_token_spec(),
+                       two_layer_spec())
+    alone = [outcome(s, w) for w in MIXED_WORDS for s in (first, maj, two)]
+    with shared_tables(first):
+        inside = [outcome(s, w) for w in MIXED_WORDS
+                  for s in (first, maj, two)]
+    assert inside == alone
+    calls = []
+    a, b = guarded_spec("embedding", calls), guarded_spec("embedding", calls)
+    with shared_tables(a):
+        for spec in (b, b, a, a):
+            recognize(spec, "0110")
+    assert len(calls) == 4 + 4 + 4 + 0
+
+
+def test_shared_tables_compute_once_per_key_and_reset_after_an_error():
+    calls = []
+    spec = guarded_spec("embedding", calls)
+    with shared_tables(spec):
+        for w in ("0110", "0110", "1110", "01"):
+            recognize(spec, w)
+    assert len(calls) == 4 + 0 + 1 + 0
+    calls.clear()
+    with pytest.raises(MachineError,
+                       match="^embedding refuses token 0 at position 3$"):
+        with shared_tables(spec):
+            recognize(spec, "0111")
+            recognize(spec, "110")
+    assert len(calls) == 4 + 2
+    calls.clear()
+    for _ in range(2):
+        recognize(spec, "0111")
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------

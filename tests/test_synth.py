@@ -570,9 +570,8 @@ def test_builder_no_fold_emits_verbatim():
         x = b.input(0)
         w1 = b.and_(x, b.const(1))
         w2 = b.not_(b.not_(x))
-    assert b.kind_of(w1) == "AND"
-    assert b.kind_of(w2) == "NOT"
     c = b.build([w1, w2])
+    assert [c.gates[o].kind for o in c.outputs] == ["AND", "NOT"]
     assert ceval(c, [1]) == (1, 1)
     assert ceval(c, [0]) == (0, 0)
 
