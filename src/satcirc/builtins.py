@@ -301,6 +301,7 @@ def build_hard_demo() -> TransformerSpec:
 
 BUILTIN_NAMES = ("maj", "maj-ln", "prime-universal", "resource-bounded",
                  "hard-demo")
+PRED_BUILTINS = ("prime-universal", "resource-bounded")  # take a predicate
 
 
 def builtin_spec(name: str, predicate: str = None) -> TransformerSpec:
@@ -317,7 +318,7 @@ def builtin_spec(name: str, predicate: str = None) -> TransformerSpec:
         return build_majority_layernorm()
     if name == "hard-demo":
         return build_hard_demo()
-    if name in ("prime-universal", "resource-bounded"):
+    if name in PRED_BUILTINS:
         if predicate not in preds:
             raise MachineError(
                 f"{name} needs --pred from {sorted(preds)}, got {predicate!r}")

@@ -109,29 +109,6 @@ def _coerce_bits(x, n: int) -> tuple[int, ...]:
     return bits
 
 
-def eval(c: Circuit, x) -> tuple[int, ...]:
-    bits = _coerce_bits(x, c.n)
-    val = []  # val[i] is gate i's value; inputs are earlier gates
-    for g in c.gates:
-        if g.kind == INPUT:
-            v = bits[g.idx]
-        elif g.kind == NEG_INPUT:
-            v = 1 - bits[g.idx]
-        elif g.kind == CONST:
-            v = g.k
-        elif g.kind == NOT:
-            v = 1 - val[g.inputs[0]]
-        elif g.kind == AND:
-            v = int(all(val[i] for i in g.inputs))
-        elif g.kind == OR:
-            v = int(any(val[i] for i in g.inputs))
-        else:
-            ones = sum(val[i] for i in g.inputs)
-            v = int(ones >= g.k if g.kind == THRESHOLD_GE else ones <= g.k)
-        val.append(v)
-    return tuple(val[o] for o in c.outputs)
-
-
 def _bitplane_sum(masks: Sequence[int]) -> list[int]:
     """Bit-sliced counter: planes[b] has sample bit set iff bit b of the
     per-sample count of set masks is 1."""

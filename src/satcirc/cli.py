@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .bitnum import BitNumError
-from .builtins import BUILTIN_NAMES, builtin_spec
+from .builtins import BUILTIN_NAMES, PRED_BUILTINS, builtin_spec
 from .circuit import (CircuitError, family_analyze, from_json, metrics,
                       to_dot, to_json)
 from .compile import (CompileError, compile_planned, compile_saturated,
@@ -74,12 +74,17 @@ def _write(path: str, text: str):
 def _load(cfg: RunConfig):
     if bool(cfg.spec) == bool(cfg.builtin):
         raise MachineError("give exactly one of --spec FILE or --builtin NAME")
+    if cfg.pred is not None and cfg.builtin not in PRED_BUILTINS:
+        raise MachineError(f"--pred goes only with --builtin "
+                           f"{' or '.join(PRED_BUILTINS)}")
     if cfg.spec:
         return load_spec(cfg.spec)
     return builtin_spec(cfg.builtin, cfg.pred)
 
 
 def _ns(cfg: RunConfig) -> tuple:
+    if cfg.n is not None and cfg.n_list:
+        raise MachineError("give --n or --n-list, not both")
     ns = cfg.n_list or ((cfg.n,) if cfg.n is not None else ())
     if not ns:
         raise MachineError("need --n or --n-list")

@@ -22,7 +22,9 @@ is the one shift: it OR-merges copies of a bit vector, each shifted by
 the amount paired with its indicator. Alignment to a common exponent,
 the cross-multiplied comparators and f_canon's strip are all calls of it.
 _enum_value is the one enumerated value: each output bit ORs the indicators
-whose value has that bit set.
+whose value has that bit set. The exponents of the float gadgets and the
+popcount _count_bits (over _exact_count's "exactly m ones" indicators) are
+all calls of it.
 
 Attention's argmax is f_maximizers (a flag on every tied maximum, from
 pairwise f_ge), first_hot (keep the first flag) and f_onehot (the pack
@@ -33,12 +35,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bitnum import Flt
 from .circuit import (
     AND, CONST, Circuit, Gate, INPUT, NEG_INPUT, NOT, OR, THRESHOLD_GE,
-    THRESHOLD_LE, depth_map, metrics,
+    THRESHOLD_LE, metrics,
 )
 
 
@@ -311,84 +313,6 @@ def decode_flt(bits: Sequence[int], p_width: int, e_width: int) -> Flt:
 
 
 # ---------------------------------------------------------------------------
-# DNF lookup (truth-table synthesis)
-
-LOOKUP_CAP = 16
-
-
-@dataclass(frozen=True)
-class LookupSpec:
-    c: int
-    d: int
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.c < 1 or self.c > LOOKUP_CAP:
-            raise SynthError(f"lookup width {self.c} outside 1..{LOOKUP_CAP}")
-        if len(self.table) != 1 << self.c:
-            raise SynthError("table must have exactly 2^c rows")
-        if any(len(row) != self.d for row in self.table):
-            raise SynthError("every table row must have d bits")
-
-    @classmethod
-    def from_function(cls, c: int, d: int, fn: Callable) -> "LookupSpec":
-        rows = []
-        for m in range(1 << c):
-            bits = tuple((m >> i) & 1 for i in range(c))
-            out = tuple(int(v) for v in fn(bits))
-            rows.append(out)
-        return cls(c, d, tuple(rows))
-
-
-def dnf_lookup(spec: LookupSpec) -> Circuit:
-    """Truth table as a depth-exactly-3 DNF: a NOT layer, an AND layer
-    of minterms, and one OR per output. Outputs whose DNF has no
-    negated literal on any path (constants, a single all-ones minterm)
-    are padded with the false term x1 AND NOT x1 so every output still
-    sits at depth 3. Size is asserted against (2^c + c + 1) * d."""
-    b = Builder(spec.c)
-    with b.no_fold():
-        xs = [b.input(i) for i in range(spec.c)]
-        nots = {}
-
-        def neg(i):
-            if i not in nots:
-                nots[i] = b.not_(xs[i])
-            return nots[i]
-
-        false_term = None
-        outs = []
-        for bit in range(spec.d):
-            rows = [m for m in range(1 << spec.c) if spec.table[m][bit]]
-            terms = []
-            deep = False  # does some term pass through the NOT layer?
-            for m in rows:
-                lits = []
-                for i in range(spec.c):
-                    if (m >> i) & 1:
-                        lits.append(xs[i])
-                    else:
-                        lits.append(neg(i))
-                        deep = True
-                terms.append(b.and_(*lits))
-            if not deep:
-                if false_term is None:
-                    false_term = b.and_(xs[0], neg(0))
-                terms.append(false_term)
-            outs.append(b.or_(*terms))
-    c = b.build(outs, labels={o: f"f{t}" for t, o in enumerate(outs)})
-    m = metrics(c)
-    dm = depth_map(c)
-    d = [dm[o] for o in c.outputs]
-    if any(v != 3 for v in d):
-        raise SynthError(f"dnf depth {d} != 3")
-    bound = (2 ** spec.c + spec.c + 1) * spec.d
-    if m.size > bound:
-        raise SynthError(f"dnf size {m.size} > bound {bound}")
-    return c
-
-
-# ---------------------------------------------------------------------------
 # counting gadgets
 
 
@@ -399,15 +323,10 @@ def _exact_count(b: Builder, ws) -> list[int]:
 
 
 def _count_bits(b: Builder, ws) -> list[int]:
-    """Binary popcount of ws, little-endian."""
-    ws = tuple(ws)
-    ind = _exact_count(b, ws)
-    width = len(ws).bit_length()
-    bits = []
-    for t in range(width):
-        members = [ind[m] for m in range(len(ws) + 1) if (m >> t) & 1]
-        bits.append(b.or_(*members))
-    return bits
+    """Binary popcount of ws, little-endian: the enumerated value of
+    _exact_count's indicators."""
+    return _enum_value(b, list(enumerate(_exact_count(b, ws))),
+                       len(ws).bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from satcirc.circuit import (
     AND, CONST, Circuit, CircuitError, Gate, INPUT, Metrics, NEG_INPUT, NOT,
-    OR, THRESHOLD_GE, THRESHOLD_LE, depth_map, eval, eval_batch,
+    OR, THRESHOLD_GE, THRESHOLD_LE, depth_map, eval_batch,
     family_analyze, from_json, metrics, to_dot, to_json,
 )
 
@@ -86,30 +86,29 @@ def test_threshold_example():
     c = Circuit(6, tuple([Gate(i, INPUT, idx=i) for i in range(6)]
                          + [Gate(6, THRESHOLD_GE, (0, 1, 2, 3, 4, 5), k=3)]),
                 (6,))
-    assert eval(c, "110011") == (1,)
-    assert eval(c, "110000") == (0,)
+    assert eval_batch(c, ["110011", "110000"]) == [(1,), (0,)]
 
 
 def test_empty_fanin_conventions():
     c = Circuit(1, (Gate(0, INPUT, idx=0), Gate(1, AND), Gate(2, OR),
                     Gate(3, THRESHOLD_GE, (), k=0)), (1, 2, 3))
-    assert eval(c, "0") == (1, 0, 1)
+    assert eval_batch(c, ["0"]) == [(1, 0, 1)]
 
 
 def test_threshold_le():
     gates = [Gate(i, INPUT, idx=i) for i in range(4)]
     gates.append(Gate(4, THRESHOLD_LE, (0, 1, 2, 3), k=2))
     c = Circuit(4, tuple(gates), (4,))
-    for bits in all_bits(4):
-        assert eval(c, bits) == (int(sum(bits) <= 2),)
+    xs = all_bits(4)
+    assert eval_batch(c, xs) == [(int(sum(bits) <= 2),) for bits in xs]
 
 
 def test_arity_mismatch():
     c = bigram11_fixture()
-    with pytest.raises(CircuitError):
-        eval(c, "011")
-    with pytest.raises(CircuitError):
-        eval(c, "01a10")
+    with pytest.raises(CircuitError, match="want a length-5 bit vector"):
+        eval_batch(c, ["011"])
+    with pytest.raises(CircuitError, match="want a length-5 bit vector"):
+        eval_batch(c, ["01a10"])
 
 
 def random_circuit(rng, n_inputs, n_gates):
@@ -141,16 +140,17 @@ def test_eval_matches_recursive_oracle():
     for _ in range(10_000):
         c = random_circuit(rng, rng.randint(1, 4), rng.randint(1, 16))
         bits = tuple(rng.randint(0, 1) for _ in range(c.n))
-        assert eval(c, bits) == recursive_eval(circ_to_dict(c), bits)
+        assert eval_batch(c, [bits]) == [recursive_eval(circ_to_dict(c), bits)]
 
 
-def test_eval_batch_matches_eval():
+def test_eval_batch_matches_recursive_oracle():
     rng = random.Random(77)
     for _ in range(300):
         c = random_circuit(rng, rng.randint(1, 5), rng.randint(1, 20))
         xs = [tuple(rng.randint(0, 1) for _ in range(c.n))
               for _ in range(rng.randint(1, 40))]
-        assert eval_batch(c, xs) == [eval(c, x) for x in xs]
+        doc = circ_to_dict(c)
+        assert eval_batch(c, xs) == [recursive_eval(doc, x) for x in xs]
 
 
 def test_eval_batch_thresholds_wide():
@@ -195,9 +195,9 @@ def test_metrics_bigram_fixture_golden():
 
 def test_bigram_fixture_language():
     c = bigram11_fixture()
-    for bits in all_bits(5):
-        w = "".join(map(str, bits))
-        assert eval(c, w) == (int(contains_bigram11(w)),)
+    words = ["".join(map(str, bits)) for bits in all_bits(5)]
+    assert eval_batch(c, words) == [(int(contains_bigram11(w)),)
+                                    for w in words]
 
 
 def test_depth_counts_gates_not_leaves():
@@ -224,7 +224,7 @@ def test_metrics_invariant_under_id_permutation():
                      tuple(rename[o] for o in c.outputs))
         assert metrics(c2) == metrics(c)
         bits = tuple(rng.randint(0, 1) for _ in range(c.n))
-        assert eval(c2, bits) == eval(c, bits)
+        assert eval_batch(c2, [bits]) == eval_batch(c, [bits])
         # the same DAG with shuffled ids and list order is refused
         ids = [g.id for g in c.gates]
         perm = ids[:]
@@ -290,7 +290,7 @@ def test_json_minimal_document():
            '{"id": 1, "kind": "INPUT", "idx": 1}, '
            '{"id": 2, "kind": "AND", "inputs": [0, 1]}], "outputs": [2]}')
     c = from_json(doc)
-    assert eval(c, "11") == (1,) and eval(c, "10") == (0,)
+    assert eval_batch(c, ["11", "10"]) == [(1,), (0,)]
 
 
 def test_json_errors_name_the_problem():

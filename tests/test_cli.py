@@ -39,6 +39,18 @@ def out(capsys):
     return capsys.readouterr()
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """The n of every compile the CLI starts; the compilers are stubbed."""
+    calls = []
+    monkeypatch.setattr(satcirc.cli, "compile_planned",
+                        lambda spec, n, **kw: calls.append(n))
+    for module in (satcirc.cli, satcirc.compile):
+        monkeypatch.setattr(module, "compile_saturated",
+                            lambda spec, n: calls.append(n))
+    return calls
+
+
 def test_run_accepts_and_rejects(tmp_path, capsys):
     assert main(["run", "--builtin", "maj", "--input", "1101",
                  "--out-dir", str(tmp_path)]) == 0
@@ -99,20 +111,38 @@ def test_run_trace_runs_the_machine_once(name, word, tmp_path, capsys,
     ("4,21", "exhaustive verification over 2^21 words is too large"),
 ])
 def test_verify_refuses_every_bad_n_before_compiling(n_list, err, tmp_path,
-                                                     capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(satcirc.cli, "compile_saturated",
-                        lambda spec, n: calls.append(n))
-    monkeypatch.setattr(satcirc.compile, "compile_saturated",
-                        lambda spec, n: calls.append(n))
+                                                     capsys, compiles):
     assert main(["verify", "--builtin", "maj", "--n-list", n_list,
                  "--out-dir", str(tmp_path)]) == 2
-    assert calls == []
+    assert compiles == []
     assert out(capsys).err == f"error: {err}\n"
     if err == "need n >= 1":
         assert main(["complexity", "--builtin", "maj", "--n-list",
                      f"8,{n_list}", "--out-dir", str(tmp_path)]) == 2
         assert out(capsys).err == f"error: {err}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["compile", "--builtin", "maj", "--n", "2", "--n-list", "3"],
+     "give --n or --n-list, not both"),
+    (["verify", "--builtin", "maj", "--n", "2", "--n-list", "3"],
+     "give --n or --n-list, not both"),
+    (["compile", "--builtin", "maj", "--pred", "parity", "--n", "2"],
+     "--pred goes only with --builtin prime-universal or resource-bounded"),
+    (["verify", "--builtin", "hard-demo", "--pred", "bigram11", "--n", "2"],
+     "--pred goes only with --builtin prime-universal or resource-bounded"),
+    (["compile", "--spec", str(SPECS / "maj_f.sexp"), "--pred", "parity",
+      "--n", "2"],
+     "--pred goes only with --builtin prime-universal or resource-bounded"),
+    (["run", "--builtin", "maj", "--pred", "parity", "--input", "01"],
+     "--pred goes only with --builtin prime-universal or resource-bounded"),
+])
+def test_flags_that_would_be_ignored_are_refused(argv, err, tmp_path, capsys,
+                                                 compiles):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert compiles == []
+    assert out(capsys).err == f"error: {err}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -391,6 +421,29 @@ def test_no_unused_imports_under_src():
                   and getattr(node, "module", None) != "__future__"
                   for alias in node.names
                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []
+
+
+def test_no_private_function_under_src_exists_only_for_tests():
+    # a module-level _helper that nothing under src/ calls is a test-only
+    # gadget; a reference from inside its own body (recursion) does not count
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(SRC, "satcirc").glob("*.py"))]
+    assert trees
+    refs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else None)
+            refs.setdefault(name, []).append(node)
+    found = []
+    for tree in trees:
+        for fn in tree.body:
+            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                inside = {id(node) for node in ast.walk(fn)}
+                if all(id(node) in inside for node in refs.get(fn.name, ())):
+                    found.append(fn.name)
     assert found == []
 
 

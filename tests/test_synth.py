@@ -22,9 +22,9 @@ from satcirc.bitnum import (
     Flt, UNat, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg, relu, uadd,
 )
 from satcirc.circuit import depth_map, eval_batch, metrics
-from satcirc.circuit import eval as ceval
+from satcirc.compile import _dnf_wires
 from satcirc.synth import (
-    Builder, LookupSpec, SynthError, WirePack, clog2, decode_flt,
+    Builder, SynthError, WirePack, clog2, decode_flt,
     decode_uint, encode_flt, encode_uint,
 )
 
@@ -74,9 +74,9 @@ def _encode_pack(f: Flt, p_width: int, e_max: int):
 
 def test_exact_count_indicators_exhaustive():
     c, _ = build(S._exact_count, 6, no_fold=True)
-    for bits in all_bits(6):
-        want = tuple(int(m == sum(bits)) for m in range(7))
-        assert ceval(c, bits) == want
+    xs = all_bits(6)
+    for bits, out in zip(xs, eval_batch(c, xs)):
+        assert out == tuple(int(m == sum(bits)) for m in range(7))
     assert metrics(c).depth == 2
 
 
@@ -84,8 +84,9 @@ def test_count_bits_exhaustive():
     for n in (1, 3, 6, 9):
         c, _ = build(S._count_bits, n, no_fold=True)
         assert len(c.outputs) == n.bit_length()
-        for bits in all_bits(n):
-            assert decode_uint(ceval(c, bits)) == sum(bits)
+        xs = all_bits(n)
+        for bits, out in zip(xs, eval_batch(c, xs)):
+            assert decode_uint(out) == sum(bits)
         assert metrics(c).depth == 3
 
 
@@ -106,10 +107,10 @@ def test_adder2_exhaustive():
     m = metrics(c)
     assert m.theta_count == 0
     assert m.depth <= 4
-    for a in range(32):
-        for b in range(32):
-            out = ceval(c, encode_uint(a, 5) + encode_uint(b, 5))
-            assert decode_uint(out) == a + b
+    pairs = [(a, b) for a in range(32) for b in range(32)]
+    xs = [encode_uint(a, 5) + encode_uint(b, 5) for a, b in pairs]
+    for (a, b), out in zip(pairs, eval_batch(c, xs)):
+        assert decode_uint(out) == a + b
 
 
 def test_adder2_matches_unat_addition():
@@ -149,9 +150,10 @@ def test_itadd_exhaustive_small():
     for n, B in ((2, 3), (4, 3), (3, 4)):
         c = itadd(n, B)
         assert len(c.outputs) == B + clog2(n)
-        for bits in all_bits(n * B):
+        xs = all_bits(n * B)
+        for bits, out in zip(xs, eval_batch(c, xs)):
             want = sum(decode_uint(bits[i * B:(i + 1) * B]) for i in range(n))
-            assert decode_uint(ceval(c, bits)) == want
+            assert decode_uint(out) == want
 
 
 def test_itadd_random_wide():
@@ -180,8 +182,8 @@ def test_itadd_depth_constant_across_n():
 
 def test_itadd_single_summand():
     c = itadd(1, 5)
-    for v in range(32):
-        assert decode_uint(ceval(c, encode_uint(v, 5))) == v
+    outs = eval_batch(c, [encode_uint(v, 5) for v in range(32)])
+    assert [decode_uint(out) for out in outs] == list(range(32))
 
 
 def test_itadd_rejects_bad_shapes():
@@ -274,11 +276,12 @@ def test_barrel_shift_exhaustive():
                                     for u in range(5)], 10)
     c, _ = build(fn, 8, 3)
     assert metrics(c).theta_count == 0
-    for bits in all_bits(11):
+    xs = all_bits(11)
+    for bits, out in zip(xs, eval_batch(c, xs)):
         v = decode_uint(bits[:8])
         s = decode_uint(bits[8:]) - 2
         want = 0 if s > 2 else v << s if s >= 0 else v >> -s
-        assert decode_uint(ceval(c, bits)) == want
+        assert decode_uint(out) == want
 
 
 def test_barrel_shift_zero_range():
@@ -289,60 +292,50 @@ def test_barrel_shift_zero_range():
             c, _ = build(lambda b, v: S._enum_shift(b, v, [(s, b.const(1))],
                                                     6), 4, no_fold=no_fold)
             assert (metrics(c).size == 0) != no_fold
-            for v in range(16):
+            outs = eval_batch(c, [encode_uint(v, 4) for v in range(16)])
+            for v, out in enumerate(outs):
                 want = (v << s if s >= 0 else v >> -s) & 63
-                assert decode_uint(ceval(c, encode_uint(v, 4))) == want
+                assert decode_uint(out) == want
 
 
 # ---------------------------------------------------------------------------
-# truth-table lookup
+# truth-table lookup (the compiler's DNF)
 
 
-def test_dnf_lookup_fixed_table():
-    spec = LookupSpec.from_function(
-        3, 2, lambda bits: (bits[0] ^ bits[2], bits[1] & bits[0]))
-    c = S.dnf_lookup(spec)
+def dnf(c_in, table):
+    """The circuit of _dnf_wires for a 2^c_in-row table over fresh inputs."""
+    b = Builder(c_in)
+    return b.build(_dnf_wires(b, [b.input(i) for i in range(c_in)], table))
+
+
+def table_rows(c_in):
+    """Row m of a lookup table is the input with bit i of m on input i."""
+    return [[(m >> i) & 1 for i in range(c_in)] for m in range(1 << c_in)]
+
+
+def test_dnf_wires_fixed_table():
+    # two data columns and two constant ones: the all-0 column has no
+    # minterm and folds to a CONST leaf, the all-1 column ORs all eight
+    xs = table_rows(3)
+    table = [(x[0] ^ x[2], x[1] & x[0], 0, 1) for x in xs]
+    c = dnf(3, table)
     dm = depth_map(c)
-    assert all(dm[o] == 3 for o in c.outputs)
-    for bits in all_bits(3):
-        assert ceval(c, bits) == (bits[0] ^ bits[2], bits[1] & bits[0])
+    assert [dm[o] for o in c.outputs] == [2, 2, 0, 2]
+    assert eval_batch(c, xs) == table
 
 
-def test_dnf_lookup_constant_columns_still_depth_3():
-    spec = LookupSpec.from_function(2, 3, lambda bits: (0, 1, bits[0]))
-    c = S.dnf_lookup(spec)
-    dm = depth_map(c)
-    assert all(dm[o] == 3 for o in c.outputs)
-    for bits in all_bits(2):
-        assert ceval(c, bits) == (0, 1, bits[0])
-
-
-def test_dnf_lookup_random_specs_depth_and_size():
+def test_dnf_wires_random_tables_depth_and_size():
     rng = random.Random(4)
     for _ in range(200):
         cw = rng.randint(1, 10)
         d = rng.randint(1, 4)
-        table = tuple(tuple(rng.randint(0, 1) for _ in range(d))
-                      for _ in range(1 << cw))
-        spec = LookupSpec(cw, d, table)
-        c = S.dnf_lookup(spec)
-        dm = depth_map(c)
-        assert all(dm[o] == 3 for o in c.outputs)
-        assert metrics(c).size <= (2 ** cw + cw + 1) * d
-        for probe in range(min(1 << cw, 64)):
-            bits = [(probe >> i) & 1 for i in range(cw)]
-            assert ceval(c, bits) == table[probe]
-
-
-def test_lookup_spec_validation():
-    with pytest.raises(SynthError):
-        LookupSpec(0, 1, ((0,),))
-    with pytest.raises(SynthError):
-        LookupSpec(17, 1, tuple(((0,),) * (1 << 17)))
-    with pytest.raises(SynthError):
-        LookupSpec(2, 1, ((0,), (1,)))  # wrong row count
-    with pytest.raises(SynthError):
-        LookupSpec(1, 2, ((0,), (1, 0)))  # ragged row
+        table = [tuple(rng.randint(0, 1) for _ in range(d))
+                 for _ in range(1 << cw)]
+        c = dnf(cw, table)
+        m = metrics(c)
+        assert m.depth <= 2
+        assert m.size <= (2 ** cw + cw + 1) * d
+        assert eval_batch(c, table_rows(cw)) == table
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +383,9 @@ def test_float_sum_signed_edges():
         (flt(7, 2), flt(-1)),
         (flt(-15), flt(1, 2)),
     ]
-    for a, b in cases:
-        bits = _encode_pack(a, 4, 2) + _encode_pack(b, 4, 2)
-        got = decode_flt(ceval(c, bits), len(res.p), len(res.e))
+    xs = [_encode_pack(a, 4, 2) + _encode_pack(b, 4, 2) for a, b in cases]
+    for (a, b), out in zip(cases, eval_batch(c, xs)):
+        got = decode_flt(out, len(res.p), len(res.e))
         assert got == flt_add(a, b), (a, b, got)
 
 
@@ -400,7 +393,7 @@ def test_float_sum_output_is_canonical_encoding():
     c, res = float_sum(2, 3, 1)
     p_out = len(res.p)
     bits = _encode_pack(flt(1, 1), 3, 1) + _encode_pack(flt(1, 1), 3, 1)
-    out = ceval(c, bits)  # 1/2 + 1/2 = 1, not 2/2
+    out = eval_batch(c, [bits])[0]  # 1/2 + 1/2 = 1, not 2/2
     assert out[0] == 1
     assert decode_uint(out[1:1 + p_out]) == 1
     assert decode_uint(out[1 + p_out:]) == 0
@@ -437,11 +430,11 @@ def test_divide_by_count_spotlights():
     p_out, e_out = 3, clog2(2 + 2 + 1)
     for f, m in ((flt(3, 2), 2), (flt(1), 3)):
         bits = _encode_pack(f, 2, 2) + [int(t == m) for t in range(4)]
-        got = decode_flt(ceval(c, bits), p_out, e_out)
+        got = decode_flt(eval_batch(c, [bits])[0], p_out, e_out)
         assert got == flt_div(f, flt(m))
     # the truncating reciprocal: 1/3 comes out as 1/4
     bits = _encode_pack(flt(1), 2, 2) + [0, 0, 0, 1]
-    assert decode_flt(ceval(c, bits), p_out, e_out) == flt(1, 2)
+    assert decode_flt(eval_batch(c, [bits])[0], p_out, e_out) == flt(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +449,10 @@ def _run_float_op(op, ins, pmax=4, emax=3):
     bits = []
     for f in ins:
         bits += _encode_pack(f, pmax, emax)
+    out = eval_batch(c, [bits])[0]
     if isinstance(res, WirePack):
-        return decode_flt(ceval(c, bits), len(res.p), len(res.e)), c
-    return ceval(c, bits)[0], c
+        return decode_flt(out, len(res.p), len(res.e)), c
+    return out[0], c
 
 
 def test_float_wire_ops_against_arithmetic():
@@ -517,7 +511,7 @@ def test_reciprocal_times_three_is_not_one():
         third = S.f_div_const(b, S.f_const(b, flt(1)), flt(3))
         return S.f_mul_const(b, third, flt(3))
     c, back = build(fn)
-    got = decode_flt(ceval(c, []), len(back.p), len(back.e))
+    got = decode_flt(eval_batch(c, [[]])[0], len(back.p), len(back.e))
     assert got == flt(3, 2)
     assert got != flt(1)
 
@@ -572,8 +566,7 @@ def test_builder_no_fold_emits_verbatim():
         w2 = b.not_(b.not_(x))
     c = b.build([w1, w2])
     assert [c.gates[o].kind for o in c.outputs] == ["AND", "NOT"]
-    assert ceval(c, [1]) == (1, 1)
-    assert ceval(c, [0]) == (0, 0)
+    assert eval_batch(c, [[1], [0]]) == [(1, 1), (0, 0)]
 
 
 def test_builder_input_range():
