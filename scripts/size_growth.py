@@ -12,7 +12,7 @@ import io
 import os
 import sys
 
-from satcirc.cli import OUT_DIR_ENV, USER_ERRORS, _int_list, _load, _write
+from satcirc.cli import USER_ERRORS, _int_list, _load, _out_dir, _write
 from satcirc.compile import default_samples
 from satcirc.machine import instrument_sizes
 
@@ -40,8 +40,7 @@ def report(a) -> int:
     inputs = {n: default_samples(spec, n, count=a.samples, seed=a.seed)
               for n in a.n_list}
     rep = instrument_sizes(spec, inputs)
-    out = a.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
-    path = os.path.join(out, "size_growth.csv")
+    path = os.path.join(_out_dir(a), "size_growth.csv")
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["n", "max_value_bits"] +

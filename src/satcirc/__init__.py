@@ -29,7 +29,7 @@ from .circuit import (
 )
 from .synth import SynthError, Builder, manifest
 from .compile import (
-    CompileError, WidthPlan, plan_widths, default_samples, encode_word,
+    CompileError, default_samples, encode_word, compile_planned,
     compile_saturated, compile_hard, check_circuit, verify_equivalence,
 )
 

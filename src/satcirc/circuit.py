@@ -89,6 +89,12 @@ class Circuit:
         for o in self.outputs:
             if not 0 <= o < len(self.gates):
                 raise CircuitError(f"output reads missing id {o}")
+        for k, text in self.labels.items():
+            if type(k) is not int or not 0 <= k < len(self.gates):
+                raise CircuitError(f"label on id {k!r}, which has no gate")
+            if type(text) is not str:
+                raise CircuitError(f"label of gate {k} is {text!r}, not a "
+                                   "string")
 
 
 @dataclass(frozen=True)
@@ -311,7 +317,7 @@ def from_json(text: str) -> Circuit:
                  tuple(rec.get("inputs", ())),
                  rec.get("k"), rec.get("idx"))
             for rec in doc["gates"])
-        labels = {int(k): str(v) for k, v in doc.get("labels", {}).items()}
+        labels = {_label_id(k): v for k, v in doc.get("labels", {}).items()}
         return Circuit(_int(doc["n"], "'n'"), gates,
                        tuple(_int(o, "an output") for o in doc["outputs"]),
                        labels)
@@ -328,6 +334,15 @@ def _int(x, what: str) -> int:
     if type(x) is not int:
         raise TypeError(f"{what} must be an int, got {json.dumps(x)}")
     return x
+
+
+def _label_id(key: str) -> int:
+    """The id a label key names; only str(id) itself names one, so "1_0",
+    " 0" and "+0" are refused."""
+    i = int(key)
+    if str(i) != key:
+        raise ValueError(f"label key {json.dumps(key)} is not a gate id")
+    return i
 
 
 _DOT_SHAPE = {INPUT: "plaintext", NEG_INPUT: "plaintext", CONST: "plaintext",

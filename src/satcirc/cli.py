@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .bitnum import BitNumError
 from .builtins import BUILTIN_NAMES, PRED_BUILTINS, builtin_spec
@@ -32,29 +31,8 @@ USER_ERRORS = (MachineError, CompileError, CircuitError, BitNumError,
                SynthError, OSError)
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation; every cmd_* consumes one of these."""
-
-    command: str
-    spec: str = None
-    builtin: str = None
-    pred: str = None
-    n: int = None
-    n_list: tuple = ()
-    input: str = None
-    trace: bool = False
-    values: bool = False
-    mode: str = "exhaustive"
-    samples: int = 1000
-    seed: int = 0
-    out_dir: str = None
-    format: str = "json"
-    circuit: str = None
-
-    @property
-    def out(self) -> str:
-        return self.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
+def _out_dir(args: argparse.Namespace) -> str:
+    return args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
 
 def _write(path: str, text: str):
@@ -71,21 +49,21 @@ def _write(path: str, text: str):
         raise
 
 
-def _load(cfg: RunConfig):
-    if bool(cfg.spec) == bool(cfg.builtin):
+def _load(args: argparse.Namespace):
+    if bool(args.spec) == bool(args.builtin):
         raise MachineError("give exactly one of --spec FILE or --builtin NAME")
-    if cfg.pred is not None and cfg.builtin not in PRED_BUILTINS:
+    if args.pred is not None and args.builtin not in PRED_BUILTINS:
         raise MachineError(f"--pred goes only with --builtin "
                            f"{' or '.join(PRED_BUILTINS)}")
-    if cfg.spec:
-        return load_spec(cfg.spec)
-    return builtin_spec(cfg.builtin, cfg.pred)
+    if args.spec:
+        return load_spec(args.spec)
+    return builtin_spec(args.builtin, args.pred)
 
 
-def _ns(cfg: RunConfig) -> tuple:
-    if cfg.n is not None and cfg.n_list:
+def _ns(args: argparse.Namespace) -> tuple:
+    if args.n is not None and args.n_list:
         raise MachineError("give --n or --n-list, not both")
-    ns = cfg.n_list or ((cfg.n,) if cfg.n is not None else ())
+    ns = args.n_list or ((args.n,) if args.n is not None else ())
     if not ns:
         raise MachineError("need --n or --n-list")
     if min(ns) < 1:
@@ -116,38 +94,38 @@ def _trace_json(spec, t, accept: bool) -> dict:
     }
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    spec = _load(cfg)
-    if not cfg.input:
+def cmd_run(args: argparse.Namespace) -> int:
+    spec = _load(args)
+    if not args.input:
         raise MachineError("run needs --input WORD")
-    t = run(spec, cfg.input) if cfg.trace else None
-    accept = spec.domain.cmp(classifier_value(spec, cfg.input, t),
+    t = run(spec, args.input) if args.trace else None
+    accept = spec.domain.cmp(classifier_value(spec, args.input, t),
                              spec.domain.zero) > 0
-    print(f"{spec.name or 'spec'} on {cfg.input!r}: "
-          f"{'accept' if accept else 'reject'}")
+    name = spec.name or "spec"
+    print(f"{name} on {args.input!r}: {'accept' if accept else 'reject'}")
     if t is not None:
-        path = os.path.join(cfg.out, f"{spec.name or 'spec'}.trace.json")
+        path = os.path.join(_out_dir(args), f"{name}.trace.json")
         _write(path, json.dumps(_trace_json(spec, t, accept), indent=2))
         print(f"trace -> {path}")
     return 0
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    spec = _load(cfg)
-    if len(_ns(cfg)) != 1:
+def cmd_compile(args: argparse.Namespace) -> int:
+    spec = _load(args)
+    if len(_ns(args)) != 1:
         raise MachineError("compile takes a single --n")
-    n = _ns(cfg)[0]
-    c, plan = compile_planned(spec, n, include_values=cfg.values)
+    n = _ns(args)[0]
+    c, roles = compile_planned(spec, n, include_values=args.values)
     name = spec.name or "spec"
-    base = os.path.join(cfg.out, f"{name}_n{n}")
+    base = os.path.join(_out_dir(args), f"{name}_n{n}")
     _write(base + ".json", to_json(c, indent=2))
     wrote = [base + ".json"]
-    if cfg.format == "dot":
+    if args.format == "dot":
         _write(base + ".dot", to_dot(c))
         wrote.append(base + ".dot")
     man = manifest(c, name, n=n,
                    width_plan={r: list(v) for r, v in
-                               sorted(plan.roles.items())})
+                               sorted(roles.items())})
     _write(base + ".manifest.json", json.dumps(man, indent=2))
     wrote.append(base + ".manifest.json")
     m = metrics(c)
@@ -173,14 +151,14 @@ def _circuit_file(path: str):
     return read
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    spec = _load(cfg)
-    if cfg.circuit and len(_ns(cfg)) != 1:
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = _load(args)
+    if args.circuit and len(_ns(args)) != 1:
         raise MachineError("--circuit verification takes a single --n")
-    compile_fn = (_circuit_file(cfg.circuit) if cfg.circuit
+    compile_fn = (_circuit_file(args.circuit) if args.circuit
                   else compile_saturated)
-    rep = verify_equivalence(spec, _ns(cfg), cfg.mode, cfg.samples,
-                             cfg.seed, compile_fn=compile_fn)
+    rep = verify_equivalence(spec, _ns(args), args.mode, args.samples,
+                             args.seed, compile_fn=compile_fn)
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["n", "mode", "tested", "mismatches",
@@ -193,20 +171,20 @@ def cmd_verify(cfg: RunConfig) -> int:
                  else f" first={r.first_counterexample}")
         print(f"n={r.n} {r.mode} tested={r.tested} "
               f"mismatches={r.mismatches}{extra} [{status}]")
-    path = os.path.join(cfg.out, "verify.csv")
+    path = os.path.join(_out_dir(args), "verify.csv")
     _write(path, buf.getvalue())
     print(f"report -> {path}")
     return 0 if rep.ok else 1
 
 
-def cmd_complexity(cfg: RunConfig) -> int:
-    spec = _load(cfg)
-    ns = _ns(cfg)
+def cmd_complexity(args: argparse.Namespace) -> int:
+    spec = _load(args)
+    ns = _ns(args)
     if len(set(ns)) < 3:
         raise MachineError("complexity wants --n-list with at least three "
                            "distinct n")
     fam = family_analyze(lambda n: compile_saturated(spec, n), ns)
-    inputs = {n: default_samples(spec, n, seed=cfg.seed) for n in ns}
+    inputs = {n: default_samples(spec, n, seed=args.seed) for n in ns}
     sizes = instrument_sizes(spec, inputs)
     bits = {r.n: r.overall for r in sizes.rows}
     buf = io.StringIO()
@@ -218,7 +196,7 @@ def cmd_complexity(cfg: RunConfig) -> int:
                      bits[r.n]])
         print(f"n={r.n} size={r.size} depth={r.depth} "
               f"theta={r.theta_count} value_bits={bits[r.n]}")
-    path = os.path.join(cfg.out, "complexity.csv")
+    path = os.path.join(_out_dir(args), "complexity.csv")
     _write(path, buf.getvalue())
     print(f"size slope {fam.slope:.3f} (log-log), depth "
           f"{'constant' if fam.depth_constant else 'VARIES'}, "
@@ -289,10 +267,9 @@ COMMANDS = {"run": cmd_run, "compile": cmd_compile, "verify": cmd_verify,
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(ns))
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

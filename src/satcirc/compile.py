@@ -25,13 +25,13 @@ its 2^r rows against the structural form with unread live wires tied to
 the r-bit row at m's read bits, so the circuit is the one a 2^k
 tabulation gives.
 
-Width plans certify how wide every value role is. The compiler records
-the structurally propagated (p bits, exponent bound) of every role as
-it builds, and compile_planned checks that the machine's values on
-sample traces fit under them; the plan is those recorded widths, so it
-certifies the circuit it came with. Every entry point builds through
-one _build, which also refuses a threshold gate in the circuit of a
-spec whose heads are all hard.
+Every compile checks its widths. The compiler records the structurally
+propagated (p bits, exponent bound) of every value role as it builds,
+and compile_planned, the one build behind every entry point, checks
+that the machine's values on sample traces fit under them; those
+recorded widths are the width plan that certifies the circuit they
+came with. compile_planned also refuses a threshold gate in the
+circuit of a spec whose heads are all hard.
 
 Verification compares the circuit with the machine word by word. The
 machine's verdicts come from forked workers, one per available CPU,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import synth as S
 from . import workers
@@ -101,17 +101,7 @@ def encode_word(spec: TransformerSpec, w: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# width plans
-
-
-@dataclass(frozen=True)
-class WidthPlan:
-    """Certified per-role (p bits, exponent bound) widths at one n."""
-
-    n: int
-    roles: Mapping[str, tuple[int, int]]
-    measured: Mapping[str, tuple[int, int]]
-    samples: tuple[str, ...]
+# width checks
 
 
 def default_samples(spec: TransformerSpec, n: int, count: int = 6,
@@ -121,7 +111,8 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
     alpha = spec.alphabet
     words = {alpha[0] * n, alpha[-1] * n,
              "".join(alpha[i % len(alpha)] for i in range(n))}
-    count = min(count, len(alpha) ** n)  # only |alpha|^n words exist
+    # only |alpha|^n words exist; an exponent past count cannot lower it
+    count = min(count, len(alpha) ** min(n, count))
     rng = random.Random(seed)
     while len(words) < count:
         words.add("".join(rng.choice(alpha) for _ in range(n)))
@@ -415,8 +406,7 @@ class _Compiler:
     def _gate_pack(self, g: int, pack: WirePack) -> WirePack:
         b = self.b
         return S.float_pack(pack.sign, [b.and_(g, w) for w in pack.p],
-                            [b.and_(g, w) for w in pack.e], pack.e_max,
-                            False, pack.name)
+                            [b.and_(g, w) for w in pack.e], pack.e_max)
 
     def _head_output(self, li: int, h: int, head, vecs, i: int,
                      block) -> tuple:
@@ -615,10 +605,12 @@ def _decode_result(bits, ref):
 # entry points
 
 
-def _build(spec: TransformerSpec, n: int, include_values: bool):
+def compile_planned(spec: TransformerSpec, n: int, *,
+                    include_values: bool = False) -> tuple[Circuit, dict]:
     """The one build behind every entry point: the circuit and the
-    (p bits, exponent bound) it recorded per value role. A spec whose
-    heads are all hard must come out threshold-free."""
+    (p bits, exponent bound) it recorded per value role. Every role the
+    sample traces reach must fit under its recorded width, and a spec
+    whose heads are all hard must come out threshold-free."""
     _check_compilable(spec)
     if n < 1:
         raise CompileError("need n >= 1")
@@ -630,13 +622,20 @@ def _build(spec: TransformerSpec, n: int, include_values: bool):
         if theta:
             raise CompileError(
                 f"hard compilation emitted {theta} threshold gates")
+    measured = _measure_roles(spec, n, default_samples(spec, n))
+    for role, need in measured.items():
+        have = comp.roles.get(role)
+        if have is not None and (have[0] < need[0] or have[1] < need[1]):
+            raise CompileError(
+                f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
+                f"sample trace reached p{need[0]}/e{need[1]}")
     return c, comp.roles
 
 
 def compile_saturated(spec: TransformerSpec, n: int, *,
                       include_values: bool = False) -> Circuit:
     """Compile for saturated/uniform (and mux-style hard) attention."""
-    return _build(spec, n, include_values)[0]
+    return compile_planned(spec, n, include_values=include_values)[0]
 
 
 def compile_hard(spec: TransformerSpec, n: int, *,
@@ -647,29 +646,7 @@ def compile_hard(spec: TransformerSpec, n: int, *,
             if head.attention is not AttentionKind.HARD:
                 raise CompileError("compile_hard wants hard heads only; "
                                    f"found {head.attention.value}")
-    return compile_saturated(spec, n, include_values=include_values)
-
-
-def compile_planned(spec: TransformerSpec, n: int, *,
-                    include_values: bool = False) -> tuple[Circuit, WidthPlan]:
-    """The circuit compile_saturated gives and the width plan certifying
-    it, from one build: every role the sample traces reach must fit
-    under the width the build recorded."""
-    c, roles = _build(spec, n, include_values)
-    samples = default_samples(spec, n)
-    measured = _measure_roles(spec, n, samples)
-    for role, need in measured.items():
-        have = roles.get(role)
-        if have is not None and (have[0] < need[0] or have[1] < need[1]):
-            raise CompileError(
-                f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
-                f"sample trace reached p{need[0]}/e{need[1]}")
-    return c, WidthPlan(n, roles, measured, tuple(samples))
-
-
-def plan_widths(spec: TransformerSpec, n: int) -> WidthPlan:
-    """The width plan compile_planned certifies its circuit with."""
-    return compile_planned(spec, n)[1]
+    return compile_planned(spec, n, include_values=include_values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +677,8 @@ def _check_batch(spec, n, mode, samples):
     if n < 1:
         raise CompileError("need n >= 1")
     if mode == "exhaustive":
-        if len(spec.alphabet) ** n > 1 << 20:
+        # 2^21 words are already too many: never compute |alphabet|^n whole
+        if len(spec.alphabet) ** min(n, 21) > 1 << 20:
             raise CompileError(f"exhaustive verification over "
                                f"{len(spec.alphabet)}^{n} words is too large")
     elif mode == "random":

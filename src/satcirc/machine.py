@@ -612,6 +612,9 @@ def recognize(spec: TransformerSpec, w: str) -> bool:
 # instrumentation
 
 
+HEAD_SUM_C = 2  # the c of the head-sum bound 4cz + 2 log2 n + 1
+
+
 @dataclass(frozen=True)
 class HeadSumBound:
     """One head-sum check of the linear-bits bound 4cz + 2 log2 n + 1."""
@@ -668,11 +671,11 @@ def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 
 def instrument_sizes(spec: TransformerSpec,
-                     inputs_by_n: Mapping[int, Sequence[str]],
-                     c: int = 2) -> SizeGrowthReport:
+                     inputs_by_n: Mapping[int, Sequence[str]]
+                     ) -> SizeGrowthReport:
     """Trace the given inputs and report per-layer max value sizes, the
     fitted log envelope, and the head-sum bound 4cz + 2 log2 n + 1 where
-    z is the largest summand size feeding that head."""
+    c is HEAD_SUM_C and z the largest summand size feeding that head."""
     if not inputs_by_n:
         raise MachineError("size instrumentation needs at least one n")
     domain = spec.domain
@@ -707,7 +710,7 @@ def instrument_sizes(spec: TransformerSpec,
                                 measured_by_head.get(key, 0), size(out_c))
         rows.append(SizeRow(n, per_layer, max(per_layer)))
         for (li, h), z in sorted(z_by_head.items()):
-            bound = 4 * c * z + 2 * math.log2(n) + 1
+            bound = 4 * HEAD_SUM_C * z + 2 * math.log2(n) + 1
             head_bounds.append(HeadSumBound(n, li, h, z,
                                             measured_by_head[(li, h)], bound))
     xs = [math.log2(r.n) for r in rows]

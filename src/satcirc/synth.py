@@ -264,7 +264,6 @@ class WirePack:
     e_width: int
     e_max: int
     canonical: bool = False
-    name: str = ""
 
     def __post_init__(self):
         if len(self.wires) != 1 + self.p_width + self.e_width:
@@ -283,9 +282,9 @@ class WirePack:
         return self.wires[1 + self.p_width:]
 
 
-def float_pack(sign, p, e, e_max, canonical=False, name="") -> WirePack:
+def float_pack(sign, p, e, e_max, canonical=False) -> WirePack:
     return WirePack((sign, *p, *e), len(tuple(p)), len(tuple(e)), e_max,
-                    canonical, name)
+                    canonical)
 
 
 def encode_uint(value: int, width: int) -> list[int]:
@@ -573,14 +572,14 @@ def _enum_shift(b: Builder, bits, sels, width: int) -> list[int]:
 # evaluator's encoding.
 
 
-def f_const(b: Builder, x: Flt, name="") -> WirePack:
+def f_const(b: Builder, x: Flt) -> WirePack:
     p = [b.const(bit) for bit in encode_uint(x.p.value, max(len(x.p), 1))]
     e = [b.const(bit) for bit in encode_uint(x.e, clog2(x.e + 1))]
-    return float_pack(b.const(x.sign), p, e, x.e, canonical=True, name=name)
+    return float_pack(b.const(x.sign), p, e, x.e, canonical=True)
 
 
-def f_from_bit(b: Builder, w: int, name="") -> WirePack:
-    return float_pack(b.const(1), (w,), (), 0, canonical=True, name=name)
+def f_from_bit(b: Builder, w: int) -> WirePack:
+    return float_pack(b.const(1), (w,), (), 0, canonical=True)
 
 
 def _const_e_wires(b: Builder, value: int, e_max: int) -> list[int]:
@@ -602,7 +601,7 @@ def _tree_usum(b: Builder, rows, out_width: int) -> list[int]:
     return _pad(b, rows[0], out_width)[:out_width]
 
 
-def _banked_sum(b: Builder, packs, usum, name="") -> WirePack:
+def _banked_sum(b: Builder, packs, usum) -> WirePack:
     """Exact sum of float packs; raw result over denominator 2^ecap.
 
     Signs route each aligned numerator into a positive or a negative
@@ -633,32 +632,30 @@ def _banked_sum(b: Builder, packs, usum, name="") -> WirePack:
         sign = _geq_u(b, P, N)
         diffs = (_sub(b, P, N), _sub(b, N, P))
         mag = _onehot_bits(b, (sign, b.not_(sign)), diffs)
-    return float_pack(sign, mag, _const_e_wires(b, ecap, ecap), ecap,
-                      canonical=False, name=name)
+    return float_pack(sign, mag, _const_e_wires(b, ecap, ecap), ecap)
 
 
-def f_sum(b: Builder, packs, name="") -> WirePack:
+def f_sum(b: Builder, packs) -> WirePack:
     """n-ary sum via counting-based iterated addition: the added depth
     is one fixed constant for every summand count, which is what keeps
     compiled attention pooling at the same depth across sequence
     lengths. Spends threshold gates."""
     return _banked_sum(b, packs,
-                       lambda rows, w: _itadd(b, rows, out_width=w), name)
+                       lambda rows, w: _itadd(b, rows, out_width=w))
 
 
-def f_sum_tree(b: Builder, packs, name="") -> WirePack:
+def f_sum_tree(b: Builder, packs) -> WirePack:
     """Theta-free sum for compile-time-constant summand counts
     (activation affine forms, classifier dot products)."""
-    return _banked_sum(b, packs,
-                       lambda rows, w: _tree_usum(b, rows, w), name)
+    return _banked_sum(b, packs, lambda rows, w: _tree_usum(b, rows, w))
 
 
-def f_add(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
-    return f_sum_tree(b, [x, y], name=name)
+def f_add(b: Builder, x: WirePack, y: WirePack) -> WirePack:
+    return f_sum_tree(b, [x, y])
 
 
-def f_neg(b: Builder, x: WirePack, name="") -> WirePack:
-    return float_pack(b.not_(x.sign), x.p, x.e, x.e_max, False, name)
+def f_neg(b: Builder, x: WirePack) -> WirePack:
+    return float_pack(b.not_(x.sign), x.p, x.e, x.e_max)
 
 
 def f_nonzero(b: Builder, x: WirePack) -> int:
@@ -669,10 +666,10 @@ def f_pos_or_zero(b: Builder, x: WirePack) -> int:
     return b.or_(x.sign, b.not_(f_nonzero(b, x)))
 
 
-def f_relu(b: Builder, x: WirePack, name="") -> WirePack:
+def f_relu(b: Builder, x: WirePack) -> WirePack:
     keep = x.sign
     return float_pack(b.const(1), [b.and_(keep, w) for w in x.p],
-                      [b.and_(keep, w) for w in x.e], x.e_max, False, name)
+                      [b.and_(keep, w) for w in x.e], x.e_max)
 
 
 def _enum_value(b: Builder, pairs, width: int) -> list[int]:
@@ -683,7 +680,7 @@ def _enum_value(b: Builder, pairs, width: int) -> list[int]:
             for t in range(width)]
 
 
-def f_mul(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
+def f_mul(b: Builder, x: WirePack, y: WirePack) -> WirePack:
     p = _mul_u(b, x.p, y.p)
     sign = b.or_(b.and_(x.sign, y.sign),
                  b.and_(b.not_(x.sign), b.not_(y.sign)))
@@ -699,21 +696,21 @@ def f_mul(b: Builder, x: WirePack, y: WirePack, name="") -> WirePack:
             for v in range(y.e_max + 1):
                 pairs.append((u + v, b.and_(su, _enum_eq(b, y.e, v))))
         e = _enum_value(b, pairs, clog2(emax + 1))
-    return float_pack(sign, p, e, emax, False, name)
+    return float_pack(sign, p, e, emax)
 
 
-def f_mul_const(b: Builder, x: WirePack, c: Flt, name="") -> WirePack:
+def f_mul_const(b: Builder, x: WirePack, c: Flt) -> WirePack:
     if c.is_zero():
-        return f_const(b, c, name)
+        return f_const(b, c)
     p = _mul_const_u(b, x.p, c.p.value)
     emax = x.e_max + c.e
     e = list(x.e) if c.e == 0 else _enum_value(
         b, [(u + c.e, s) for u, s in _e_sels(b, x)], clog2(emax + 1))
     sign = x.sign if c.sign else b.not_(x.sign)
-    return float_pack(sign, p, e, emax, False, name)
+    return float_pack(sign, p, e, emax)
 
 
-def f_div_const(b: Builder, x: WirePack, c: Flt, name="") -> WirePack:
+def f_div_const(b: Builder, x: WirePack, c: Flt) -> WirePack:
     """x / c for a compile-time constant c, per the reciprocal-scaling
     rule: k = floor(2^|c.p| / c.p), p' = p*k*2^c.e, e' = e + |c.p|."""
     if c.is_zero():
@@ -725,11 +722,10 @@ def f_div_const(b: Builder, x: WirePack, c: Flt, name="") -> WirePack:
     e = _enum_value(b, [(u + pw, s) for u, s in _e_sels(b, x)],
                     clog2(emax + 1))
     sign = x.sign if c.sign else b.not_(x.sign)
-    return float_pack(sign, p, e, emax, False, name)
+    return float_pack(sign, p, e, emax)
 
 
-def f_div_by_indicators(b: Builder, x: WirePack, indicators,
-                        name="") -> WirePack:
+def f_div_by_indicators(b: Builder, x: WirePack, indicators) -> WirePack:
     """x / m where the divisor m in 1..n is given by one-hot indicator
     wires (indicators[m]); bit-equal to dividing by the float m.
 
@@ -757,10 +753,10 @@ def f_div_by_indicators(b: Builder, x: WirePack, indicators,
         e_pairs += [(u + L, b.and_(ind, sel)) for u, sel in e_sels]
     p = [b.or_(*ts) for ts in p_terms]
     e = _enum_value(b, e_pairs, clog2(emax + 1))
-    return float_pack(x.sign, p, e, emax, False, name)
+    return float_pack(x.sign, p, e, emax)
 
 
-def f_canon(b: Builder, x: WirePack, name="") -> WirePack:
+def f_canon(b: Builder, x: WirePack) -> WirePack:
     """Strip shared trailing zeros: p' = p >> r, e' = e - r with
     r = min(trailing zeros of p, e); zero becomes +0/2^0 exactly."""
     if x.canonical:
@@ -781,7 +777,7 @@ def f_canon(b: Builder, x: WirePack, name="") -> WirePack:
     e_out = _enum_value(b, [(left, sel) for _, left, sel in pairs],
                         clog2(x.e_max + 1))
     sign = b.or_(x.sign, b.not_(nonzero))
-    return float_pack(sign, p_out, e_out, x.e_max, canonical=True, name=name)
+    return float_pack(sign, p_out, e_out, x.e_max, canonical=True)
 
 
 def _cross_mags(b: Builder, x: WirePack, y: WirePack):
@@ -810,21 +806,18 @@ def f_eq(b: Builder, x: WirePack, y: WirePack) -> int:
     return b.and_(same_sign, _eq_u(b, A, B_))
 
 
-def f_onehot(b: Builder, hots, packs, canonical=False,
-             name="") -> WirePack:
+def f_onehot(b: Builder, hots, packs, canonical=False) -> WirePack:
     """The pack whose hot wire is set; at most one may be set. Pass
     canonical=True only when every pack is canonical."""
     p = _onehot_bits(b, hots, [pk.p for pk in packs])
     e = _onehot_bits(b, hots, [pk.e for pk in packs])
     sign = _onehot_bits(b, hots, [(pk.sign,) for pk in packs])[0]
-    return float_pack(sign, p, e, max(pk.e_max for pk in packs), canonical,
-                      name)
+    return float_pack(sign, p, e, max(pk.e_max for pk in packs), canonical)
 
 
-def f_select(b: Builder, cond: int, x: WirePack, y: WirePack,
-             name="") -> WirePack:
+def f_select(b: Builder, cond: int, x: WirePack, y: WirePack) -> WirePack:
     return f_onehot(b, (cond, b.not_(cond)), (x, y),
-                    x.canonical and y.canonical, name)
+                    x.canonical and y.canonical)
 
 
 # ---------------------------------------------------------------------------

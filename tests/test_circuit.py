@@ -76,6 +76,13 @@ def test_circuit_validation():
         Circuit(1, (Gate(0, INPUT, idx=3),), (0,))
     with pytest.raises(CircuitError, match="output"):
         Circuit(1, (Gate(0, INPUT, idx=0),), ())
+    for k in (1, -1, "0", True):
+        with pytest.raises(CircuitError, match=f"label on id {k!r}, which "
+                                               "has no gate"):
+            Circuit(1, (Gate(0, INPUT, idx=0),), (0,), {k: "x"})
+    with pytest.raises(CircuitError, match="label of gate 0 is 7, not a "
+                                           "string"):
+        Circuit(1, (Gate(0, INPUT, idx=0),), (0,), {0: 7})
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,19 @@ def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
      '"outputs": ["0"]}', 'an output must be an int, got "0"'),
     ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
      '"outputs": [false]}', "an output must be an int, got false"),
+    *[('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+       '"outputs": [0], "labels": {%s: "x"}}' % key,
+       f"label key {key} is not a gate id")
+      for key in ('"1_0"', '" 0"', '"+0"', '"\\u0660"', '"00"')],
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0], "labels": {"-1": "x"}}',
+     "label on id -1, which has no gate"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0], "labels": {"99": "x"}}',
+     "label on id 99, which has no gate"),
+    ('{"n": 1, "gates": [{"id": 0, "kind": "INPUT", "idx": 0}], '
+     '"outputs": [0], "labels": {"0": null}}',
+     "label of gate 0 is None, not a string"),
 ])
 def test_verify_refuses_malformed_circuit_json(doc, why, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -28,10 +28,11 @@ from satcirc.builtins import (build_hard_demo, build_majority,
                               build_resource_bounded, builtin_spec)
 from satcirc.circuit import eval_batch, family_analyze, metrics
 from satcirc.cli import main as cli_main
-from satcirc.compile import (CompileError, _Compiler, _read_paths,
-                             _read_view, compile_hard, compile_planned,
-                             compile_saturated, default_samples,
-                             encode_word, plan_widths, verify_equivalence)
+from satcirc.compile import (CompileError, _Compiler, _measure_roles,
+                             _read_paths, _read_view, compile_hard,
+                             compile_planned, compile_saturated,
+                             default_samples, encode_word,
+                             verify_equivalence)
 from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
                              HeadSpec, LayerSpec, MachineError, Proj, Select,
                              Sqrt, TransformerSpec, Tup, eval_expr, load_spec,
@@ -181,7 +182,7 @@ def test_host_primitives_are_refused():
 
 
 def test_wide_sqrt_is_refused():
-    for compile_fn in (compile_saturated, compile_planned, plan_widths):
+    for compile_fn in (compile_saturated, compile_planned):
         with pytest.raises(CompileError, match="lookup cap"):
             compile_fn(build_majority_layernorm(), 4)
 
@@ -417,14 +418,14 @@ def test_encode_word_rejects_unknown_tokens():
 def test_analytic_plan_changes_nothing():
     comp = _Compiler(MAJ, 5)
     plain = comp.build()
-    c, plan = compile_planned(MAJ, 5)
-    assert c == plain and plan.roles == comp.roles
+    c, roles = compile_planned(MAJ, 5)
+    assert c == plain and roles == comp.roles
 
 
 def test_analytic_plan_covers_every_measured_role():
-    plan = plan_widths(MAJ, 6)
-    for role, need in plan.measured.items():
-        have = plan.roles[role]
+    roles = compile_planned(MAJ, 6)[1]
+    for role, need in _measure_roles(MAJ, 6, default_samples(MAJ, 6)).items():
+        have = roles[role]
         assert have[0] >= need[0] and have[1] >= need[1], role
 
 
@@ -447,14 +448,14 @@ MAJ_PLANS = {  # n -> (samples, measured)
 @pytest.mark.parametrize("n", sorted(MAJ_PLANS))
 def test_plan_widths_is_pinned(n):
     samples, measured = MAJ_PLANS[n]
-    plan = plan_widths(MAJ, n)
-    assert plan.roles == MAJ_ROLES
-    assert plan.measured == measured and plan.samples == samples
+    assert tuple(default_samples(MAJ, n)) == samples
+    assert _measure_roles(MAJ, n, samples) == measured
+    assert compile_planned(MAJ, n)[1] == MAJ_ROLES
 
 
 def test_compile_planned_is_compile_under_the_analytic_plan():
-    c, plan = compile_planned(MAJ, 5, include_values=True)
-    assert plan == plan_widths(MAJ, 5)
+    c, roles = compile_planned(MAJ, 5, include_values=True)
+    assert roles == compile_planned(MAJ, 5)[1] == MAJ_ROLES
     assert c == compile_saturated(MAJ, 5, include_values=True)
     c, plan = compile_planned(build_hard_demo(), 4)
     assert c == compile_hard(build_hard_demo(), 4)
@@ -479,22 +480,30 @@ def test_a_trace_wider_than_its_analytic_width_is_refused(
         return roles
 
     monkeypatch.setattr(C, "_measure_roles", wider)
-    with pytest.raises(CompileError, match=re.escape(
-            "analytic width for L0.h0.out[0] is p6/e3 but a sample trace "
-            "reached p7/e3")):
-        compile_planned(MAJ, 5)
-    assert cli_main(["compile", "--builtin", "maj", "--n", "5",
-                     "--out-dir", str(tmp_path)]) == 2
-    assert "L0.h0.out[0]" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    why = ("analytic width for L0.h0.out[0] is p6/e3 but a sample trace "
+           "reached p7/e3")
+    for compile_fn in (compile_planned, compile_saturated):
+        with pytest.raises(CompileError, match=re.escape(why)):
+            compile_fn(MAJ, 5)
+    with pytest.raises(CompileError, match="hard heads only"):
+        compile_hard(MAJ, 5)  # maj's head is saturated: refused first
+    with pytest.raises(CompileError, match=re.escape(why.replace(
+            "p6/e3 but", "p1/e0 but"))):  # the hard head muxes a 0/1 bit
+        compile_hard(build_hard_demo(), 5)
+    for argv in (["compile", "--n", "5"], ["verify", "--n", "5"],
+                 ["complexity", "--n-list", "4,5,6"]):
+        assert cli_main(argv + ["--builtin", "maj",
+                                "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {why}\n"
+        assert not list(tmp_path.iterdir())
 
 
 def test_plan_validation():
     for n in (0, -3):
         with pytest.raises(CompileError, match="n >= 1"):
-            plan_widths(MAJ, n)
+            compile_planned(MAJ, n)
     with pytest.raises(TypeError):  # widths come from the build, not a plan
-        compile_saturated(MAJ, 5, plan_widths(MAJ, 5))
+        compile_saturated(MAJ, 5, MAJ_ROLES)
     assert len(default_samples(MAJ, 7)) >= 3
 
 
@@ -530,6 +539,18 @@ def test_verify_refuses_oversized_exhaustive_runs():
         verify_equivalence(MAJ, [21], mode="exhaustive")
     with pytest.raises(CompileError, match="mode"):
         verify_equivalence(MAJ, [3], mode="sideways")
+
+
+def test_a_huge_exhaustive_n_is_refused_at_once():
+    """The word count is bounded, never computed as a whole |alphabet|^n."""
+    start = time.perf_counter()
+    with pytest.raises(CompileError, match=re.escape(
+            "exhaustive verification over 2^1000000000 words is too large")):
+        verify_equivalence(MAJ, [10**9], mode="exhaustive")
+    assert time.perf_counter() - start < 1
+    one = dataclasses.replace(MAJ, alphabet=("1",))
+    C._check_batch(one, 10**9, "exhaustive", 0)  # one word of each length
+    assert default_samples(MAJ, 3, count=10**9) == all_words(MAJ, 3)
 
 
 @pytest.mark.parametrize("ns, mode, err", [

@@ -461,7 +461,7 @@ def test_instrument_sizes_envelope_and_head_bounds():
     inputs = {n: ["".join(rng.choice("01") for _ in range(n))
                   for _ in range(4)]
               for n in (4, 8, 16, 32)}
-    rep = instrument_sizes(spec, inputs, c=2)
+    rep = instrument_sizes(spec, inputs)
     assert rep.ok
     assert rep.b >= 0
     assert all(m >= 0 for m in rep.margins)
