@@ -9,9 +9,14 @@ exact-count gadget, pooling from the counting float adder, and the
 1/|M| weighting from the per-divisor reciprocal shifts. Hard heads mux
 the first maximizer's value directly and never spend threshold gates.
 
-Expressions compile structurally primitive-by-primitive. When every
-non-constant input wire of a whole embedding/scorer/activation fits the
-lookup budget, the expression is instead emitted as one truth table.
+Expressions compile through the machine's own interpreter: eval_expr
+runs over _Wires, an arithmetic whose every op emits that op's gadget
+(f_add, f_mul_const, the sqrt table, f_gt, f_select, ...), so each
+size-preserving primitive becomes one constant-depth subcircuit, and
+the machine and the circuit share one reading of the expression
+language, shape errors included. When every non-constant input wire of
+a whole embedding/scorer/activation fits the lookup budget, the
+expression is instead emitted as one truth table.
 The structural form is still built on every call, because it fixes the
 order in which gates are created, and then discarded. The table ranges
 over the r live wires the expression reads: the argument components its
@@ -51,8 +56,9 @@ from . import workers
 from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, eval_batch, metrics
 from .machine import (
-    AttentionKind, FuncExpr, MachineError, TransformerSpec, eval_expr,
-    is_size_preserving, recognize, shared_tables,
+    DOMAIN_F, AttentionKind, FuncExpr, MachineError, TransformerSpec,
+    _check_vector, _scalar, eval_expr, is_size_preserving, recognize,
+    shared_tables,
 )
 from .machine import run as machine_run
 from .synth import Builder, SynthError, WirePack, clog2
@@ -64,13 +70,6 @@ class CompileError(ValueError):
 
 EXPR_LOOKUP_BITS = 14  # whole-expression truth tables up to here
 SQRT_LOOKUP_BITS = 16
-
-
-def _const_flt(number) -> Flt:
-    num, den = number
-    if den <= 0 or den & (den - 1):
-        raise CompileError(f"{num}/{den} is not representable over F")
-    return flt(num, den.bit_length() - 1)
 
 
 def _check_compilable(spec: TransformerSpec):
@@ -182,6 +181,99 @@ def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
     return outs
 
 
+class _Wires:
+    """The circuit arithmetic: Domain's protocol (see machine.Domain)
+    over WirePacks on the builder b, one gadget per op."""
+
+    def __init__(self, b: Builder):
+        self.b = b
+
+    def from_pair(self, num: int, den: int) -> WirePack:
+        return S.f_const(self.b, DOMAIN_F.from_pair(num, den))
+
+    def add(self, x: WirePack, y: WirePack) -> WirePack:
+        return S.f_add(self.b, x, y)
+
+    def mul(self, x: WirePack, y: WirePack) -> WirePack:
+        b = self.b
+        cy = _pack_const(b, y)
+        if cy is not None:
+            return S.f_mul_const(b, x, cy)
+        cx = _pack_const(b, x)
+        if cx is not None:
+            return S.f_mul_const(b, y, cx)
+        return S.f_mul(b, x, y)
+
+    def div(self, x: WirePack, y: WirePack) -> WirePack:
+        dc = _pack_const(self.b, y)
+        if dc is None:
+            raise CompileError(
+                "division compiles only for compile-time constant "
+                "divisors (the tie-count division is internal)")
+        if dc.is_zero():
+            raise MachineError("division by zero")
+        return S.f_div_const(self.b, x, dc)
+
+    def sqrt(self, x: WirePack) -> WirePack:
+        """Square root as a truth table over the numerator/exponent
+        wires; refuses packs wider than the lookup cap."""
+        b = self.b
+        wires = list(x.p) + list(x.e)
+        live = [w for w in wires if b.const_value(w) is None]
+        if len(live) > SQRT_LOOKUP_BITS:
+            raise CompileError(
+                f"sqrt operand has {len(live)} live bits, over the "
+                f"lookup cap {SQRT_LOOKUP_BITS}; not compilable")
+        results = []
+        for m in range(1 << len(live)):
+            asn = {w: (m >> t) & 1 for t, w in enumerate(live)}
+            bits = [asn.get(w, b.const_value(w)) for w in wires]
+            pv = S.decode_uint(bits[:len(x.p)])
+            ev = min(S.decode_uint(bits[len(x.p):]), x.e_max)
+            results.append(flt_sqrt(Flt.make(pv, ev)))
+        p_w = max(max((len(r.p) for r in results), default=0), 1)
+        e_mx = max(r.e for r in results)
+        e_w = clog2(e_mx + 1)
+        rows = [tuple(S.encode_flt(r, p_w, e_w)[1:]) for r in results]
+        outs = _dnf_wires(b, live, rows) if live else [
+            b.const(v) for v in rows[0]]
+        return S.float_pack(b.const(1), outs[:p_w], outs[p_w:], e_mx,
+                            canonical=True)
+
+    def neg(self, x: WirePack) -> WirePack:
+        return S.f_neg(self.b, x)
+
+    def relu(self, x: WirePack) -> WirePack:
+        return S.f_relu(self.b, x)
+
+    def gt(self, x: WirePack, y: WirePack) -> WirePack:
+        return S.f_from_bit(self.b, S.f_gt(self.b, x, y))
+
+    def eq(self, x: WirePack, y: WirePack) -> WirePack:
+        return S.f_from_bit(self.b, S.f_eq(self.b, x, y))
+
+    def select(self, c: WirePack, then: Callable, other: Callable):
+        """Both branches, merged under c != 0: any nonzero condition
+        reads as 1, where the machine refuses one other than 0 or 1."""
+        cw = S.f_nonzero(self.b, c)
+        x, y = then(), other()
+        if isinstance(x, tuple) or isinstance(y, tuple):
+            if not (isinstance(x, tuple) and isinstance(y, tuple)
+                    and len(x) == len(y)):
+                raise MachineError("select branches must have the same shape")
+            return tuple(S.f_select(self.b, cw, xa, ya)
+                         for xa, ya in zip(x, y))
+        return S.f_select(self.b, cw, x, y)
+
+    def affine(self, coeffs, bias, xs) -> WirePack:
+        terms = [self.from_pair(*bias)]
+        for cf, x in zip(coeffs, xs):
+            c = DOMAIN_F.from_pair(*cf)
+            if not c.is_zero():
+                terms.append(S.f_mul_const(self.b, x, c))
+        return S.f_sum_tree(self.b, terms)
+
+
 # ---------------------------------------------------------------------------
 # the compiler
 
@@ -191,6 +283,7 @@ class _Compiler:
         self.spec = spec
         self.n = n
         self.b = Builder(n * len(spec.alphabet))
+        self.wires = _Wires(self.b)
         self.roles: dict = {}
         self._tables: dict = {}  # _expr_auto key -> table rows or None
 
@@ -203,12 +296,6 @@ class _Compiler:
 
     # expression compilation -------------------------------------------
 
-    def _scalar(self, v, what: str) -> WirePack:
-        if isinstance(v, tuple):
-            raise CompileError(f"{what}: expected a scalar, got a "
-                               f"{len(v)}-tuple")
-        return v
-
     def _expr_auto(self, e: FuncExpr, args):
         """Structural by default; whole-expression truth table when all
         live input wires fit the lookup budget (cross-checked). The table
@@ -216,7 +303,7 @@ class _Compiler:
         then expanded to every live wire."""
         b = self.b
         live = list(dict.fromkeys(_live_uses(b, args)))
-        ref = self._expr(e, args)  # always built: it fixes the gate order
+        ref = eval_expr(e, args, self.wires)  # always built: gate order
         if not (1 <= len(live) <= EXPR_LOOKUP_BITS) or e.op == "arg":
             return ref
         view = _read_view(args, _read_paths(e, set()))
@@ -271,11 +358,7 @@ class _Compiler:
                 ws.append(wmap.get(w, zero) if cv is None else b2.const(cv))
             return replace(val, wires=tuple(ws))
 
-        self.b = b2
-        try:
-            ref2 = self._expr(e, clone(args))
-        finally:
-            self.b = main_b
+        ref2 = eval_expr(e, clone(args), _Wires(b2))
         packs2: list = []
         _flatten_packs(ref2, packs2)
         outs2 = [w for pk in packs2 for w in pk.wires]
@@ -287,119 +370,6 @@ class _Compiler:
                 raise CompileError(
                     f"structural/lookup cross-check failed for {e.op!r} "
                     f"on assignment {m}")
-
-    def _expr(self, e: FuncExpr, args):
-        b = self.b
-        op = e.op
-        if op == "const":
-            return S.f_const(b, _const_flt(e.data))
-        if op == "arg":
-            j = e.data
-            if not 0 <= j < len(args):
-                raise CompileError(f"arg {j} out of range (have {len(args)})")
-            return args[j]
-        if op == "proj":
-            v = self._expr(e.args[0], args)
-            if not isinstance(v, tuple):
-                raise CompileError("proj applied to a scalar")
-            k = e.data
-            if not 0 <= k < len(v):
-                raise CompileError(f"proj index {k} out of range "
-                                   f"(width {len(v)})")
-            return v[k]
-        if op == "tup":
-            return tuple(self._scalar(self._expr(a, args), "tup component")
-                         for a in e.args)
-        if op == "select":
-            cond = self._scalar(self._expr(e.args[0], args), op)
-            cw = S.f_nonzero(b, cond)
-            return self._select_val(cw, self._expr(e.args[1], args),
-                                    self._expr(e.args[2], args))
-        vals = [self._expr(a, args) for a in e.args]
-        if op == "add":
-            return S.f_add(b, self._scalar(vals[0], op),
-                           self._scalar(vals[1], op))
-        if op == "mul":
-            return self._mul(vals[0], vals[1])
-        if op == "div":
-            num = self._scalar(vals[0], op)
-            den = self._scalar(vals[1], op)
-            dc = _pack_const(b, den)
-            if dc is None:
-                raise CompileError(
-                    "division compiles only for compile-time constant "
-                    "divisors (the tie-count division is internal)")
-            if dc.is_zero():
-                raise CompileError("division by the constant zero")
-            return S.f_div_const(b, num, dc)
-        if op == "sqrt":
-            return self._sqrt(self._scalar(vals[0], op))
-        if op == "neg":
-            return S.f_neg(b, self._scalar(vals[0], op))
-        if op == "relu":
-            return S.f_relu(b, self._scalar(vals[0], op))
-        if op == "gt":
-            return S.f_from_bit(b, S.f_gt(b, self._scalar(vals[0], op),
-                                          self._scalar(vals[1], op)))
-        if op == "eq":
-            return S.f_from_bit(b, S.f_eq(b, self._scalar(vals[0], op),
-                                          self._scalar(vals[1], op)))
-        if op == "affine":
-            coeffs, bias = e.data
-            terms = [S.f_const(b, _const_flt(bias))]
-            for cf, v in zip(coeffs, vals):
-                cfl = _const_flt(cf)
-                if not cfl.is_zero():
-                    terms.append(S.f_mul_const(b, self._scalar(v, op), cfl))
-            return S.f_sum_tree(b, terms)
-        raise CompileError(f"cannot compile op {op!r}")
-
-    def _mul(self, x, y):
-        b = self.b
-        x = self._scalar(x, "mul")
-        y = self._scalar(y, "mul")
-        cy = _pack_const(b, y)
-        if cy is not None:
-            return S.f_mul_const(b, x, cy)
-        cx = _pack_const(b, x)
-        if cx is not None:
-            return S.f_mul_const(b, y, cx)
-        return S.f_mul(b, x, y)
-
-    def _select_val(self, cw: int, x, y):
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            if not (isinstance(x, tuple) and isinstance(y, tuple)
-                    and len(x) == len(y)):
-                raise CompileError("select branches must have the same shape")
-            return tuple(self._select_val(cw, xa, ya)
-                         for xa, ya in zip(x, y))
-        return S.f_select(self.b, cw, x, y)
-
-    def _sqrt(self, x: WirePack) -> WirePack:
-        """Square root as a truth table over the numerator/exponent
-        wires; refuses packs wider than the lookup cap."""
-        b = self.b
-        wires = list(x.p) + list(x.e)
-        live = [w for w in wires if b.const_value(w) is None]
-        if len(live) > SQRT_LOOKUP_BITS:
-            raise CompileError(
-                f"sqrt operand has {len(live)} live bits, over the "
-                f"lookup cap {SQRT_LOOKUP_BITS}; not compilable")
-        results = []
-        for m in range(1 << len(live)):
-            asn = {w: (m >> t) & 1 for t, w in enumerate(live)}
-            bits = [asn.get(w, b.const_value(w)) for w in wires]
-            pv = S.decode_uint(bits[:len(x.p)])
-            ev = min(S.decode_uint(bits[len(x.p):]), x.e_max)
-            results.append(flt_sqrt(Flt.make(pv, ev)))
-        p_w = max(max((len(r.p) for r in results), default=0), 1)
-        e_mx = max(r.e for r in results)
-        e_w = clog2(e_mx + 1)
-        rows = [tuple(S.encode_flt(r, p_w, e_w)[1:]) for r in results]
-        outs = _dnf_wires(b, live, rows) if live else [
-            b.const(v) for v in rows[0]]
-        return S.float_pack(b.const(1), outs[:p_w], outs[p_w:], e_mx,
-                            canonical=True)
 
     # attention ----------------------------------------------------------
 
@@ -421,8 +391,8 @@ class _Compiler:
             return tuple(outs)
         scores = []
         for j in range(n):
-            s = self._scalar(
-                self._expr_auto(head.scorer, (vecs[i], vecs[j])), "scorer")
+            s = _scalar(self._expr_auto(head.scorer, (vecs[i], vecs[j])),
+                        "scorer")
             scores.append(self._register(f"L{li}.h{h}.score", s))
         flags = S.f_maximizers(b, scores)
         if kind is AttentionKind.HARD:  # the least maximizer's value
@@ -439,14 +409,6 @@ class _Compiler:
 
     # whole-network build -------------------------------------------------
 
-    def _vector(self, v, what: str) -> tuple:
-        if not isinstance(v, tuple) or len(v) != self.spec.width:
-            got = (f"{len(v)}-tuple" if isinstance(v, tuple)
-                   else "a scalar")
-            raise CompileError(f"{what} must produce a "
-                               f"{self.spec.width}-tuple, got {got}")
-        return v
-
     def build(self, include_values: bool = False) -> Circuit:
         spec, n, b = self.spec, self.n, self.b
         nsym = len(spec.alphabet)
@@ -459,8 +421,9 @@ class _Compiler:
                 in_labels[wire] = f"w{i + 1}={spec.alphabet[a]}"
                 hot.append(S.f_from_bit(b, wire))
             pos = S.f_const(b, flt(i + 1))
-            v = self._vector(self._expr_auto(spec.embedding,
-                                             (tuple(hot), pos)), "embedding")
+            v = _check_vector(self._expr_auto(spec.embedding,
+                                              (tuple(hot), pos)),
+                              spec.width, "embedding")
             vecs.append(tuple(self._register(f"embed[{c}]", comp)
                               for c, comp in enumerate(v)))
         bw = spec.block_width
@@ -479,18 +442,14 @@ class _Compiler:
             for i in range(n):
                 bcat = tuple(pk for h in range(spec.n_heads)
                              for pk in per_head[h][i])
-                v = self._vector(
+                v = _check_vector(
                     self._expr_auto(layer.activation, (vecs[i], bcat)),
-                    f"layer {li} activation")
+                    spec.width, f"layer {li} activation")
                 nxt.append(tuple(self._register(f"L{li}.act[{c}]", comp)
                                  for c, comp in enumerate(v)))
             vecs = nxt
-        terms = [S.f_const(b, _const_flt(spec.classifier_b))]
-        for wk, comp in zip(spec.classifier_w, vecs[0]):
-            cf = _const_flt(wk)
-            if not cf.is_zero():
-                terms.append(S.f_mul_const(b, comp, cf))
-        cls = self._register("classifier", S.f_sum_tree(b, terms))
+        cls = self._register("classifier", self.wires.affine(
+            spec.classifier_w, spec.classifier_b, vecs[0]))
         accept = b.and_(cls.sign, S.f_nonzero(b, cls))
         outputs = [accept]
         labels = dict(in_labels)
@@ -615,7 +574,10 @@ def compile_planned(spec: TransformerSpec, n: int, *,
     if n < 1:
         raise CompileError("need n >= 1")
     comp = _Compiler(spec, n)
-    c = comp.build(include_values)
+    try:
+        c = comp.build(include_values)
+    except MachineError as exc:  # an ill-formed expression, as run says it
+        raise CompileError(str(exc)) from exc
     if {h.attention for l in spec.layers for h in l.heads} == {
             AttentionKind.HARD}:
         theta = metrics(c).theta_count

@@ -55,7 +55,20 @@ def _number(num: int, den: int = 1) -> Number:
 
 
 class Domain:
-    """Arithmetic dispatch for one of the two datatypes."""
+    """Arithmetic dispatch for one of the two datatypes, and the protocol
+    eval_expr evaluates an expression over (compile._Wires is the
+    circuit's). Its ops take scalars, since eval_expr checks shapes first:
+
+    - from_pair(num, den): the constant num/den;
+    - add, mul, div, sqrt, neg, relu;
+    - gt, eq: the scalar 1 if the comparison holds, else 0;
+    - select(c, then, other): then() or other() under the condition c;
+      the branches are thunks, so the machine evaluates only one;
+    - affine(coeffs, bias, xs): bias + the sum of coeff * x, with
+      (num, den) pairs as coefficients and bias.
+
+    pow2 and host results also use from_int.
+    """
 
     def __init__(self, name: str):
         if name not in ("F", "Q"):
@@ -112,6 +125,28 @@ class Domain:
 
     def cmp(self, x: Scalar, y: Scalar) -> int:
         return flt_cmp(x, y) if self.name == "F" else rat_cmp(x, y)
+
+    def gt(self, x: Scalar, y: Scalar) -> Scalar:
+        return self.one if self.cmp(x, y) > 0 else self.zero
+
+    def eq(self, x: Scalar, y: Scalar) -> Scalar:
+        return self.one if self.cmp(x, y) == 0 else self.zero
+
+    def select(self, c: Scalar, then: Callable, other: Callable):
+        # short-circuit: the untaken branch is never evaluated, so a
+        # guard like (gt x 0) really does protect a division
+        if self.cmp(c, self.one) == 0:
+            return then()
+        if self.is_zero(c):
+            return other()
+        raise MachineError("select condition must be 0 or 1")
+
+    def affine(self, coeffs: Sequence[Number], bias: Number,
+               xs: Sequence[Scalar]) -> Scalar:
+        acc = self.from_pair(*bias)
+        for cf, x in zip(coeffs, xs):
+            acc = self.add(acc, self.mul(self.from_pair(*cf), x))
+        return acc
 
     def is_zero(self, x: Scalar) -> bool:
         return x.p.value == 0
@@ -235,17 +270,22 @@ def is_size_preserving(e: FuncExpr) -> bool:
     return not (expr_ops(e) & _NON_SIZE_PRESERVING)
 
 
+_ARITH = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq"}
+
+
+def _scalar(x, what: str):
+    if isinstance(x, tuple):
+        raise MachineError(f"{what}: expected a scalar, got a {len(x)}-tuple")
+    return x
+
+
 def eval_expr(e: FuncExpr, args: Sequence[Any], domain: Domain,
               hosts: Mapping[str, Callable] = None):
     """Evaluate ``e`` with ``args`` as the values of (arg 0), (arg 1), ...
 
-    Scalars are Flt/Q values of the domain; vectors are plain tuples.
+    Scalars are the values of ``domain`` (see Domain for the protocol it
+    provides); vectors are plain tuples of scalars.
     """
-
-    def scalar(x, what):
-        if isinstance(x, tuple):
-            raise MachineError(f"{what}: expected a scalar, got a {len(x)}-tuple")
-        return x
 
     def ev(node):
         op = node.op
@@ -265,55 +305,31 @@ def eval_expr(e: FuncExpr, args: Sequence[Any], domain: Domain,
                 raise MachineError(f"proj index {k} out of range (width {len(v)})")
             return v[k]
         if op == "tup":
-            return tuple(scalar(ev(a), "tup component") for a in node.args)
+            return tuple(_scalar(ev(a), "tup component") for a in node.args)
         if op == "select":
-            # short-circuit: the untaken branch is never evaluated, so a
-            # guard like (gt x 0) really does protect a division
-            c = scalar(ev(node.args[0]), op)
-            if domain.cmp(c, domain.one) == 0:
-                return ev(node.args[1])
-            if domain.is_zero(c):
-                return ev(node.args[2])
-            raise MachineError("select condition must be 0 or 1")
-        vals = [ev(a) for a in node.args]
-        if op == "add":
-            return domain.add(scalar(vals[0], op), scalar(vals[1], op))
-        if op == "mul":
-            return domain.mul(scalar(vals[0], op), scalar(vals[1], op))
-        if op == "div":
-            return domain.div(scalar(vals[0], op), scalar(vals[1], op))
-        if op == "sqrt":
-            return domain.sqrt(scalar(vals[0], op))
-        if op == "neg":
-            return domain.neg(scalar(vals[0], op))
-        if op == "relu":
-            return domain.relu(scalar(vals[0], op))
-        if op == "gt":
-            return domain.one if domain.cmp(vals[0], vals[1]) > 0 else domain.zero
-        if op == "eq":
-            return domain.one if domain.cmp(vals[0], vals[1]) == 0 else domain.zero
-        if op == "affine":
-            coeffs, bias = node.data
-            acc = domain.from_pair(*bias)
-            for cf, v in zip(coeffs, vals):
-                acc = domain.add(acc, domain.mul(domain.from_pair(*cf), scalar(v, op)))
-            return acc
-        if op == "pow2":
-            v = scalar(vals[0], op)
-            num, den = v.as_pair()
-            if den != 1 or num < 0:
-                raise MachineError("pow2 wants a nonnegative integer value")
-            return domain.from_int(1 << num)
+            c, then, other = node.args
+            return domain.select(_scalar(ev(c), op),
+                                 lambda: ev(then), lambda: ev(other))
         if op == "host":
             table = hosts or {}
             if node.data not in table:
                 raise MachineError(f"unknown host function {node.data!r}")
-            out = table[node.data](domain, *vals)
+            out = table[node.data](domain, *[ev(a) for a in node.args])
             if isinstance(out, bool):
                 return domain.from_int(int(out))
             if isinstance(out, int):
                 return domain.from_int(out)
             return out
+        vals = [_scalar(ev(a), op) for a in node.args]
+        if op in _ARITH:
+            return getattr(domain, op)(*vals)
+        if op == "affine":
+            return domain.affine(*node.data, vals)
+        if op == "pow2":
+            num, den = vals[0].as_pair()
+            if den != 1 or num < 0:
+                raise MachineError("pow2 wants a nonnegative integer value")
+            return domain.from_int(1 << num)
         raise MachineError(f"unknown op {op!r}")
 
     return ev(e)
@@ -469,7 +485,7 @@ class ValueTrace:
 
 def _check_vector(v, width, what):
     if not isinstance(v, tuple) or len(v) != width:
-        got = f"{len(v)}-tuple" if isinstance(v, tuple) else type(v).__name__
+        got = f"a {len(v)}-tuple" if isinstance(v, tuple) else "a scalar"
         raise MachineError(f"{what} must produce a {width}-tuple, got {got}")
     return v
 
@@ -550,14 +566,11 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
                     key = (h, w[i], i, w[j], j)
                     s = table.get(key)
                     if s is None:
-                        s = table[key] = eval_expr(head.scorer,
-                                                   (prev[i], prev[j]),
-                                                   domain, spec.hosts)
+                        s = table[key] = _scalar(eval_expr(
+                            head.scorer, (prev[i], prev[j]), domain,
+                            spec.hosts), "scorer")
                     row.append(s)
                 row = tuple(row)
-                for s in row:
-                    if isinstance(s, tuple):
-                        raise MachineError("scorer must produce a scalar")
                 ties = max_set(row, domain)
                 wt, members = _pool(head.attention, n, ties, domain)
                 rows.append(row)
@@ -594,13 +607,8 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
 def classifier_value(spec: TransformerSpec, w: str,
                      trace: ValueTrace = None) -> Scalar:
     """W . v_final(position 1) + b, exactly."""
-    domain = spec.domain
     t = trace or run(spec, w, _final_positions=(0,))
-    v = t.final(0)
-    acc = domain.from_pair(*spec.classifier_b)
-    for wk, comp in zip(spec.classifier_w, v):
-        acc = domain.add(acc, domain.mul(domain.from_pair(*wk), comp))
-    return acc
+    return spec.domain.affine(spec.classifier_w, spec.classifier_b, t.final(0))
 
 
 def recognize(spec: TransformerSpec, w: str) -> bool:
@@ -823,7 +831,10 @@ def _index(atom) -> int:
     """A 1-based index literal as a 0-based int."""
     if not (isinstance(atom, str) and atom.isdigit()):
         raise MachineError(f"expected a 1-based index, got {atom!r}")
-    return _int(atom) - 1
+    k = _int(atom)
+    if k == 0:
+        raise MachineError("indices are 1-based, got 0")
+    return k - 1
 
 
 def _parse_expr(form, block_width: int) -> FuncExpr:
@@ -860,6 +871,9 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
             return Proj(_index(rest[0]), Arg(1))
         if op == "head":
             h, k = _index(rest[0]), _index(rest[1])
+            if k >= block_width:  # would alias the next head's component
+                raise MachineError(f"(head H K) wants K in 1..{block_width}, "
+                                   f"got {k + 1}")
             return Proj(h * block_width + k, Arg(1))
         if op == "tup":
             return Tup(*[rec(x) for x in rest])

@@ -168,6 +168,8 @@ def test_run_spec_file_and_parse_error(tmp_path, capsys):
     ("(neg (pos) (pos))", "(neg ...) wants 1 operand, got 2"),
     ("(add (pos))", "(add ...) wants at least 2 operands, got 1"),
     ("(proj (pos) (arg 1))", "expected a 1-based index, got ['pos']"),
+    ("(tok 0)", "indices are 1-based, got 0"),
+    ("(head 1 3)", "(head H K) wants K in 1..2, got 3"),
 ])
 def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
                                                        capsys):
@@ -176,6 +178,45 @@ def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
     assert main(["run", "--spec", str(spec), "--input", "01",
                  "--out-dir", str(tmp_path)]) == 2
     assert f"error: {want}" in out(capsys).err
+
+
+@pytest.mark.parametrize("old, new, err, run_err", [
+    ("(const 0)", "(gt (arg 1) (arg 2))",
+     "gt: expected a scalar, got a 2-tuple", None),
+    ("(const 0)", "(eq (arg 1) (arg 2))",
+     "eq: expected a scalar, got a 2-tuple", None),
+    ("(const 0)", "(arg 1)", "scorer: expected a scalar, got a 2-tuple", None),
+    ("(const 1)", "(proj 1 (pos))", "proj applied to a scalar", None),
+    ("(const 1)", "(arg 3)", "arg 2 out of range (have 2)", None),
+    ("(const 1)", "(arg 1)", "tup component: expected a scalar, got a 2-tuple",
+     None),
+    ("(const 1)", "1/3", "1/3 is not representable over F", None),
+    ("(const 1)", "(div 1 0)", "division by zero", None),
+    ("(tup (tok 2) (const 1))", "(tup (tok 2))",
+     "embedding must produce a 2-tuple, got a 1-tuple", None),
+    # the machine takes one branch, so it meets the scalar only where used
+    ("(tup (tok 2) (const 1))", "(select (tok 2) (arg 1) (pos))",
+     "select branches must have the same shape",
+     "embedding must produce a 2-tuple, got a scalar"),
+])
+def test_machine_and_compiler_refuse_an_ill_shaped_expression_alike(
+        old, new, err, run_err, tmp_path, capsys):
+    text = MAJ_TEXT.replace(old, new, 1)
+    spec = satcirc.machine.parse_spec(text)
+    with pytest.raises(satcirc.machine.MachineError) as ran:
+        satcirc.machine.run(spec, "01")
+    with pytest.raises(satcirc.compile.CompileError) as compiled:
+        satcirc.compile.compile_planned(spec, 2)
+    assert str(ran.value) == (run_err or err)
+    assert str(compiled.value) == err
+    path = tmp_path / "bad.sexp"
+    path.write_text(text)
+    for argv, want in ((["run", "--input", "01"], run_err or err),
+                       (["compile", "--n", "2"], err)):
+        assert main(argv + ["--spec", str(path), "--out-dir",
+                            str(tmp_path)]) == 2
+        assert out(capsys).err == f"error: {want}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.sexp"]
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -444,6 +485,26 @@ def test_no_private_function_under_src_exists_only_for_tests():
                 inside = {id(node) for node in ast.walk(fn)}
                 if all(id(node) in inside for node in refs.get(fn.name, ())):
                     found.append(fn.name)
+    assert found == []
+
+
+EXPR_OPS = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq", "select",
+            "affine"}
+
+
+def test_only_the_machine_interprets_expression_ops():
+    # machine.eval_expr is the one interpreter of the expression language;
+    # a comparison with an op name elsewhere under src/ is a second one
+    found = []
+    for path in sorted(Path(SRC, "satcirc").glob("*.py")):
+        if path.name == "machine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Compare, ast.MatchValue)):
+                names = {c.value for c in ast.walk(node)
+                         if isinstance(c, ast.Constant)}
+                if names & EXPR_OPS:
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
