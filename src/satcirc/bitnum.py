@@ -455,3 +455,14 @@ def fit_size_profile(pairs, n0: int, cap: int) -> SizeProfile:
             c, worst = need, (ins, outs)
     return SizeProfile(tuple(pairs), c, n0, cap, c is not None and c <= cap,
                        worst)
+
+
+def ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(intercept, slope) of the least-squares line through (xs, ys);
+    the slope is 0 when every x is equal."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    den = sum((x - mx) ** 2 for x in xs)
+    b = 0.0 if den == 0 else sum(
+        (x - mx) * (y - my) for x, y in zip(xs, ys)) / den
+    return my - b * mx, b

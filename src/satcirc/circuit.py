@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import workers
+from .bitnum import ols
 
 INPUT = "INPUT"
 NEG_INPUT = "NEG_INPUT"
@@ -258,11 +259,7 @@ def family_analyze(family: Callable[[int], Circuit],
     rows = [by_n[n] for n in ns]
     xs = [math.log2(r.n) for r in rows]
     ys = [math.log2(max(r.size, 1)) for r in rows]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    den = sum((x - mx) ** 2 for x in xs)
-    slope = 0.0 if den == 0 else sum(
-        (x - mx) * (y - my) for x, y in zip(xs, ys)) / den
-    return FamilyReport(tuple(rows), slope,
+    return FamilyReport(tuple(rows), ols(xs, ys)[1],
                         len({r.depth for r in rows}) == 1,
                         all(r.theta_count == 0 for r in rows))
 

@@ -2,21 +2,24 @@
 
 For a spec over the dyadic floats and a fixed input length n, emits one
 circuit whose accept bit equals recognize(spec, w) for every length-n
-word w, encoded position-major as one-hot token groups. Attention is
-expanded per position pair: scores are compiled expressions, the
+word w, encoded position-major as one-hot token groups.
+
+The compiler runs the machine's own walk, machine.forward, over _Wires:
+an arithmetic with machine.Domain's protocol whose every op emits that
+op's gadget (f_add, f_mul_const, the sqrt table, f_gt, f_select, ...),
+so the machine and the circuit share one reading of the network and of
+the expression language, shape errors included. Each size-preserving
+primitive becomes one constant-depth subcircuit. _Wires.attend expands
+one query position's attention: scores are compiled expressions, the
 maximizer set comes from pairwise comparators, tie counts from the
 exact-count gadget, pooling from the counting float adder, and the
 1/|M| weighting from the per-divisor reciprocal shifts. Hard heads mux
-the first maximizer's value directly and never spend threshold gates.
+the first maximizer's value directly and never spend threshold gates;
+uniform heads never build their scorer.
 
-Expressions compile through the machine's own interpreter: eval_expr
-runs over _Wires, an arithmetic whose every op emits that op's gadget
-(f_add, f_mul_const, the sqrt table, f_gt, f_select, ...), so each
-size-preserving primitive becomes one constant-depth subcircuit, and
-the machine and the circuit share one reading of the expression
-language, shape errors included. When every non-constant input wire of
-a whole embedding/scorer/activation fits the lookup budget, the
-expression is instead emitted as one truth table.
+When every non-constant input wire of a whole embedding/scorer/
+activation fits the lookup budget, the expression is instead emitted as
+one truth table.
 The structural form is still built on every call, because it fixes the
 order in which gates are created, and then discarded. The table ranges
 over the r live wires the expression reads: the argument components its
@@ -30,13 +33,14 @@ its 2^r rows against the structural form with unread live wires tied to
 the r-bit row at m's read bits, so the circuit is the one a 2^k
 tabulation gives.
 
-Every compile checks its widths. The compiler records the structurally
-propagated (p bits, exponent bound) of every value role as it builds,
+Every compile checks its widths. The build records the structurally
+propagated (p bits, exponent bound) of every value role of its trace,
 and compile_planned, the one build behind every entry point, checks
-that the machine's values on sample traces fit under them; those
-recorded widths are the width plan that certifies the circuit they
-came with. compile_planned also refuses a threshold gate in the
-circuit of a spec whose heads are all hard.
+that the machine's values on sample traces, read off by the same
+_fold_roles, fit under them role for role; those recorded widths are
+the width plan that certifies the circuit they came with.
+compile_planned also refuses a threshold gate in the circuit of a spec
+whose heads are all hard.
 
 Verification compares the circuit with the machine word by word. The
 machine's verdicts come from forked workers, one per available CPU,
@@ -57,7 +61,7 @@ from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, eval_batch, metrics
 from .machine import (
     DOMAIN_F, AttentionKind, FuncExpr, MachineError, TransformerSpec,
-    _check_vector, _scalar, eval_expr, is_size_preserving, recognize,
+    classifier_value, eval_expr, forward, is_size_preserving, recognize,
     shared_tables,
 )
 from .machine import run as machine_run
@@ -118,30 +122,38 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
     return sorted(words)
 
 
+def _fold_roles(roles: dict, spec: TransformerSpec, trace, cls,
+                width: Callable):
+    """Fold width(v), a (p bits, exponent bound), of every value v of a
+    trace (values, scores, head_out) and of the classifier sum cls into
+    roles by role name; a uniform head's scores play no role."""
+    def rec(role: str, v):
+        old, new = roles.get(role, (0, 0)), width(v)
+        roles[role] = (max(old[0], new[0]), max(old[1], new[1]))
+
+    values, scores, head_out = trace
+    for li, vs in enumerate(values):
+        for v in vs:
+            for c, comp in enumerate(v):
+                rec(f"L{li - 1}.act[{c}]" if li else f"embed[{c}]", comp)
+    for li, layer in enumerate(spec.layers):
+        for h, head in enumerate(layer.heads):
+            if head.attention is not AttentionKind.UNIFORM:
+                for s in itertools.chain.from_iterable(scores[li][h]):
+                    rec(f"L{li}.h{h}.score", s)
+            for out in head_out[li][h]:
+                for c, comp in enumerate(out):
+                    rec(f"L{li}.h{h}.out[{c}]", comp)
+    rec("classifier", cls)
+
+
 def _measure_roles(spec: TransformerSpec, n: int, samples) -> dict:
+    """The widths the machine's values reach on the sample words."""
     meas: dict = {}
-
-    def rec(role: str, v: Flt):
-        old = meas.get(role, (0, 0))
-        meas[role] = (max(old[0], len(v.p)), max(old[1], v.e))
-
     for w in samples:
         t = machine_run(spec, w)
-        for i in range(n):
-            for c, comp in enumerate(t.values[0][i]):
-                rec(f"embed[{c}]", comp)
-        for li, layer in enumerate(spec.layers):
-            for h, head in enumerate(layer.heads):
-                if head.attention is not AttentionKind.UNIFORM:
-                    for i in range(n):
-                        for s in t.scores[li][h][i]:
-                            rec(f"L{li}.h{h}.score", s)
-                for i in range(n):
-                    for c, comp in enumerate(t.head_out[li][h][i]):
-                        rec(f"L{li}.h{h}.out[{c}]", comp)
-            for i in range(n):
-                for c, comp in enumerate(t.values[li + 1][i]):
-                    rec(f"L{li}.act[{c}]", comp)
+        _fold_roles(meas, spec, (t.values, t.scores, t.head_out),
+                    classifier_value(spec, w, t), lambda v: (len(v.p), v.e))
     return meas
 
 
@@ -273,6 +285,29 @@ class _Wires:
                 terms.append(S.f_mul_const(self.b, x, c))
         return S.f_sum_tree(self.b, terms)
 
+    def attend(self, kind: AttentionKind, row: Callable, cols) -> tuple:
+        """(scores, maximizer flags, head output) at one query position;
+        a uniform head builds no scores."""
+        b = self.b
+        if kind is AttentionKind.UNIFORM:
+            return None, None, tuple(
+                S.f_div_const(b, S.f_sum(b, col), flt(len(col)))
+                for col in cols)
+        scores = row()
+        flags = S.f_maximizers(b, scores)
+        if kind is AttentionKind.HARD:
+            hots = S.first_hot(b, flags)
+            return scores, flags, tuple(S.f_onehot(b, hots, col)
+                                        for col in cols)
+        counts = S._exact_count(b, flags)  # |M| one-hot over 0..n
+        outs = []
+        for col in cols:
+            gated = [S.float_pack(x.sign, [b.and_(g, w) for w in x.p],
+                                  [b.and_(g, w) for w in x.e], x.e_max)
+                     for g, x in zip(flags, col)]
+            outs.append(S.f_div_by_indicators(b, S.f_sum(b, gated), counts))
+        return scores, flags, tuple(outs)
+
 
 # ---------------------------------------------------------------------------
 # the compiler
@@ -286,13 +321,6 @@ class _Compiler:
         self.wires = _Wires(self.b)
         self.roles: dict = {}
         self._tables: dict = {}  # _expr_auto key -> table rows or None
-
-    # role bookkeeping ------------------------------------------------
-
-    def _register(self, role: str, pack: WirePack) -> WirePack:
-        p, e = self.roles.get(role, (0, 0))
-        self.roles[role] = (max(p, len(pack.p)), max(e, pack.e_max))
-        return pack
 
     # expression compilation -------------------------------------------
 
@@ -371,92 +399,34 @@ class _Compiler:
                     f"structural/lookup cross-check failed for {e.op!r} "
                     f"on assignment {m}")
 
-    # attention ----------------------------------------------------------
-
-    def _gate_pack(self, g: int, pack: WirePack) -> WirePack:
-        b = self.b
-        return S.float_pack(pack.sign, [b.and_(g, w) for w in pack.p],
-                            [b.and_(g, w) for w in pack.e], pack.e_max)
-
-    def _head_output(self, li: int, h: int, head, vecs, i: int,
-                     block) -> tuple:
-        b = self.b
-        n = self.n
-        kind = head.attention
-        if kind is AttentionKind.UNIFORM:
-            outs = []
-            for c in block:
-                sm = S.f_sum(b, [vecs[j][c] for j in range(n)])
-                outs.append(S.f_div_const(b, sm, flt(n)))
-            return tuple(outs)
-        scores = []
-        for j in range(n):
-            s = _scalar(self._expr_auto(head.scorer, (vecs[i], vecs[j])),
-                        "scorer")
-            scores.append(self._register(f"L{li}.h{h}.score", s))
-        flags = S.f_maximizers(b, scores)
-        if kind is AttentionKind.HARD:  # the least maximizer's value
-            hots = S.first_hot(b, flags)
-            return tuple(S.f_onehot(b, hots, [vecs[j][c] for j in range(n)])
-                         for c in block)
-        counts = S._exact_count(b, flags)  # |M| one-hot over 0..n
-        outs = []
-        for c in block:
-            gated = [self._gate_pack(flags[j], vecs[j][c]) for j in range(n)]
-            sm = S.f_sum(b, gated)
-            outs.append(S.f_div_by_indicators(b, sm, counts))
-        return tuple(outs)
-
     # whole-network build -------------------------------------------------
 
     def build(self, include_values: bool = False) -> Circuit:
+        """machine.forward over _Wires; records the roles' widths."""
         spec, n, b = self.spec, self.n, self.b
         nsym = len(spec.alphabet)
-        in_labels = {}
-        vecs = []
-        for i in range(n):
+        labels = {}
+
+        def onehot(i):
             hot = []
             for a in range(nsym):
                 wire = b.input(i * nsym + a)
-                in_labels[wire] = f"w{i + 1}={spec.alphabet[a]}"
+                labels[wire] = f"w{i + 1}={spec.alphabet[a]}"
                 hot.append(S.f_from_bit(b, wire))
-            pos = S.f_const(b, flt(i + 1))
-            v = _check_vector(self._expr_auto(spec.embedding,
-                                              (tuple(hot), pos)),
-                              spec.width, "embedding")
-            vecs.append(tuple(self._register(f"embed[{c}]", comp)
-                              for c, comp in enumerate(v)))
-        bw = spec.block_width
-        for li, layer in enumerate(spec.layers):
-            per_head = []
-            for h, head in enumerate(layer.heads):
-                block = range(h * bw, (h + 1) * bw)
-                outs_h = []
-                for i in range(n):
-                    out = self._head_output(li, h, head, vecs, i, block)
-                    outs_h.append(tuple(
-                        self._register(f"L{li}.h{h}.out[{c}]", pk)
-                        for c, pk in enumerate(out)))
-                per_head.append(outs_h)
-            nxt = []
-            for i in range(n):
-                bcat = tuple(pk for h in range(spec.n_heads)
-                             for pk in per_head[h][i])
-                v = _check_vector(
-                    self._expr_auto(layer.activation, (vecs[i], bcat)),
-                    spec.width, f"layer {li} activation")
-                nxt.append(tuple(self._register(f"L{li}.act[{c}]", comp)
-                                 for c, comp in enumerate(v)))
-            vecs = nxt
-        cls = self._register("classifier", self.wires.affine(
-            spec.classifier_w, spec.classifier_b, vecs[0]))
+            return tuple(hot)
+
+        values, scores, _, head_out = forward(
+            spec, (None,) * n, self.wires, self._expr_auto, onehot, ({}, {}))
+        cls = self.wires.affine(spec.classifier_w, spec.classifier_b,
+                                values[-1][0])
+        _fold_roles(self.roles, spec, (values, scores, head_out), cls,
+                    lambda pk: (pk.p_width, pk.e_max))
         accept = b.and_(cls.sign, S.f_nonzero(b, cls))
         outputs = [accept]
-        labels = dict(in_labels)
         labels[accept] = "accept"
         if include_values:
             for i in range(n):
-                for c, comp in enumerate(vecs[i]):
+                for c, comp in enumerate(values[-1][i]):
                     pk = S.f_canon(b, comp)
                     S._emit_float(outputs, labels, pk, f"v{i + 1}[{c}]")
         return b.build(outputs, labels)
@@ -586,8 +556,8 @@ def compile_planned(spec: TransformerSpec, n: int, *,
                 f"hard compilation emitted {theta} threshold gates")
     measured = _measure_roles(spec, n, default_samples(spec, n))
     for role, need in measured.items():
-        have = comp.roles.get(role)
-        if have is not None and (have[0] < need[0] or have[1] < need[1]):
+        have = comp.roles[role]
+        if have[0] < need[0] or have[1] < need[1]:
             raise CompileError(
                 f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
                 f"sample trace reached p{need[0]}/e{need[1]}")

@@ -14,6 +14,11 @@ Expressions are a closed DSL of size-preserving primitives (const,
 projection, add, mul, div, sqrt, neg, relu, compare, select, affine,
 tuple) plus two escape hatches that are deliberately not size-preserving
 and therefore not compilable: pow2 and named host callbacks.
+
+One walk, forward, lays out the network: the embeddings, each head over
+its block, the concatenation and the activation. run walks it over the
+datatype's Domain, and the circuit compiler walks it over an arithmetic
+whose ops emit gadgets, so the two read the network alike.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .bitnum import (
     BitNumError, Flt, Rat, SizeProfile, fit_size_profile, flt, flt_add,
-    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, flt_sum, rat, rat_add,
-    rat_cmp, rat_mul, rat_neg, rat_sum, relu as bitnum_relu, size,
+    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, flt_sum, ols, rat,
+    rat_add, rat_cmp, rat_mul, rat_neg, rat_sum, relu as bitnum_relu, size,
 )
 
 
@@ -67,7 +72,9 @@ class Domain:
     - affine(coeffs, bias, xs): bias + the sum of coeff * x, with
       (num, den) pairs as coefficients and bias.
 
-    pow2 and host results also use from_int.
+    forward walks the network over the same protocol plus one op,
+    attend(kind, row, cols), the attention of one query position (see
+    Domain.attend). pow2 and host results also use from_int.
     """
 
     def __init__(self, name: str):
@@ -147,6 +154,17 @@ class Domain:
         for cf, x in zip(coeffs, xs):
             acc = self.add(acc, self.mul(self.from_pair(*cf), x))
         return acc
+
+    def attend(self, kind: "AttentionKind", row: Callable,
+               cols: Sequence[Sequence[Scalar]]) -> tuple:
+        """(scores, maximizer set, head output) at one query position:
+        row() gives its scores (a thunk, so a circuit need not build a
+        uniform head's), and output component c pools column cols[c]."""
+        scores = row()
+        ties = max_set(scores, self)
+        w, members = _pool(kind, len(scores), ties, self)
+        return scores, ties, tuple(
+            self.mul(w, self.sum([col[j] for j in members])) for col in cols)
 
     def is_zero(self, x: Scalar) -> bool:
         return x.p.value == 0
@@ -511,6 +529,71 @@ def shared_tables(spec: TransformerSpec):
         _SHARED.reset(token)
 
 
+def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
+            onehot: Callable, tables: tuple, final_positions=None) -> tuple:
+    """(values, scores, ties, head_out) of word as in ValueTrace, over
+    domain: a Domain or any arithmetic with its protocol. evaluate(e,
+    args) evaluates an expression; onehot(i) is position i's token
+    vector, asked for just before its embedding. tables = (embeddings,
+    layer-0 scores) are keyed by word[i] and i; the compiler's tokens
+    are None. final_positions limits the last layer's positions."""
+    n = len(word)
+    embeds, scores0 = tables
+    v0 = []
+    for i, tok in enumerate(word):
+        v = embeds.get((tok, i))
+        if v is None:
+            v = embeds[tok, i] = _check_vector(
+                evaluate(spec.embedding,
+                         (onehot(i), domain.from_pair(i + 1, 1))),
+                spec.width, "embedding")
+        v0.append(v)
+    values = [tuple(v0)]
+    all_scores, all_ties, all_heads = [], [], []
+    bw = spec.block_width
+    for li, layer in enumerate(spec.layers):
+        prev = values[-1]
+        columns = list(zip(*prev))  # component c over the positions
+        live = (range(n) if final_positions is None
+                or li < len(spec.layers) - 1 else final_positions)
+        # later layers read the whole word, so their table is this word's
+        table = scores0 if li == 0 else {}
+
+        def row(h, scorer, i):
+            out = []
+            for j in range(n):
+                key = (h, word[i], i, word[j], j)
+                s = table.get(key)
+                if s is None:
+                    s = table[key] = _scalar(
+                        evaluate(scorer, (prev[i], prev[j])), "scorer")
+                out.append(s)
+            return tuple(out)
+
+        layer_scores, layer_ties, layer_heads = [], [], []
+        for h, head in enumerate(layer.heads):
+            cols = columns[h * bw:(h + 1) * bw]
+            rows, ties, outs = [None] * n, [None] * n, [None] * n
+            for i in live:
+                rows[i], ties[i], outs[i] = domain.attend(
+                    head.attention, lambda: row(h, head.scorer, i), cols)
+            layer_scores.append(tuple(rows))
+            layer_ties.append(tuple(ties))
+            layer_heads.append(tuple(outs))
+        nxt = [None] * n
+        for i in live:
+            bcat = tuple(c for outs in layer_heads for c in outs[i])
+            nxt[i] = _check_vector(
+                evaluate(layer.activation, (prev[i], bcat)),
+                spec.width, f"layer {li} activation")
+        values.append(tuple(nxt))
+        all_scores.append(tuple(layer_scores))
+        all_ties.append(tuple(layer_ties))
+        all_heads.append(tuple(layer_heads))
+    return (tuple(values), tuple(all_scores), tuple(all_ties),
+            tuple(all_heads))
+
+
 def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
     """Full evaluation of ``spec`` on token string ``w``.
 
@@ -525,83 +608,24 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
     for ch in w:
         if ch not in alpha_index:
             raise MachineError(f"token {ch!r} not in alphabet {spec.alphabet}")
-    n = len(w)
     shared = _SHARED.get()
-    embeds, scores0 = (shared[1:] if shared is not None and shared[0] is spec
-                       else ({}, {}))
+    tables = (shared[1:] if shared is not None and shared[0] is spec
+              else ({}, {}))
 
-    v0 = []
-    for i, ch in enumerate(w):
-        v = embeds.get((ch, i))
-        if v is None:
-            onehot = tuple(domain.one if alpha_index[ch] == k else domain.zero
-                           for k in range(len(spec.alphabet)))
-            v = embeds[ch, i] = _check_vector(
-                eval_expr(spec.embedding, (onehot, domain.from_int(i + 1)),
-                          domain, spec.hosts),
-                spec.width, "embedding")
-        v0.append(v)
-    values = [tuple(v0)]
+    def onehot(i):
+        return tuple(domain.one if alpha_index[w[i]] == k else domain.zero
+                     for k in range(len(spec.alphabet)))
 
-    all_scores, all_ties, all_heads = [], [], []
-    bw = spec.block_width
-    last_layer = len(spec.layers) - 1
-    for li, layer in enumerate(spec.layers):
-        prev = values[-1]
-        keep = (set(_final_positions) if (_final_positions is not None
-                                          and li == last_layer) else None)
-        # later layers read the whole word, so their table is this word's
-        table = scores0 if li == 0 else {}
-        layer_scores, layer_ties, layer_heads = [], [], []
-        for h, head in enumerate(layer.heads):
-            rows, ties_h, outs = [], [], []
-            for i in range(n):
-                if keep is not None and i not in keep:
-                    rows.append(None)
-                    ties_h.append(None)
-                    outs.append(None)
-                    continue
-                row = []
-                for j in range(n):
-                    key = (h, w[i], i, w[j], j)
-                    s = table.get(key)
-                    if s is None:
-                        s = table[key] = _scalar(eval_expr(
-                            head.scorer, (prev[i], prev[j]), domain,
-                            spec.hosts), "scorer")
-                    row.append(s)
-                row = tuple(row)
-                ties = max_set(row, domain)
-                wt, members = _pool(head.attention, n, ties, domain)
-                rows.append(row)
-                ties_h.append(ties)
-                outs.append(tuple(
-                    domain.mul(wt, domain.sum([prev[j][c] for j in members]))
-                    for c in range(h * bw, (h + 1) * bw)))
-            layer_scores.append(tuple(rows))
-            layer_ties.append(tuple(ties_h))
-            layer_heads.append(tuple(outs))
-        nxt = []
-        for i in range(n):
-            if keep is not None and i not in keep:
-                nxt.append(None)
-                continue
-            bcat = tuple(c for h in range(spec.n_heads) for c in layer_heads[h][i])
-            nxt.append(_check_vector(
-                eval_expr(layer.activation, (prev[i], bcat), domain, spec.hosts),
-                spec.width, f"layer {li} activation"))
-        values.append(tuple(nxt))
-        all_scores.append(tuple(layer_scores))
-        all_ties.append(tuple(layer_ties))
-        all_heads.append(tuple(layer_heads))
-
+    values, scores, ties, head_out = forward(
+        spec, w, domain, lambda e, args: eval_expr(e, args, domain,
+                                                   spec.hosts),
+        onehot, tables, _final_positions)
     max_sizes = []
     for layer_vals in values:
         sizes = [size(c) for v in layer_vals if v is not None for c in v]
         max_sizes.append(max(sizes) if sizes else 0)
-    return ValueTrace(w, n, tuple(values), tuple(all_scores), tuple(all_ties),
-                      tuple(all_heads), tuple(max_sizes),
-                      partial=_final_positions is not None)
+    return ValueTrace(w, len(w), values, scores, ties, head_out,
+                      tuple(max_sizes), partial=_final_positions is not None)
 
 
 def classifier_value(spec: TransformerSpec, w: str,
@@ -670,14 +694,6 @@ class SizeGrowthReport:
                 and all(hb.margin >= 0 for hb in self.head_bounds))
 
 
-def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    den = sum((x - mx) ** 2 for x in xs)
-    b = 0.0 if den == 0 else sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
-    return my - b * mx, b
-
-
 def instrument_sizes(spec: TransformerSpec,
                      inputs_by_n: Mapping[int, Sequence[str]]
                      ) -> SizeGrowthReport:
@@ -723,7 +739,7 @@ def instrument_sizes(spec: TransformerSpec,
                                             measured_by_head[(li, h)], bound))
     xs = [math.log2(r.n) for r in rows]
     ys = [float(r.overall) for r in rows]
-    a_ols, b = _ols(xs, ys)
+    a_ols, b = ols(xs, ys)
     b = max(b, 0.0)
     a = max(y - b * x for x, y in zip(xs, ys))
     margins = tuple(a + b * x - y for x, y in zip(xs, ys))
@@ -837,7 +853,11 @@ def _index(atom) -> int:
     return k - 1
 
 
-def _parse_expr(form, block_width: int) -> FuncExpr:
+# fixed-arity ops that parse to FuncExpr(op, operands), as Div, Sqrt, ... do
+_FIXED = {"div", "sqrt", "neg", "relu", "gt", "eq", "select", "pow2"}
+
+
+def _parse_expr(form, n_heads: int, block_width: int) -> FuncExpr:
     """Expression syntax (indices 1-based in files):
 
     atoms: N, p/q, p/2^e as constants
@@ -845,6 +865,9 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
     (div E E) (sqrt E) (neg E) (relu E) (gt E E) (eq E E)
     (select C A B) (affine (w N...) (b N) E...) (pow2 E) (host NAME E...)
     sugar: (tok K) (pos) (q K) (key K) (v K) (head H K)
+
+    Every expression is evaluated on two arguments, so J is 1 or 2, and
+    (head H K) names one of the n_heads heads.
     """
     def rec(f):
         if isinstance(f, str):
@@ -857,10 +880,15 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
         if not isinstance(op, str) or op not in _ARITY:
             raise MachineError(f"unknown expression op {op!r}")
         _want(op, rest, *_ARITY[op])
+        if op in _FIXED:
+            return FuncExpr(op, tuple(rec(x) for x in rest))
         if op == "const":
             return Const(*_parse_number(rest[0]))
         if op == "arg":
-            return Arg(_index(rest[0]))
+            j = _index(rest[0])
+            if j > 1:
+                raise MachineError(f"(arg J) wants J in 1..2, got {j + 1}")
+            return Arg(j)
         if op == "proj":
             return Proj(_index(rest[0]), rec(rest[1]))
         if op in ("tok", "q", "v"):
@@ -871,6 +899,9 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
             return Proj(_index(rest[0]), Arg(1))
         if op == "head":
             h, k = _index(rest[0]), _index(rest[1])
+            if h >= n_heads:
+                raise MachineError(f"(head H K) wants H in 1..{n_heads}, "
+                                   f"got {h + 1}")
             if k >= block_width:  # would alias the next head's component
                 raise MachineError(f"(head H K) wants K in 1..{block_width}, "
                                    f"got {k + 1}")
@@ -883,20 +914,6 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
             for x in rest[1:]:
                 acc = ctor(acc, rec(x))
             return acc
-        if op == "div":
-            return Div(rec(rest[0]), rec(rest[1]))
-        if op == "sqrt":
-            return Sqrt(rec(rest[0]))
-        if op == "neg":
-            return Neg(rec(rest[0]))
-        if op == "relu":
-            return Relu(rec(rest[0]))
-        if op == "gt":
-            return Gt(rec(rest[0]), rec(rest[1]))
-        if op == "eq":
-            return Eq(rec(rest[0]), rec(rest[1]))
-        if op == "select":
-            return Select(rec(rest[0]), rec(rest[1]), rec(rest[2]))
         if op == "affine":
             wf, bf = rest[0], rest[1]
             if not (isinstance(wf, list) and wf and wf[0] == "w"
@@ -906,8 +923,6 @@ def _parse_expr(form, block_width: int) -> FuncExpr:
             coeffs = [_parse_number(x) for x in wf[1:]]
             bias = _parse_number(bf[1])
             return Affine(coeffs, bias, *[rec(x) for x in rest[2:]])
-        if op == "pow2":
-            return Pow2(rec(rest[0]))
         if not isinstance(rest[0], str):
             raise MachineError(f"host wants a name, got {rest[0]!r}")
         return Host(rest[0], *[rec(x) for x in rest[1:]])
@@ -954,9 +969,10 @@ def parse_spec(text: str) -> TransformerSpec:
                    for lf in layer_forms]
     if min(head_counts) != max(head_counts) or head_counts[0] == 0:
         raise MachineError("every layer needs the same nonzero head count")
-    if width % head_counts[0]:
+    nh = head_counts[0]
+    if width % nh:
         raise MachineError("width must be a multiple of the head count")
-    bw = width // head_counts[0]
+    bw = width // nh
 
     layers = []
     for lf in layer_forms:
@@ -967,10 +983,10 @@ def parse_spec(text: str) -> TransformerSpec:
             if item[0] == "head":
                 _want("head", item[1:], 2, 2)
                 heads.append(HeadSpec(AttentionKind.of(item[1]),
-                                      _parse_expr(item[2], bw)))
+                                      _parse_expr(item[2], nh, bw)))
             elif item[0] == "activation":
                 _want("activation", item[1:], 1, 1)
-                activation = _parse_expr(item[1], bw)
+                activation = _parse_expr(item[1], nh, bw)
             else:
                 raise MachineError(f"unknown layer item {item[0]!r}")
         if activation is None:
@@ -993,7 +1009,7 @@ def parse_spec(text: str) -> TransformerSpec:
             or any(sep in name for sep in seps)):
         raise MachineError(f"spec name {name!r} is not a plain file name")
     return TransformerSpec(alphabet, datatype, width,
-                           _parse_expr(fields["embedding"][0], bw),
+                           _parse_expr(fields["embedding"][0], nh, bw),
                            tuple(layers), tuple(wf), bf, {}, name)
 
 

@@ -7,6 +7,7 @@ correctness means agreeing with it on every tested word.
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import os
 import re
@@ -37,6 +38,7 @@ from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
                              HeadSpec, LayerSpec, MachineError, Proj, Select,
                              Sqrt, TransformerSpec, Tup, eval_expr, load_spec,
                              recognize, run)
+from test_builtins import TRACE_WORDS
 
 
 def all_words(spec, n):
@@ -435,8 +437,8 @@ MAJ_ROLES = {"L0.act[0]": (1, 0), "L0.act[1]": (1, 0),
              "embed[0]": (1, 0), "embed[1]": (1, 0)}
 MAJ_MEASURED = {"L0.act[0]": (1, 0), "L0.act[1]": (0, 0),
                 "L0.h0.out[0]": (3, 3), "L0.h0.out[1]": (3, 3),
-                "L0.h0.score": (1, 0), "embed[0]": (1, 0),
-                "embed[1]": (1, 0)}
+                "L0.h0.score": (1, 0), "classifier": (1, 1),
+                "embed[0]": (1, 0), "embed[1]": (1, 0)}
 MAJ_PLANS = {  # n -> (samples, measured)
     5: (("00000", "01001", "01010", "11011", "11110", "11111"),
         MAJ_MEASURED),
@@ -451,6 +453,15 @@ def test_plan_widths_is_pinned(n):
     assert tuple(default_samples(MAJ, n)) == samples
     assert _measure_roles(MAJ, n, samples) == measured
     assert compile_planned(MAJ, n)[1] == MAJ_ROLES
+
+
+@pytest.mark.parametrize("name", ["maj", "hard-demo", "maj_f.sexp",
+                                  "two-layer", "uniform", "sqrt"])
+def test_the_sample_traces_measure_every_recorded_role(name):
+    spec = TABLE_SPECS[name][0]()
+    for n in (1, 3, 4):
+        measured = _measure_roles(spec, n, default_samples(spec, n))
+        assert measured.keys() == compile_planned(spec, n)[1].keys(), n
 
 
 def test_compile_planned_is_compile_under_the_analytic_plan():
@@ -893,3 +904,76 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     r = subprocess.run([sys.executable, "-c", probe], env=env,
                        capture_output=True, text=True, timeout=60)
     assert r.stdout.strip() == "False", r.stderr
+
+
+# ---------------------------------------------------------------------------
+# multi-layer and uniform-head paths pinned by hash
+
+
+# sha256 of the CLI's (circuit JSON, manifest) for the specs above
+SPEC_PINNED = {
+    ("two-layer", 2): (
+        "e93cd32efdfaa1cf83de00ea7638187f5f1cbce04805a6da15bfbe898d8aa6c7",
+        "44bd4d5e4339f12123e8c22909c0cb1a35f291b6c35be3ad9998115dcf0687ce"),
+    ("two-layer", 3): (
+        "90f6a44b614465fa63877b51228f49952435ae3f7de628ee80d2b06d7fb54a01",
+        "53e563157e42d1d0f005b0eb54ae3143e02d56a0b146684e27661bd0807bd634"),
+    ("two-layer", 4): (
+        "b15cf291e5053023140f29a3a5cf1d8e4018286ae74ea14d8cc3dc592e37b262",
+        "4c8bf28edb880f6124bd9695225fdece02aaec2febb7a3ac2dd436b9872c6848"),
+    ("uniform", 2): (
+        "a0749d73cee321281770d9a72673e8d49e54abc8c3d42c31e006ff8d4e50591e",
+        "b393378b07ba9bc37d5f91e208aa86d3c1112aa904160cdf37596ecc6f4a1a14"),
+    ("uniform", 3): (
+        "3e465ff9464e98590f21ed688a5b6583e98b5ef0789a715b0bd20e5fcca9226e",
+        "25f03e0363e0cfb3e503c27ea8f7175dd5203966138a9c26111fc06e7c0dbb31"),
+    ("uniform", 4): (
+        "512d473664d846e2ab8fc10e3102bd66dcdd101a93c69b1473dae58d9279b3b4",
+        "8e79142822581de057eafaf1eb2ccd2daa94991fd5c484f437ada08486d2643d"),
+    ("sqrt", 2): (
+        "d2377987835d34bc91db33f539e37484853a05c4f8990e873f2fc15fcb738626",
+        "a1c8c32576cfc796236ca92e152026c55f8046018858810a49d33f68c74cfed5"),
+    ("sqrt", 3): (
+        "71a3876688e9ff80aaef86d7de008487d2bcbd2d8f8991c68acd7071c945e54d",
+        "74cbdc02e6836d01c2b29f7eb2c477fb28db77bd6c00f881f0da4d6eac219161"),
+    ("sqrt", 4): (
+        "caa844a78e2f0a2c76ef61e3939925ab3d84011bf92a1e7dca070b2fbfdc5761",
+        "a961e3d52295722681e7e9e0886d999a3089bd3d6d942de00d9a2c64c44e1cb4"),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(SPEC_PINNED))
+def test_spec_artifacts_are_pinned(name, n, monkeypatch, tmp_path, capsys):
+    spec = TABLE_SPECS[name][0]()
+    monkeypatch.setattr("satcirc.cli._load", lambda args: spec)
+    assert cli_main(["compile", "--builtin", "maj", "--n", str(n),
+                     "--out-dir", str(tmp_path)]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"{spec.name}_n{n}{ext}")
+                               .read_bytes()).hexdigest()
+                for ext in (".json", ".manifest.json"))
+    assert got == SPEC_PINNED[name, n]
+    capsys.readouterr()
+
+
+# sha256 of repr(run(...)) on TRACE_WORDS spelt over a, b
+SPEC_TRACE_SHA256 = {
+    "two-layer": (
+        "4549deaee4fddf6585b00debc9e8ab790e8688181d27787c5b0f8cc5d76568cb",
+        "1588001b585d316378259a5af9acc678b895bcd849de2787b15a7798974a0aed",
+        "45807c9a7908677dea1ac69794dd9a1b6417cf7b7ce27d1889c873a6bc6fa58c",
+        "7b4e237b4f0d39ee7222c64128ece1b52b53f66163539fb87bbfdea901a129d2"),
+    "uniform": (
+        "23ea59fc11e581aca73d1bd0786c339fbbdaed9057695ae6928deb1451b38ea5",
+        "36d5334472d94d32a997680e28b30f87bd0768f42f273f21ba35b04ce1db0326",
+        "da660e17bdef12c6b0785090d68e5efde158f7e894f80e66b553caf03aa49ea0",
+        "f480689261c22a74d3cac739b1f4aa199a599e2be35c9773a54b5b632678f4ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TRACE_SHA256))
+def test_spec_traces_are_pinned(name):
+    spec = TABLE_SPECS[name][0]()
+    words = [w.translate(str.maketrans("01", "ab")) for w in TRACE_WORDS]
+    got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
+                for w in words)
+    assert got == SPEC_TRACE_SHA256[name]
