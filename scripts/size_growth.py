@@ -3,7 +3,7 @@
 the a + b*log2(n) envelope. No circuits are built, so n can go far past
 what compilation handles.
 
-python3 scripts/size_growth.py --builtin maj --n-list 8,16,64,256,512
+PYTHONPATH=src python3 scripts/size_growth.py --builtin maj --n-list 8,16,64,256,512
 """
 
 import argparse

@@ -147,7 +147,7 @@ def _fold_roles(roles: dict, spec: TransformerSpec, trace, cls,
     rec("classifier", cls)
 
 
-def _measure_roles(spec: TransformerSpec, n: int, samples) -> dict:
+def _measure_roles(spec: TransformerSpec, samples) -> dict:
     """The widths the machine's values reach on the sample words."""
     meas: dict = {}
     for w in samples:
@@ -200,7 +200,7 @@ class _Wires:
     def __init__(self, b: Builder):
         self.b = b
 
-    def from_pair(self, num: int, den: int) -> WirePack:
+    def const(self, num: int, den: int) -> WirePack:
         return S.f_const(self.b, DOMAIN_F.from_pair(num, den))
 
     def add(self, x: WirePack, y: WirePack) -> WirePack:
@@ -278,7 +278,7 @@ class _Wires:
         return S.f_select(self.b, cw, x, y)
 
     def affine(self, coeffs, bias, xs) -> WirePack:
-        terms = [self.from_pair(*bias)]
+        terms = [self.const(*bias)]
         for cf, x in zip(coeffs, xs):
             c = DOMAIN_F.from_pair(*cf)
             if not c.is_zero():
@@ -554,7 +554,7 @@ def compile_planned(spec: TransformerSpec, n: int, *,
         if theta:
             raise CompileError(
                 f"hard compilation emitted {theta} threshold gates")
-    measured = _measure_roles(spec, n, default_samples(spec, n))
+    measured = _measure_roles(spec, default_samples(spec, n))
     for role, need in measured.items():
         have = comp.roles[role]
         if have[0] < need[0] or have[1] < need[1]:

@@ -64,7 +64,7 @@ class Domain:
     eval_expr evaluates an expression over (compile._Wires is the
     circuit's). Its ops take scalars, since eval_expr checks shapes first:
 
-    - from_pair(num, den): the constant num/den;
+    - const(num, den): the constant num/den that the spec or n names;
     - add, mul, div, sqrt, neg, relu;
     - gt, eq: the scalar 1 if the comparison holds, else 0;
     - select(c, then, other): then() or other() under the condition c;
@@ -74,8 +74,19 @@ class Domain:
 
     forward walks the network over the same protocol plus one op,
     attend(kind, row, cols), the attention of one query position (see
-    Domain.attend). pow2 and host results also use from_int.
+    Domain.attend).
+
+    Constants are built once per domain. const keeps the expression
+    constants, the affine and classifier coefficients and bias and the
+    position constants, keyed by (num, den); reciprocal keeps the
+    pooling weights 1/|M| and 1/n. Both share one dict of at most
+    CONST_CAP entries, which starts over when full. pow2 and host
+    results go through the uncached from_pair and from_int, so a value
+    a word computes, such as 2^(i-1), never enters it. recognize builds
+    no trace: it reads position 1's final value straight from forward.
     """
+
+    CONST_CAP = 1024
 
     def __init__(self, name: str):
         if name not in ("F", "Q"):
@@ -83,6 +94,24 @@ class Domain:
         self.name = name
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+        self.consts: dict = {}
+
+    def _keep(self, key, v: Scalar) -> Scalar:
+        if len(self.consts) >= self.CONST_CAP:
+            self.consts.clear()
+        self.consts[key] = v
+        return v
+
+    def const(self, num: int, den: int = 1) -> Scalar:
+        v = self.consts.get((num, den))
+        return v if v is not None else self._keep(
+            (num, den), self.from_pair(num, den))
+
+    def reciprocal(self, k: int) -> Scalar:
+        """1/k by div: over F the floor-reciprocal float."""
+        v = self.consts.get(("1/", k))
+        return v if v is not None else self._keep(
+            ("1/", k), self.div(self.one, self.from_int(k)))
 
     def from_pair(self, num: int, den: int = 1) -> Scalar:
         if self.name == "Q":
@@ -150,9 +179,9 @@ class Domain:
 
     def affine(self, coeffs: Sequence[Number], bias: Number,
                xs: Sequence[Scalar]) -> Scalar:
-        acc = self.from_pair(*bias)
+        acc = self.const(*bias)
         for cf, x in zip(coeffs, xs):
-            acc = self.add(acc, self.mul(self.from_pair(*cf), x))
+            acc = self.add(acc, self.mul(self.const(*cf), x))
         return acc
 
     def attend(self, kind: "AttentionKind", row: Callable,
@@ -308,7 +337,7 @@ def eval_expr(e: FuncExpr, args: Sequence[Any], domain: Domain,
     def ev(node):
         op = node.op
         if op == "const":
-            return domain.from_pair(*node.data)
+            return domain.const(*node.data)
         if op == "arg":
             j = node.data
             if not 0 <= j < len(args):
@@ -406,10 +435,10 @@ def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
     by uniform heads): the head weighs the positions in M by w and every
     other position by 0."""
     if kind is AttentionKind.UNIFORM:
-        return domain.div(domain.one, domain.from_int(n)), range(n)
+        return domain.reciprocal(n), range(n)
     if kind is AttentionKind.HARD:
         return domain.one, ties[:1]
-    return domain.div(domain.one, domain.from_int(len(ties))), ties
+    return domain.reciprocal(len(ties)), ties
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +509,8 @@ class ValueTrace:
 
     ``values[l][i]`` is the m-tuple after layer l (layer 0 = embeddings);
     ``scores[l][h][i][j]``, ``ties[l][h][i]``, and ``head_out[l][h][i]``
-    cover the attention internals. When the trace was produced lazily
-    (recognition), unevaluated final-layer positions hold None and
-    ``partial`` is True.
+    cover the attention internals. When run was asked for some final
+    positions only, the others hold None and ``partial`` is True.
     """
 
     input: str
@@ -545,7 +573,7 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
         if v is None:
             v = embeds[tok, i] = _check_vector(
                 evaluate(spec.embedding,
-                         (onehot(i), domain.from_pair(i + 1, 1))),
+                         (onehot(i), domain.const(i + 1, 1))),
                 spec.width, "embedding")
         v0.append(v)
     values = [tuple(v0)]
@@ -594,13 +622,9 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
             tuple(all_heads))
 
 
-def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
-    """Full evaluation of ``spec`` on token string ``w``.
-
-    ``_final_positions`` restricts which positions get their last-layer
-    value (recognition only needs position 1); everything feeding the
-    restricted layer is still evaluated everywhere.
-    """
+def _walk(spec: TransformerSpec, w: str, final_positions) -> tuple:
+    """forward over spec's Domain on token string w, after the input
+    checks, with the tables of a shared_tables scope for spec."""
     domain = spec.domain
     if len(w) == 0:
         raise MachineError("empty input (languages here are over nonempty strings)")
@@ -616,10 +640,20 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
         return tuple(domain.one if alpha_index[w[i]] == k else domain.zero
                      for k in range(len(spec.alphabet)))
 
-    values, scores, ties, head_out = forward(
+    return forward(
         spec, w, domain, lambda e, args: eval_expr(e, args, domain,
                                                    spec.hosts),
-        onehot, tables, _final_positions)
+        onehot, tables, final_positions)
+
+
+def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
+    """Full evaluation of ``spec`` on token string ``w``.
+
+    ``_final_positions`` restricts which positions get their last-layer
+    value; everything feeding the restricted layer is still evaluated
+    everywhere.
+    """
+    values, scores, ties, head_out = _walk(spec, w, _final_positions)
     max_sizes = []
     for layer_vals in values:
         sizes = [size(c) for v in layer_vals if v is not None for c in v]
@@ -630,9 +664,11 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
 
 def classifier_value(spec: TransformerSpec, w: str,
                      trace: ValueTrace = None) -> Scalar:
-    """W . v_final(position 1) + b, exactly."""
-    t = trace or run(spec, w, _final_positions=(0,))
-    return spec.domain.affine(spec.classifier_w, spec.classifier_b, t.final(0))
+    """W . v_final(position 1) + b, exactly; with no trace, position 1's
+    final value comes straight from the walk and no trace is built."""
+    final = (trace.final(0) if trace is not None
+             else _walk(spec, w, (0,))[0][-1][0])
+    return spec.domain.affine(spec.classifier_w, spec.classifier_b, final)
 
 
 def recognize(spec: TransformerSpec, w: str) -> bool:

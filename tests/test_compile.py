@@ -426,7 +426,7 @@ def test_analytic_plan_changes_nothing():
 
 def test_analytic_plan_covers_every_measured_role():
     roles = compile_planned(MAJ, 6)[1]
-    for role, need in _measure_roles(MAJ, 6, default_samples(MAJ, 6)).items():
+    for role, need in _measure_roles(MAJ, default_samples(MAJ, 6)).items():
         have = roles[role]
         assert have[0] >= need[0] and have[1] >= need[1], role
 
@@ -451,7 +451,7 @@ MAJ_PLANS = {  # n -> (samples, measured)
 def test_plan_widths_is_pinned(n):
     samples, measured = MAJ_PLANS[n]
     assert tuple(default_samples(MAJ, n)) == samples
-    assert _measure_roles(MAJ, n, samples) == measured
+    assert _measure_roles(MAJ, samples) == measured
     assert compile_planned(MAJ, n)[1] == MAJ_ROLES
 
 
@@ -460,7 +460,7 @@ def test_plan_widths_is_pinned(n):
 def test_the_sample_traces_measure_every_recorded_role(name):
     spec = TABLE_SPECS[name][0]()
     for n in (1, 3, 4):
-        measured = _measure_roles(spec, n, default_samples(spec, n))
+        measured = _measure_roles(spec, default_samples(spec, n))
         assert measured.keys() == compile_planned(spec, n)[1].keys(), n
 
 
@@ -485,8 +485,8 @@ def test_a_trace_wider_than_its_analytic_width_is_refused(
         monkeypatch, tmp_path, capsys):
     measure = C._measure_roles
 
-    def wider(spec, n, samples):
-        roles = measure(spec, n, samples)
+    def wider(spec, samples):
+        roles = measure(spec, samples)
         roles["L0.h0.out[0]"] = (7, 3)  # the build records p6/e3
         return roles
 

@@ -1,5 +1,6 @@
 """Abstract machine: expressions, attention, traces, spec files."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from satcirc.bitnum import Flt, Rat, flt, rat, size
+from satcirc.builtins import builtin_spec
 from satcirc.machine import (
     Add, Affine, Arg, AttentionKind, Const, Div, Eq, FuncExpr, Gt, HeadSpec,
     Host, LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Relu, Select, Sqrt,
@@ -449,6 +451,144 @@ def test_shared_tables_compute_once_per_key_and_reset_after_an_error():
     for _ in range(2):
         recognize(spec, "0111")
     assert len(calls) == 8
+
+
+# ---------------------------------------------------------------------------
+# the verdict path and the constant cache
+
+
+VERDICT_SPECS = [("maj", None), ("maj-q", None), ("maj-ln", None),
+                 ("hard-demo", None), ("prime-universal", "parity"),
+                 ("resource-bounded", "bigram11")]
+_vrng = random.Random(29)
+N32_WORDS = [format(_vrng.getrandbits(32), "032b") for _ in range(200)]
+
+
+@pytest.mark.parametrize("name, pred", VERDICT_SPECS)
+def test_the_verdict_path_equals_the_trace_path(name, pred):
+    spec = builtin_spec(name, pred)
+    words = [w for n in range(1, 7) for w in all_words(n)] + N32_WORDS
+    zero = spec.domain.zero
+
+    def both(w):
+        traced = classifier_value(spec, w, run(spec, w))
+        assert classifier_value(spec, w) == traced, w
+        return recognize(spec, w), spec.domain.cmp(traced, zero) > 0
+
+    alone = [both(w) for w in words]
+    with shared_tables(spec):
+        inside = [both(w) for w in words]
+    assert inside == alone
+    assert all(got == want for got, want in alone)
+
+
+def _select_spec():
+    embed = Tup(Select(Const(2), Const(1), Const(0)), Arg(1))
+    return TransformerSpec(("0", "1"), "F", 2, embed, (), ((1, 1), (0, 1)),
+                           (0, 1), {}, "bad-select")
+
+
+def _narrow_activation_spec():
+    head = HeadSpec(AttentionKind.SATURATED, Const(1))
+    return TransformerSpec(("0", "1"), "F", 2, Tup(Proj(1, Arg(0)), Arg(1)),
+                           (LayerSpec((head,), Tup(Proj(0, Arg(1)))),),
+                           ((1, 1), (0, 1)), (0, 1), {}, "narrow")
+
+
+@pytest.mark.parametrize("make, w, msg", [
+    (lambda: mean_majority_spec("F"), "",
+     "empty input (languages here are over nonempty strings)"),
+    (lambda: mean_majority_spec("Q"), "0120",
+     "token '2' not in alphabet ('0', '1')"),
+    (_select_spec, "01", "select condition must be 0 or 1"),
+    (_narrow_activation_spec, "01",
+     "layer 0 activation must produce a 2-tuple, got a 1-tuple"),
+])
+def test_run_and_recognize_refuse_alike(make, w, msg):
+    spec = make()
+    for fn in (run, recognize, classifier_value):
+        with pytest.raises(MachineError) as exc:
+            fn(spec, w)
+        assert str(exc.value) == msg, fn
+
+
+def _named_constants(spec, n):
+    """The keys the spec and length n may name: expression constants,
+    affine and classifier coefficients and biases, positions 1..n and
+    the weights 1/k for k = 1..n."""
+    keys = {(i, 1) for i in range(1, n + 1)} | {("1/", k)
+                                                for k in range(1, n + 1)}
+    keys |= set(spec.classifier_w) | {spec.classifier_b}
+
+    def walk(e):
+        if e.op == "const":
+            keys.add(e.data)
+        if e.op == "affine":
+            keys.update(e.data[0])
+            keys.add(e.data[1])
+        for a in e.args:
+            walk(a)
+
+    walk(spec.embedding)
+    for layer in spec.layers:
+        walk(layer.activation)
+        for head in layer.heads:
+            walk(head.scorer)
+    return keys
+
+
+@pytest.mark.parametrize("name, pred", [("resource-bounded", "bigram11"),
+                                        ("prime-universal", "parity")])
+def test_the_constant_cache_stays_bounded_and_keeps_no_word_value(name, pred):
+    base = builtin_spec(name, pred)
+    returned = []
+
+    def recording(fn):
+        def host(*args):
+            out = fn(*args)
+            returned.append(out)
+            return out
+        return host
+
+    spec = dataclasses.replace(
+        base, hosts={k: recording(fn) for k, fn in base.hosts.items()})
+    domain = spec.domain
+    domain.consts.clear()
+    rng = random.Random(41)
+    sizes = []
+    for count in (10, 500):
+        for _ in range(count):
+            recognize(spec, format(rng.getrandbits(32), "032b"))
+        sizes.append(len(domain.consts))
+    assert sizes[0] == sizes[1] <= domain.CONST_CAP
+    assert set(domain.consts) <= _named_constants(spec, 32)
+    assert not any((1 << k, 1) in domain.consts for k in range(6, 32))
+    kept = {id(v) for v in domain.consts.values()}
+    assert returned and not any(id(v) in kept for v in returned)
+
+
+def test_the_constant_cache_starts_over_when_full():
+    domain = domain_of("Q")
+    domain.consts.clear()
+    for k in range(domain.CONST_CAP + 5):
+        assert as_fraction(domain.const(k, 3)) == Fraction(k, 3)
+    assert len(domain.consts) == 5
+    assert domain.const(2, 4) == rat(1, 2) and len(domain.consts) == 6
+
+
+def test_constant_work_per_word_is_pinned(monkeypatch):
+    spec = builtin_spec("maj")
+    rng = random.Random(3)
+    words = [format(rng.getrandbits(16), "016b") for _ in range(300)]
+    spec.domain.consts.clear()
+    calls = []
+    make = Flt.make
+    monkeypatch.setattr(Flt, "make", staticmethod(
+        lambda *a: calls.append(1) or make(*a)))
+    with shared_tables(spec):
+        for w in words:
+            recognize(spec, w)
+    assert len(calls) / len(words) <= 9.1
 
 
 # ---------------------------------------------------------------------------
