@@ -18,12 +18,12 @@ import tempfile
 
 from .bitnum import BitNumError
 from .builtins import BUILTIN_NAMES, PRED_BUILTINS, builtin_spec
-from .circuit import (CircuitError, family_analyze, from_json, metrics,
-                      to_dot, to_json)
+from .circuit import (CircuitError, family_analyze, from_json, to_dot,
+                      to_json)
 from .compile import (CompileError, compile_planned, compile_saturated,
                       default_samples, verify_equivalence)
-from .machine import (MachineError, classifier_value, instrument_sizes,
-                      load_spec, run)
+from .machine import (MachineError, instrument_sizes, load_spec, recognize,
+                      run)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
@@ -99,8 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.input:
         raise MachineError("run needs --input WORD")
     t = run(spec, args.input) if args.trace else None
-    accept = spec.domain.cmp(classifier_value(spec, args.input, t),
-                             spec.domain.zero) > 0
+    accept = recognize(spec, args.input)
     name = spec.name or "spec"
     print(f"{name} on {args.input!r}: {'accept' if accept else 'reject'}")
     if t is not None:
@@ -128,9 +127,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
                                sorted(roles.items())})
     _write(base + ".manifest.json", json.dumps(man, indent=2))
     wrote.append(base + ".manifest.json")
-    m = metrics(c)
-    print(f"{name} n={n}: size={m.size} depth={m.depth} "
-          f"theta={m.theta_count}")
+    print(f"{name} n={n}: size={man['size']} depth={man['depth']} "
+          f"theta={man['theta_count']}")
     for p in wrote:
         print(f"  -> {p}")
     return 0
@@ -139,7 +137,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def _circuit_file(path: str):
     """A compile_fn that reads the circuit artifact at path instead of
     compiling; a corrupted file shows up as plain mismatches, not a
-    crash."""
+    crash, and one with the wrong input count as a named error."""
     def read(spec, n):
         with open(path, encoding="utf-8") as f:
             try:
@@ -147,7 +145,12 @@ def _circuit_file(path: str):
             except UnicodeDecodeError as e:
                 raise CircuitError(f"{path}: not UTF-8 text ({e.reason} at "
                                    f"byte {e.start})") from None
-        return from_json(text)
+        c, k = from_json(text), len(spec.alphabet)
+        if c.n != n * k:
+            raise CircuitError(
+                f"{path} has {c.n} inputs; {spec.name or 'spec'} at n={n} "
+                f"needs {n * k} ({n} positions, {k} symbols each)")
+        return c
     return read
 
 

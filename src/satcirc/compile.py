@@ -33,12 +33,12 @@ its 2^r rows against the structural form with unread live wires tied to
 the r-bit row at m's read bits, so the circuit is the one a 2^k
 tabulation gives.
 
-Every compile checks its widths. The build records the structurally
-propagated (p bits, exponent bound) of every value role of its trace,
-and compile_planned, the one build behind every entry point, checks
-that the machine's values on sample traces, read off by the same
-_fold_roles, fit under them role for role; those recorded widths are
-the width plan that certifies the circuit they came with.
+Every compile checks its widths. The walk names each value's role:
+_Wires.role records the structurally propagated (p bits, exponent
+bound) of each, and compile_planned, the one build behind every entry
+point, checks that the widths the machine's values reach on sample
+words (_Measure.role) fit under them role for role; those recorded
+widths are the width plan that certifies the circuit they came with.
 compile_planned also refuses a threshold gate in the circuit of a spec
 whose heads are all hard.
 
@@ -60,11 +60,10 @@ from . import workers
 from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, eval_batch, metrics
 from .machine import (
-    DOMAIN_F, AttentionKind, FuncExpr, MachineError, TransformerSpec,
-    classifier_value, eval_expr, forward, is_size_preserving, recognize,
-    shared_tables,
+    DOMAIN_F, AttentionKind, Domain, FuncExpr, MachineError,
+    TransformerSpec, _walk, eval_expr, forward, is_size_preserving,
+    recognize, shared_tables,
 )
-from .machine import run as machine_run
 from .synth import Builder, SynthError, WirePack, clog2
 
 
@@ -122,39 +121,27 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
     return sorted(words)
 
 
-def _fold_roles(roles: dict, spec: TransformerSpec, trace, cls,
-                width: Callable):
-    """Fold width(v), a (p bits, exponent bound), of every value v of a
-    trace (values, scores, head_out) and of the classifier sum cls into
-    roles by role name; a uniform head's scores play no role."""
-    def rec(role: str, v):
-        old, new = roles.get(role, (0, 0)), width(v)
-        roles[role] = (max(old[0], new[0]), max(old[1], new[1]))
-
-    values, scores, head_out = trace
-    for li, vs in enumerate(values):
-        for v in vs:
-            for c, comp in enumerate(v):
-                rec(f"L{li - 1}.act[{c}]" if li else f"embed[{c}]", comp)
-    for li, layer in enumerate(spec.layers):
-        for h, head in enumerate(layer.heads):
-            if head.attention is not AttentionKind.UNIFORM:
-                for s in itertools.chain.from_iterable(scores[li][h]):
-                    rec(f"L{li}.h{h}.score", s)
-            for out in head_out[li][h]:
-                for c, comp in enumerate(out):
-                    rec(f"L{li}.h{h}.out[{c}]", comp)
-    rec("classifier", cls)
+def _widen(roles: dict, name: str, p: int, e: int):
+    """Widen the (p bits, exponent bound) kept for role name to cover
+    (p, e)."""
+    old = roles.get(name, (0, 0))
+    roles[name] = (max(old[0], p), max(old[1], e))
 
 
-def _measure_roles(spec: TransformerSpec, samples) -> dict:
-    """The widths the machine's values reach on the sample words."""
-    meas: dict = {}
-    for w in samples:
-        t = machine_run(spec, w)
-        _fold_roles(meas, spec, (t.values, t.scores, t.head_out),
-                    classifier_value(spec, w, t), lambda v: (len(v.p), v.e))
-    return meas
+class _Measure(Domain):
+    """The widths the machine's values reach on the sample words: the
+    walk over spec's datatype, whose role op keeps each role's widest
+    (p bits, e) in roles."""
+
+    def __init__(self, spec: TransformerSpec, samples):
+        super().__init__(spec.datatype)
+        self.roles: dict = {}
+        for w in samples:
+            _walk(spec, w, self, None)
+
+    def role(self, name: str, x):
+        _widen(self.roles, name, len(x.p), x.e)
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +186,7 @@ class _Wires:
 
     def __init__(self, b: Builder):
         self.b = b
+        self.roles: dict = {}  # role name -> (p bits, exponent bound)
 
     def const(self, num: int, den: int) -> WirePack:
         return S.f_const(self.b, DOMAIN_F.from_pair(num, den))
@@ -285,6 +273,10 @@ class _Wires:
                 terms.append(S.f_mul_const(self.b, x, c))
         return S.f_sum_tree(self.b, terms)
 
+    def role(self, name: str, x: WirePack) -> WirePack:
+        _widen(self.roles, name, x.p_width, x.e_max)
+        return x
+
     def attend(self, kind: AttentionKind, row: Callable, cols) -> tuple:
         """(scores, maximizer flags, head output) at one query position;
         a uniform head builds no scores."""
@@ -319,7 +311,6 @@ class _Compiler:
         self.n = n
         self.b = Builder(n * len(spec.alphabet))
         self.wires = _Wires(self.b)
-        self.roles: dict = {}
         self._tables: dict = {}  # _expr_auto key -> table rows or None
 
     # expression compilation -------------------------------------------
@@ -402,7 +393,7 @@ class _Compiler:
     # whole-network build -------------------------------------------------
 
     def build(self, include_values: bool = False) -> Circuit:
-        """machine.forward over _Wires; records the roles' widths."""
+        """machine.forward over _Wires, which records the role widths."""
         spec, n, b = self.spec, self.n, self.b
         nsym = len(spec.alphabet)
         labels = {}
@@ -415,12 +406,8 @@ class _Compiler:
                 hot.append(S.f_from_bit(b, wire))
             return tuple(hot)
 
-        values, scores, _, head_out = forward(
+        cls, (values, _, _, _) = forward(
             spec, (None,) * n, self.wires, self._expr_auto, onehot, ({}, {}))
-        cls = self.wires.affine(spec.classifier_w, spec.classifier_b,
-                                values[-1][0])
-        _fold_roles(self.roles, spec, (values, scores, head_out), cls,
-                    lambda pk: (pk.p_width, pk.e_max))
         accept = b.and_(cls.sign, S.f_nonzero(b, cls))
         outputs = [accept]
         labels[accept] = "accept"
@@ -554,14 +541,13 @@ def compile_planned(spec: TransformerSpec, n: int, *,
         if theta:
             raise CompileError(
                 f"hard compilation emitted {theta} threshold gates")
-    measured = _measure_roles(spec, default_samples(spec, n))
-    for role, need in measured.items():
-        have = comp.roles[role]
+    for role, need in _Measure(spec, default_samples(spec, n)).roles.items():
+        have = comp.wires.roles[role]
         if have[0] < need[0] or have[1] < need[1]:
             raise CompileError(
                 f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
                 f"sample trace reached p{need[0]}/e{need[1]}")
-    return c, comp.roles
+    return c, comp.wires.roles
 
 
 def compile_saturated(spec: TransformerSpec, n: int, *,
@@ -617,6 +603,9 @@ def _check_batch(spec, n, mode, samples):
         if samples < 1:
             raise CompileError(f"samples must be at least 1 in random "
                                f"mode, got {samples}")
+        if samples > 1 << 20:
+            raise CompileError(f"random verification of {samples} words "
+                               f"is too large (at most 2^20)")
     else:
         raise CompileError(f"unknown verification mode {mode!r}")
 

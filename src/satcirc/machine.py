@@ -15,10 +15,10 @@ projection, add, mul, div, sqrt, neg, relu, compare, select, affine,
 tuple) plus two escape hatches that are deliberately not size-preserving
 and therefore not compilable: pow2 and named host callbacks.
 
-One walk, forward, lays out the network: the embeddings, each head over
-its block, the concatenation and the activation. run walks it over the
-datatype's Domain, and the circuit compiler walks it over an arithmetic
-whose ops emit gadgets, so the two read the network alike.
+One walk, forward, lays out the network and names each value's role:
+the embeddings, each head over its block, the activation and the
+classifier sum. run walks it over the datatype's Domain and the compiler
+over an arithmetic whose ops emit gadgets, so both read it alike.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ class Domain:
     - affine(coeffs, bias, xs): bias + the sum of coeff * x, with
       (num, den) pairs as coefficients and bias.
 
-    forward walks the network over the same protocol plus one op,
+    forward walks the network over the same protocol plus two ops:
     attend(kind, row, cols), the attention of one query position (see
-    Domain.attend).
+    Domain.attend), and role(name, x), the identity here, through which
+    the walk passes each value x it produces under its role name.
 
     Constants are built once per domain. const keeps the expression
     constants, the affine and classifier coefficients and bias and the
@@ -194,6 +195,9 @@ class Domain:
         w, members = _pool(kind, len(scores), ties, self)
         return scores, ties, tuple(
             self.mul(w, self.sum([col[j] for j in members])) for col in cols)
+
+    def role(self, name: str, x: Scalar) -> Scalar:
+        return x
 
     def is_zero(self, x: Scalar) -> bool:
         return x.p.value == 0
@@ -559,14 +563,17 @@ def shared_tables(spec: TransformerSpec):
 
 def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
             onehot: Callable, tables: tuple, final_positions=None) -> tuple:
-    """(values, scores, ties, head_out) of word as in ValueTrace, over
-    domain: a Domain or any arithmetic with its protocol. evaluate(e,
-    args) evaluates an expression; onehot(i) is position i's token
-    vector, asked for just before its embedding. tables = (embeddings,
-    layer-0 scores) are keyed by word[i] and i; the compiler's tokens
-    are None. final_positions limits the last layer's positions."""
+    """(classifier sum, (values, scores, ties, head_out) as in
+    ValueTrace) of word over domain, a Domain or any arithmetic with its
+    protocol; a uniform head's scores play no role. evaluate(e, args)
+    evaluates an expression; onehot(i) is position i's token vector,
+    asked for just before its embedding. tables = (embeddings, layer-0
+    scores) are keyed by word[i] and i; the compiler's tokens are None.
+    final_positions, which holds 0, limits the last layer's."""
     n = len(word)
     embeds, scores0 = tables
+    role = domain.role
+    embed_roles = [f"embed[{c}]" for c in range(spec.width)]
     v0 = []
     for i, tok in enumerate(word):
         v = embeds.get((tok, i))
@@ -575,9 +582,8 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
                 evaluate(spec.embedding,
                          (onehot(i), domain.const(i + 1, 1))),
                 spec.width, "embedding")
-        v0.append(v)
-    values = [tuple(v0)]
-    all_scores, all_ties, all_heads = [], [], []
+        v0.append(tuple(map(role, embed_roles, v)))
+    values, layers = [tuple(v0)], []
     bw = spec.block_width
     for li, layer in enumerate(spec.layers):
         prev = values[-1]
@@ -587,7 +593,7 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
         # later layers read the whole word, so their table is this word's
         table = scores0 if li == 0 else {}
 
-        def row(h, scorer, i):
+        def row(h, scorer, i, name):
             out = []
             for j in range(n):
                 key = (h, word[i], i, word[j], j)
@@ -595,37 +601,40 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
                 if s is None:
                     s = table[key] = _scalar(
                         evaluate(scorer, (prev[i], prev[j])), "scorer")
-                out.append(s)
+                out.append(s if name is None else role(name, s))
             return tuple(out)
 
-        layer_scores, layer_ties, layer_heads = [], [], []
+        heads = []  # (scores, ties, outputs) of each head
         for h, head in enumerate(layer.heads):
+            score_role = (None if head.attention is AttentionKind.UNIFORM
+                          else f"L{li}.h{h}.score")
+            out_roles = [f"L{li}.h{h}.out[{c}]" for c in range(bw)]
             cols = columns[h * bw:(h + 1) * bw]
             rows, ties, outs = [None] * n, [None] * n, [None] * n
             for i in live:
-                rows[i], ties[i], outs[i] = domain.attend(
-                    head.attention, lambda: row(h, head.scorer, i), cols)
-            layer_scores.append(tuple(rows))
-            layer_ties.append(tuple(ties))
-            layer_heads.append(tuple(outs))
+                rows[i], ties[i], out = domain.attend(
+                    head.attention,
+                    lambda: row(h, head.scorer, i, score_role), cols)
+                outs[i] = tuple(map(role, out_roles, out))
+            heads.append((tuple(rows), tuple(ties), tuple(outs)))
+        act_roles = [f"L{li}.act[{c}]" for c in range(spec.width)]
         nxt = [None] * n
         for i in live:
-            bcat = tuple(c for outs in layer_heads for c in outs[i])
-            nxt[i] = _check_vector(
+            bcat = tuple(c for _, _, outs in heads for c in outs[i])
+            nxt[i] = tuple(map(role, act_roles, _check_vector(
                 evaluate(layer.activation, (prev[i], bcat)),
-                spec.width, f"layer {li} activation")
+                spec.width, f"layer {li} activation")))
         values.append(tuple(nxt))
-        all_scores.append(tuple(layer_scores))
-        all_ties.append(tuple(layer_ties))
-        all_heads.append(tuple(layer_heads))
-    return (tuple(values), tuple(all_scores), tuple(all_ties),
-            tuple(all_heads))
+        layers.append(tuple(zip(*heads)))
+    cls = role("classifier", domain.affine(
+        spec.classifier_w, spec.classifier_b, values[-1][0]))
+    attention = tuple(zip(*layers)) or ((), (), ())  # no layers: no heads
+    return cls, (tuple(values), *attention)
 
 
-def _walk(spec: TransformerSpec, w: str, final_positions) -> tuple:
-    """forward over spec's Domain on token string w, after the input
-    checks, with the tables of a shared_tables scope for spec."""
-    domain = spec.domain
+def _walk(spec: TransformerSpec, w: str, domain, final_positions) -> tuple:
+    """forward over domain (of spec's datatype) on token string w, after
+    the input checks, with the tables of a shared_tables scope for spec."""
     if len(w) == 0:
         raise MachineError("empty input (languages here are over nonempty strings)")
     alpha_index = {a: k for k, a in enumerate(spec.alphabet)}
@@ -650,10 +659,11 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
     """Full evaluation of ``spec`` on token string ``w``.
 
     ``_final_positions`` restricts which positions get their last-layer
-    value; everything feeding the restricted layer is still evaluated
-    everywhere.
+    value (position 0 among them); everything feeding the restricted
+    layer is still evaluated everywhere.
     """
-    values, scores, ties, head_out = _walk(spec, w, _final_positions)
+    values, scores, ties, head_out = _walk(spec, w, spec.domain,
+                                           _final_positions)[1]
     max_sizes = []
     for layer_vals in values:
         sizes = [size(c) for v in layer_vals if v is not None for c in v]
@@ -662,13 +672,10 @@ def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
                       tuple(max_sizes), partial=_final_positions is not None)
 
 
-def classifier_value(spec: TransformerSpec, w: str,
-                     trace: ValueTrace = None) -> Scalar:
-    """W . v_final(position 1) + b, exactly; with no trace, position 1's
-    final value comes straight from the walk and no trace is built."""
-    final = (trace.final(0) if trace is not None
-             else _walk(spec, w, (0,))[0][-1][0])
-    return spec.domain.affine(spec.classifier_w, spec.classifier_b, final)
+def classifier_value(spec: TransformerSpec, w: str) -> Scalar:
+    """W . v_final(position 1) + b, exactly: the walk's classifier sum,
+    with no trace kept."""
+    return _walk(spec, w, spec.domain, (0,))[0]
 
 
 def recognize(spec: TransformerSpec, w: str) -> bool:

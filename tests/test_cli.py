@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -590,6 +591,22 @@ def test_verify_corrupted_circuit_reports_mismatch(tmp_path, capsys):
     assert rows[1].split(",")[3] != "0"
 
 
+@pytest.mark.parametrize("samples", [str((1 << 20) + 1), str(10**9)])
+def test_verify_random_refuses_too_many_samples_before_any_work(
+        samples, tmp_path, capsys, monkeypatch):
+    def compile_fn(spec, n):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr("satcirc.cli.compile_saturated", compile_fn)
+    start = time.perf_counter()
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--mode", "random",
+                 "--samples", samples, "--out-dir", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert out(capsys).err == (f"error: random verification of {samples} "
+                               "words is too large (at most 2^20)\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_verify_random_refuses_nonpositive_samples(samples, tmp_path, capsys):
     assert main(["verify", "--builtin", "maj", "--n", "4", "--mode", "random",
@@ -677,6 +694,19 @@ def test_verify_refuses_a_gate_list_out_of_topological_order(tmp_path,
     err = out(capsys).err
     assert err == (f"error: gate {last} is at position {last - 1}: ids must "
                    "be 0..N-1 in list order\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_names_a_circuit_file_with_the_wrong_input_count(tmp_path,
+                                                               capsys):
+    assert main(["compile", "--builtin", "maj", "--n", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "maj_n3.json"
+    capsys.readouterr()
+    assert main(["verify", "--builtin", "maj", "--n", "4", "--circuit",
+                 str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert out(capsys).err == (f"error: {path} has 6 inputs; maj at n=4 "
+                               "needs 8 (4 positions, 2 symbols each)\n")
     assert not (tmp_path / "out").exists()
 
 

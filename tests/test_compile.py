@@ -29,7 +29,7 @@ from satcirc.builtins import (build_hard_demo, build_majority,
                               build_resource_bounded, builtin_spec)
 from satcirc.circuit import eval_batch, family_analyze, metrics
 from satcirc.cli import main as cli_main
-from satcirc.compile import (CompileError, _Compiler, _measure_roles,
+from satcirc.compile import (CompileError, _Compiler, _Measure,
                              _read_paths, _read_view, compile_hard,
                              compile_planned, compile_saturated,
                              default_samples, encode_word,
@@ -421,12 +421,12 @@ def test_analytic_plan_changes_nothing():
     comp = _Compiler(MAJ, 5)
     plain = comp.build()
     c, roles = compile_planned(MAJ, 5)
-    assert c == plain and roles == comp.roles
+    assert c == plain and roles == comp.wires.roles
 
 
 def test_analytic_plan_covers_every_measured_role():
     roles = compile_planned(MAJ, 6)[1]
-    for role, need in _measure_roles(MAJ, default_samples(MAJ, 6)).items():
+    for role, need in _Measure(MAJ, default_samples(MAJ, 6)).roles.items():
         have = roles[role]
         assert have[0] >= need[0] and have[1] >= need[1], role
 
@@ -451,8 +451,61 @@ MAJ_PLANS = {  # n -> (samples, measured)
 def test_plan_widths_is_pinned(n):
     samples, measured = MAJ_PLANS[n]
     assert tuple(default_samples(MAJ, n)) == samples
-    assert _measure_roles(MAJ, samples) == measured
+    assert _Measure(MAJ, samples).roles == measured
     assert compile_planned(MAJ, n)[1] == MAJ_ROLES
+
+
+SPEC_ROLES = {  # (name, n) -> compile_planned(...)[1]
+    ("hard-demo", 3): {
+        "L0.act[0]": (1, 0), "L0.act[1]": (2, 0), "L0.h0.out[0]": (1, 0),
+        "L0.h0.out[1]": (2, 0), "L0.h0.score": (1, 0), "classifier": (8, 1),
+        "embed[0]": (1, 0), "embed[1]": (2, 0)},
+    ("hard-demo", 4): {
+        "L0.act[0]": (1, 0), "L0.act[1]": (3, 0), "L0.h0.out[0]": (1, 0),
+        "L0.h0.out[1]": (3, 0), "L0.h0.score": (1, 0), "classifier": (8, 1),
+        "embed[0]": (1, 0), "embed[1]": (3, 0)},
+    ("maj_f.sexp", 3): {
+        "L0.act[0]": (5, 2), "L0.act[1]": (5, 2), "L0.h0.out[0]": (5, 2),
+        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "classifier": (11, 2),
+        "embed[0]": (1, 0), "embed[1]": (1, 0)},
+    ("maj_f.sexp", 4): {
+        "L0.act[0]": (6, 3), "L0.act[1]": (6, 3), "L0.h0.out[0]": (6, 3),
+        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "classifier": (13, 3),
+        "embed[0]": (1, 0), "embed[1]": (1, 0)},
+    ("two-layer", 3): {
+        "L0.act[0]": (5, 2), "L0.act[1]": (1, 0), "L0.h0.out[0]": (5, 2),
+        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "L1.act[0]": (18, 4),
+        "L1.act[1]": (1, 0), "L1.h0.out[0]": (11, 4), "L1.h0.out[1]": (5, 2),
+        "L1.h0.score": (1, 0), "classifier": (25, 4), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
+    ("two-layer", 4): {
+        "L0.act[0]": (6, 3), "L0.act[1]": (1, 0), "L0.h0.out[0]": (6, 3),
+        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "L1.act[0]": (23, 6),
+        "L1.act[1]": (1, 0), "L1.h0.out[0]": (14, 6), "L1.h0.out[1]": (6, 3),
+        "L1.h0.score": (1, 0), "classifier": (32, 6), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
+    ("uniform", 3): {  # a uniform head's scores play no role
+        "L0.act[0]": (4, 2), "L0.act[1]": (1, 0), "L0.h0.out[0]": (4, 2),
+        "L0.h0.out[1]": (4, 2), "classifier": (9, 2), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
+    ("uniform", 4): {
+        "L0.act[0]": (6, 3), "L0.act[1]": (1, 0), "L0.h0.out[0]": (6, 3),
+        "L0.h0.out[1]": (6, 3), "classifier": (12, 3), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
+    ("sqrt", 3): {
+        "L0.act[0]": (2, 0), "L0.act[1]": (1, 0), "L0.h0.out[0]": (7, 2),
+        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "classifier": (6, 1),
+        "embed[0]": (3, 0), "embed[1]": (1, 0)},
+    ("sqrt", 4): {
+        "L0.act[0]": (2, 0), "L0.act[1]": (1, 0), "L0.h0.out[0]": (8, 3),
+        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "classifier": (6, 1),
+        "embed[0]": (3, 0), "embed[1]": (1, 0)},
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(SPEC_ROLES))
+def test_spec_width_plans_are_pinned(name, n):
+    assert compile_planned(TABLE_SPECS[name][0](), n)[1] == SPEC_ROLES[name, n]
 
 
 @pytest.mark.parametrize("name", ["maj", "hard-demo", "maj_f.sexp",
@@ -460,7 +513,7 @@ def test_plan_widths_is_pinned(n):
 def test_the_sample_traces_measure_every_recorded_role(name):
     spec = TABLE_SPECS[name][0]()
     for n in (1, 3, 4):
-        measured = _measure_roles(spec, default_samples(spec, n))
+        measured = _Measure(spec, default_samples(spec, n)).roles
         assert measured.keys() == compile_planned(spec, n)[1].keys(), n
 
 
@@ -483,14 +536,14 @@ def test_default_samples_stop_at_the_number_of_words():
 
 def test_a_trace_wider_than_its_analytic_width_is_refused(
         monkeypatch, tmp_path, capsys):
-    measure = C._measure_roles
+    role = C._Measure.role
 
-    def wider(spec, samples):
-        roles = measure(spec, samples)
-        roles["L0.h0.out[0]"] = (7, 3)  # the build records p6/e3
-        return roles
+    def wider(self, name, x):
+        if name == "L0.h0.out[0]":  # the build records p6/e3
+            C._widen(self.roles, name, 7, 3)
+        return role(self, name, x)
 
-    monkeypatch.setattr(C, "_measure_roles", wider)
+    monkeypatch.setattr(C._Measure, "role", wider)
     why = ("analytic width for L0.h0.out[0] is p6/e3 but a sample trace "
            "reached p7/e3")
     for compile_fn in (compile_planned, compile_saturated):

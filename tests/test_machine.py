@@ -471,7 +471,8 @@ def test_the_verdict_path_equals_the_trace_path(name, pred):
     zero = spec.domain.zero
 
     def both(w):
-        traced = classifier_value(spec, w, run(spec, w))
+        traced = spec.domain.affine(spec.classifier_w, spec.classifier_b,
+                                    run(spec, w).final(0))
         assert classifier_value(spec, w) == traced, w
         return recognize(spec, w), spec.domain.cmp(traced, zero) > 0
 
