@@ -14,8 +14,13 @@ Three value kinds share one size accounting:
   Addition and multiplication are exact; division is the approximate
   floor(2^|p|/p) reciprocal and is the only inexact operation.
 
-All values are immutable and every operation is pure, so concurrent use
-needs no coordination.
+``Rat`` and ``Flt`` are slotted and immutable: they have no ``__dict__``,
+assigning a field raises ``AttributeError``, and two values are equal
+when they are of one class with equal fields. Build them canonical
+through ``rat(num, den)`` and ``flt(num, e)``; the positional
+constructors ``Rat(sign, p, q)`` and ``Flt(sign, p, e)`` store the
+fields as given. ``UNat`` is immutable too. Every operation is pure,
+so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -168,35 +173,73 @@ def rat_red(p: UNat, q: UNat) -> tuple[UNat, UNat]:
 
 
 # ---------------------------------------------------------------------------
+# slotted records
+
+
+class _Record:
+    """Base of Rat and Flt: three slotted fields stored once by the
+    constructor, then read-only. Equality and hash go by class and
+    field tuple."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _setters(cls) -> tuple:
+    """The slot writers of cls, which get past its refusing __setattr__."""
+    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # rationals
 
 
-@dataclass(frozen=True)
-class Rat:
+class Rat(_Record):
     """Reduced signed rational; value (2*sign - 1) * p/q, sign 1 = positive.
 
-    Construct through ``rat`` (or ``Rat.make``): invariants are q > 0,
-    gcd(p, q) = 1, and canonical zero +0/1.
+    Slotted and immutable. Construct through ``rat`` (or ``Rat.make``):
+    invariants are q > 0, gcd(p, q) = 1, and canonical zero +0/1.
+    ``Rat(sign, p, q)`` stores the fields as given, unchecked.
     """
 
-    sign: int
-    p: UNat
-    q: UNat
+    __slots__ = ("sign", "p", "q")
+
+    def __init__(self, sign: int, p: UNat, q: UNat):
+        _rat_sign(self, sign)
+        _rat_p(self, p)
+        _rat_q(self, q)
 
     @staticmethod
     def make(num: int, den: int = 1) -> "Rat":
         if den == 0:
             raise BitNumError("denominator must be nonzero")
-        sign = 1 if (num >= 0) == (den > 0) else 0
-        num, den = abs(num), abs(den)
-        if num == 0:
-            return Rat(1, UNat.from_int(0), UNat.from_int(1))
-        p, q = rat_red(UNat.from_int(num), UNat.from_int(den))
-        return Rat(sign, p, q)
+        g = math.gcd(num, den)
+        sign = 1 if num == 0 or (num > 0) == (den > 0) else 0
+        return Rat(sign, UNat.from_int(abs(num) // g),
+                   UNat.from_int(abs(den) // g))
 
     @property
     def signed_num(self) -> int:
-        return self.p.value if self.sign else -self.p.value
+        return self.p._value if self.sign else -self.p._value
 
     def as_pair(self) -> tuple[int, int]:
         """(signed numerator, denominator)."""
@@ -207,6 +250,9 @@ class Rat:
 
     def __repr__(self) -> str:
         return f"Rat({str(self)!r})"
+
+
+_rat_sign, _rat_p, _rat_q = _setters(Rat)
 
 
 def rat(num: int, den: int = 1) -> Rat:
@@ -252,18 +298,21 @@ def rat_neg(r: Rat) -> Rat:
 # floats (power-of-two denominators)
 
 
-@dataclass(frozen=True)
-class Flt:
+class Flt(_Record):
     """Canonical dyadic rational: value (2*sign - 1) * p / 2^e.
 
-    Canonical means p odd or e = 0; zero is +0/2^0. Construct through
-    ``flt`` (or ``Flt.make``), which canonicalizes by stripping shared
-    trailing zero factors.
+    Canonical means p odd or e = 0; zero is +0/2^0. Slotted and
+    immutable. Construct through ``flt`` (or ``Flt.make``), which
+    canonicalizes by stripping shared trailing zero factors;
+    ``Flt(sign, p, e)`` stores the fields as given, unchecked.
     """
 
-    sign: int
-    p: UNat
-    e: int
+    __slots__ = ("sign", "p", "e")
+
+    def __init__(self, sign: int, p: UNat, e: int):
+        _flt_sign(self, sign)
+        _flt_p(self, p)
+        _flt_e(self, e)
 
     @staticmethod
     def make(num: int, e: int = 0) -> "Flt":
@@ -278,7 +327,7 @@ class Flt:
 
     @property
     def signed_num(self) -> int:
-        return self.p.value if self.sign else -self.p.value
+        return self.p._value if self.sign else -self.p._value
 
     def as_pair(self) -> tuple[int, int]:
         """(signed numerator, denominator) with the denominator expanded."""
@@ -292,6 +341,9 @@ class Flt:
 
     def __repr__(self) -> str:
         return f"Flt({str(self)!r})"
+
+
+_flt_sign, _flt_p, _flt_e = _setters(Flt)
 
 
 def flt(num: int, e: int = 0) -> Flt:

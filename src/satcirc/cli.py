@@ -156,12 +156,17 @@ def _circuit_file(path: str):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load(args)
+    given = {f: v for f in ("samples", "seed")
+             if (v := getattr(args, f)) is not None}
+    if given and args.mode == "exhaustive":
+        raise MachineError(f"--{next(iter(given))} goes only with "
+                           "--mode random")
     if args.circuit and len(_ns(args)) != 1:
         raise MachineError("--circuit verification takes a single --n")
     compile_fn = (_circuit_file(args.circuit) if args.circuit
                   else compile_saturated)
-    rep = verify_equivalence(spec, _ns(args), args.mode, args.samples,
-                             args.seed, compile_fn=compile_fn)
+    rep = verify_equivalence(spec, _ns(args), args.mode,
+                             compile_fn=compile_fn, **given)
     buf = io.StringIO()
     wr = csv.writer(buf)
     wr.writerow(["n", "mode", "tested", "mismatches",
@@ -228,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="built-in construction")
         sp.add_argument("--pred", choices=("parity", "bigram11"),
                         help="predicate for host-backed builtins")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out-dir", dest="out_dir",
                         help=f"artifact directory (default ${OUT_DIR_ENV} "
                              "or ./out)")
@@ -254,14 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="exhaustive")
-    sp.add_argument("--samples", type=int, default=1000,
-                    help="words per n in random mode")
+    sp.add_argument("--samples", type=int,
+                    help="words per n in random mode (default 1000)")
+    sp.add_argument("--seed", type=int,
+                    help="word seed in random mode (default 0)")
     sp.add_argument("--circuit", help="recheck this circuit JSON "
                                       "instead of compiling")
 
     sp = sub.add_parser("complexity",
                         help="size/depth/theta growth across n")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the sampled words whose value sizes "
+                         "are measured")
     return p
 
 

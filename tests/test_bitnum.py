@@ -1,6 +1,8 @@
 """bitnum: worked examples, oracle cross-checks, and algebraic properties."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -223,8 +225,52 @@ def test_rat_invariants_reduced():
                     rat(rng.randrange(-50, 51), rng.randrange(1, 60)))
         assert math.gcd(r.p.value, r.q.value) == 1 or r.p.value == 0
         assert r.q.value > 0
+        assert len(r.p) == r.p.value.bit_length()
+        assert len(r.q) == r.q.value.bit_length()
         if r.p.value == 0:
             assert r.sign == 1 and r.q.value == 1
+
+
+# ---------------------------------------------------------------------------
+# the value contract of Rat and Flt
+
+VALUES = [rat(-4, 6), rat(0), rat(7), flt(-6, 3), flt(0), flt(5, 2)]
+FIELDS = {Rat: ("sign", "p", "q"), Flt: ("sign", "p", "e")}
+
+
+def field_tuple(x):
+    return tuple(getattr(x, f) for f in FIELDS[type(x)])
+
+
+@pytest.mark.parametrize("x", VALUES, ids=str)
+def test_values_are_slotted_and_immutable(x):
+    assert not hasattr(x, "__dict__")
+    for field in FIELDS[type(x)]:
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+@pytest.mark.parametrize("x", VALUES, ids=str)
+def test_values_round_trip_through_pickle_and_copy(x):
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+
+
+def test_value_equality_is_by_class_and_fields():
+    assert flt(1) != rat(1) and rat(1) != flt(1)
+    one = UNat.from_int(1)
+    assert Flt(1, one, 1) != Rat(1, one, 1)  # equal fields, other class
+    assert flt(6, 2) == Flt(1, UNat.from_int(3), 1)
+    assert rat(-4, 6) == Rat(0, UNat.from_int(2), UNat.from_int(3))
+    assert hash(flt(6, 2)) == hash(Flt(1, UNat.from_int(3), 1))
+    for x in VALUES:
+        assert x != field_tuple(x)
+        assert x.__eq__(field_tuple(x)) is NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -138,12 +138,35 @@ def test_verify_refuses_every_bad_n_before_compiling(n_list, err, tmp_path,
      "--pred goes only with --builtin prime-universal or resource-bounded"),
     (["run", "--builtin", "maj", "--pred", "parity", "--input", "01"],
      "--pred goes only with --builtin prime-universal or resource-bounded"),
+    (["verify", "--builtin", "maj", "--n", "3", "--samples", "-5"],
+     "--samples goes only with --mode random"),
+    (["verify", "--builtin", "maj", "--n", "3", "--seed", "3"],
+     "--seed goes only with --mode random"),
+    (["verify", "--builtin", "maj", "--n", "3", "--mode", "exhaustive",
+      "--samples", "1000", "--seed", "0"],
+     "--samples goes only with --mode random"),
 ])
 def test_flags_that_would_be_ignored_are_refused(argv, err, tmp_path, capsys,
                                                  compiles):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert compiles == []
     assert out(capsys).err == f"error: {err}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--builtin", "maj", "--n", "3", "--seed", "9"],
+    ["run", "--builtin", "maj", "--input", "0101", "--seed", "3"],
+    ["run", "--builtin", "maj", "--input", "0101", "--samples", "3"],
+])
+def test_commands_that_draw_no_words_refuse_seed_and_samples(
+        argv, tmp_path, capsys, compiles):
+    with pytest.raises(SystemExit) as exc:  # argparse exits by itself
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert compiles == []
+    assert out(capsys).err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
     assert not list(tmp_path.iterdir())
 
 
