@@ -162,16 +162,6 @@ def gcd(a: UNat, b: UNat) -> UNat:
     return UNat.from_int(math.gcd(a.value, b.value))
 
 
-def rat_red(p: UNat, q: UNat) -> tuple[UNat, UNat]:
-    """Reduced magnitude pair p/g, q/g with g = gcd(p, q); requires q > 0."""
-    if q.value == 0:
-        raise BitNumError("denominator must be positive")
-    if p.value == 0:
-        return UNat.from_int(0), UNat.from_int(1)
-    g = gcd(p, q).value
-    return UNat.from_int(p.value // g), UNat.from_int(q.value // g)
-
-
 # ---------------------------------------------------------------------------
 # slotted records
 

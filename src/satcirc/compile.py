@@ -368,16 +368,14 @@ class _Compiler:
         wmap = {w: b2.input(t) for t, w in enumerate(read)}
         zero = b2.const(0)  # every unread live wire
 
-        def clone(val):
-            if isinstance(val, tuple):
-                return tuple(clone(v) for v in val)
+        def clone(pack):
             ws = []
-            for w in val.wires:
+            for w in pack.wires:
                 cv = main_b.const_value(w)
                 ws.append(wmap.get(w, zero) if cv is None else b2.const(cv))
-            return replace(val, wires=tuple(ws))
+            return replace(pack, wires=tuple(ws))
 
-        ref2 = eval_expr(e, clone(args), _Wires(b2))
+        ref2 = eval_expr(e, _map_packs(args, clone), _Wires(b2))
         packs2: list = []
         _flatten_packs(ref2, packs2)
         outs2 = [w for pk in packs2 for w in pk.wires]
@@ -476,40 +474,34 @@ def _decode_args(b: Builder, val, asn):
     return S.decode_flt(bits, val.p_width, val.e_width)
 
 
+def _map_packs(val, fn):
+    """val with each pack replaced by fn(pack), nested tuples kept."""
+    if isinstance(val, tuple):
+        return tuple(_map_packs(v, fn) for v in val)
+    return fn(val)
+
+
 def _encode_result(val, ref) -> tuple:
-    bits: list[int] = []
-
-    def go(v, r):
-        if isinstance(r, tuple):
-            if not isinstance(v, tuple) or len(v) != len(r):
-                raise SynthError("result shape mismatch")
-            for vv, rr in zip(v, r):
-                go(vv, rr)
-        else:
-            if isinstance(v, tuple):
-                raise SynthError("result shape mismatch")
-            if v.e > r.e_max:
-                raise SynthError("exponent exceeds the static bound")
-            bits.extend(S.encode_flt(v, r.p_width, r.e_width))
-
-    go(val, ref)
-    return tuple(bits)
+    """The bits of the machine's value val in the layout of ref, the
+    structural value of the same expression."""
+    if isinstance(ref, tuple):
+        if not isinstance(val, tuple) or len(val) != len(ref):
+            raise SynthError("result shape mismatch")
+        return tuple(itertools.chain.from_iterable(
+            map(_encode_result, val, ref)))
+    if isinstance(val, tuple):
+        raise SynthError("result shape mismatch")
+    if val.e > ref.e_max:
+        raise SynthError("exponent exceeds the static bound")
+    return tuple(S.encode_flt(val, ref.p_width, ref.e_width))
 
 
 def _split(flat, ref, make):
     """Cut flat into one chunk per pack of ref, in order, and rebuild
     ref's shape from make(chunk, pack)."""
-    pos = 0
-
-    def go(r):
-        nonlocal pos
-        if isinstance(r, tuple):
-            return tuple(go(rr) for rr in r)
-        w = 1 + r.p_width + r.e_width
-        pos += w
-        return make(flat[pos - w:pos], r)
-
-    return go(ref)
+    chunks = iter(flat)
+    return _map_packs(ref, lambda r: make(
+        list(itertools.islice(chunks, 1 + r.p_width + r.e_width)), r))
 
 
 def _decode_result(bits, ref):

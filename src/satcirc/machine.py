@@ -19,6 +19,11 @@ One walk, forward, lays out the network and names each value's role:
 the embeddings, each head over its block, the activation and the
 classifier sum. run walks it over the datatype's Domain and the compiler
 over an arithmetic whose ops emit gadgets, so both read it alike.
+
+Every recursive walk here (eval_expr's _ev, the reader's _read_form, the
+parser's _parse_expr) is a module-level function, not a closure that
+calls itself, so evaluating a word or parsing a spec allocates no
+reference cycle: its values are freed by refcount when it returns.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .bitnum import (
@@ -335,55 +341,62 @@ def eval_expr(e: FuncExpr, args: Sequence[Any], domain: Domain,
     """Evaluate ``e`` with ``args`` as the values of (arg 0), (arg 1), ...
 
     Scalars are the values of ``domain`` (see Domain for the protocol it
-    provides); vectors are plain tuples of scalars.
+    provides); vectors are plain tuples of scalars. The walk is the
+    module-level _ev, and select's branches are partials of it, so an
+    evaluation allocates no reference cycle (see the module docstring).
     """
+    return _ev(e, args, domain, hosts)
 
-    def ev(node):
-        op = node.op
-        if op == "const":
-            return domain.const(*node.data)
-        if op == "arg":
-            j = node.data
-            if not 0 <= j < len(args):
-                raise MachineError(f"arg {j} out of range (have {len(args)})")
-            return args[j]
-        if op == "proj":
-            v = ev(node.args[0])
-            if not isinstance(v, tuple):
-                raise MachineError("proj applied to a scalar")
-            k = node.data
-            if not 0 <= k < len(v):
-                raise MachineError(f"proj index {k} out of range (width {len(v)})")
-            return v[k]
-        if op == "tup":
-            return tuple(_scalar(ev(a), "tup component") for a in node.args)
-        if op == "select":
-            c, then, other = node.args
-            return domain.select(_scalar(ev(c), op),
-                                 lambda: ev(then), lambda: ev(other))
-        if op == "host":
-            table = hosts or {}
-            if node.data not in table:
-                raise MachineError(f"unknown host function {node.data!r}")
-            out = table[node.data](domain, *[ev(a) for a in node.args])
-            if isinstance(out, bool):
-                return domain.from_int(int(out))
-            if isinstance(out, int):
-                return domain.from_int(out)
-            return out
-        vals = [_scalar(ev(a), op) for a in node.args]
-        if op in _ARITH:
-            return getattr(domain, op)(*vals)
-        if op == "affine":
-            return domain.affine(*node.data, vals)
-        if op == "pow2":
-            num, den = vals[0].as_pair()
-            if den != 1 or num < 0:
-                raise MachineError("pow2 wants a nonnegative integer value")
-            return domain.from_int(1 << num)
-        raise MachineError(f"unknown op {op!r}")
 
-    return ev(e)
+def _ev(node: FuncExpr, args: Sequence[Any], domain, hosts):
+    op = node.op
+    if op == "const":
+        return domain.const(*node.data)
+    if op == "arg":
+        j = node.data
+        if not 0 <= j < len(args):
+            raise MachineError(f"arg {j} out of range (have {len(args)})")
+        return args[j]
+    if op == "proj":
+        v = _ev(node.args[0], args, domain, hosts)
+        if not isinstance(v, tuple):
+            raise MachineError("proj applied to a scalar")
+        k = node.data
+        if not 0 <= k < len(v):
+            raise MachineError(f"proj index {k} out of range (width {len(v)})")
+        return v[k]
+    if op == "tup":
+        return tuple(_scalar(_ev(a, args, domain, hosts), "tup component")
+                     for a in node.args)
+    if op == "select":
+        # partials, not lambdas: a lambda would make then and other cell
+        # variables of every _ev call, whatever its op
+        c, then, other = node.args
+        return domain.select(_scalar(_ev(c, args, domain, hosts), op),
+                             partial(_ev, then, args, domain, hosts),
+                             partial(_ev, other, args, domain, hosts))
+    if op == "host":
+        table = hosts or {}
+        if node.data not in table:
+            raise MachineError(f"unknown host function {node.data!r}")
+        out = table[node.data](domain, *[_ev(a, args, domain, hosts)
+                                         for a in node.args])
+        if isinstance(out, bool):
+            return domain.from_int(int(out))
+        if isinstance(out, int):
+            return domain.from_int(out)
+        return out
+    vals = [_scalar(_ev(a, args, domain, hosts), op) for a in node.args]
+    if op in _ARITH:
+        return getattr(domain, op)(*vals)
+    if op == "affine":
+        return domain.affine(*node.data, vals)
+    if op == "pow2":
+        num, den = vals[0].as_pair()
+        if den != 1 or num < 0:
+            raise MachineError("pow2 wants a nonnegative integer value")
+        return domain.from_int(1 << num)
+    raise MachineError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +498,8 @@ class TransformerSpec:
         if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
             raise MachineError("alphabet must be nonempty and duplicate-free")
         domain_of(self.datatype)
+        if self.width < 1:
+            raise MachineError(f"width must be at least 1, got {self.width}")
         if self.layers:
             h = len(self.layers[0].heads)
             if any(len(l.heads) != h for l in self.layers) or h == 0:
@@ -818,30 +833,29 @@ _TOKEN_RE = re.compile(r"[()]|[^()\s;]+|;[^\n]*")
 
 def _read_sexp(text: str):
     tokens = [t for t in _TOKEN_RE.findall(text) if not t.startswith(";")]
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MachineError("unexpected end of spec file")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
-                raise MachineError("unbalanced ( in spec file")
-            pos += 1
-            return items
-        if tok == ")":
-            raise MachineError("unbalanced ) in spec file")
-        return tok
-
-    form = read()
+    form, pos = _read_form(tokens, 0)
     if pos != len(tokens):
         raise MachineError("trailing content after the top-level form")
     return form
+
+
+def _read_form(tokens: Sequence[str], pos: int) -> tuple:
+    """(the form that starts at tokens[pos], the index just past it)"""
+    if pos >= len(tokens):
+        raise MachineError("unexpected end of spec file")
+    tok = tokens[pos]
+    pos += 1
+    if tok == "(":
+        items = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = _read_form(tokens, pos)
+            items.append(item)
+        if pos >= len(tokens):
+            raise MachineError("unbalanced ( in spec file")
+        return items, pos + 1
+    if tok == ")":
+        raise MachineError("unbalanced ) in spec file")
+    return tok, pos
 
 
 _NUM_RE = re.compile(r"([+-]?\d+)(?:/(?:2\^(\d+)|(\d+)))?")
@@ -900,7 +914,7 @@ def _index(atom) -> int:
 _FIXED = {"div", "sqrt", "neg", "relu", "gt", "eq", "select", "pow2"}
 
 
-def _parse_expr(form, n_heads: int, block_width: int) -> FuncExpr:
+def _parse_expr(f, n_heads: int, block_width: int) -> FuncExpr:
     """Expression syntax (indices 1-based in files):
 
     atoms: N, p/q, p/2^e as constants
@@ -912,65 +926,63 @@ def _parse_expr(form, n_heads: int, block_width: int) -> FuncExpr:
     Every expression is evaluated on two arguments, so J is 1 or 2, and
     (head H K) names one of the n_heads heads.
     """
-    def rec(f):
-        if isinstance(f, str):
-            if _is_number(f):
-                return Const(*_parse_number(f))
-            raise MachineError(f"bare atom {f!r} is not an expression")
-        if not f:
-            raise MachineError("empty expression")
-        op, rest = f[0], f[1:]
-        if not isinstance(op, str) or op not in _ARITY:
-            raise MachineError(f"unknown expression op {op!r}")
-        _want(op, rest, *_ARITY[op])
-        if op in _FIXED:
-            return FuncExpr(op, tuple(rec(x) for x in rest))
-        if op == "const":
-            return Const(*_parse_number(rest[0]))
-        if op == "arg":
-            j = _index(rest[0])
-            if j > 1:
-                raise MachineError(f"(arg J) wants J in 1..2, got {j + 1}")
-            return Arg(j)
-        if op == "proj":
-            return Proj(_index(rest[0]), rec(rest[1]))
-        if op in ("tok", "q", "v"):
-            return Proj(_index(rest[0]), Arg(0))
-        if op == "pos":
-            return Arg(1)
-        if op == "key":
-            return Proj(_index(rest[0]), Arg(1))
-        if op == "head":
-            h, k = _index(rest[0]), _index(rest[1])
-            if h >= n_heads:
-                raise MachineError(f"(head H K) wants H in 1..{n_heads}, "
-                                   f"got {h + 1}")
-            if k >= block_width:  # would alias the next head's component
-                raise MachineError(f"(head H K) wants K in 1..{block_width}, "
-                                   f"got {k + 1}")
-            return Proj(h * block_width + k, Arg(1))
-        if op == "tup":
-            return Tup(*[rec(x) for x in rest])
-        if op in ("add", "mul"):
-            acc = rec(rest[0])
-            ctor = Add if op == "add" else Mul
-            for x in rest[1:]:
-                acc = ctor(acc, rec(x))
-            return acc
-        if op == "affine":
-            wf, bf = rest[0], rest[1]
-            if not (isinstance(wf, list) and wf and wf[0] == "w"
-                    and isinstance(bf, list) and len(bf) == 2
-                    and bf[0] == "b"):
-                raise MachineError("affine wants (w ...) then (b N)")
-            coeffs = [_parse_number(x) for x in wf[1:]]
-            bias = _parse_number(bf[1])
-            return Affine(coeffs, bias, *[rec(x) for x in rest[2:]])
-        if not isinstance(rest[0], str):
-            raise MachineError(f"host wants a name, got {rest[0]!r}")
-        return Host(rest[0], *[rec(x) for x in rest[1:]])
-
-    return rec(form)
+    rec = partial(_parse_expr, n_heads=n_heads, block_width=block_width)
+    if isinstance(f, str):
+        if _is_number(f):
+            return Const(*_parse_number(f))
+        raise MachineError(f"bare atom {f!r} is not an expression")
+    if not f:
+        raise MachineError("empty expression")
+    op, rest = f[0], f[1:]
+    if not isinstance(op, str) or op not in _ARITY:
+        raise MachineError(f"unknown expression op {op!r}")
+    _want(op, rest, *_ARITY[op])
+    if op in _FIXED:
+        return FuncExpr(op, tuple(rec(x) for x in rest))
+    if op == "const":
+        return Const(*_parse_number(rest[0]))
+    if op == "arg":
+        j = _index(rest[0])
+        if j > 1:
+            raise MachineError(f"(arg J) wants J in 1..2, got {j + 1}")
+        return Arg(j)
+    if op == "proj":
+        return Proj(_index(rest[0]), rec(rest[1]))
+    if op in ("tok", "q", "v"):
+        return Proj(_index(rest[0]), Arg(0))
+    if op == "pos":
+        return Arg(1)
+    if op == "key":
+        return Proj(_index(rest[0]), Arg(1))
+    if op == "head":
+        h, k = _index(rest[0]), _index(rest[1])
+        if h >= n_heads:
+            raise MachineError(f"(head H K) wants H in 1..{n_heads}, "
+                               f"got {h + 1}")
+        if k >= block_width:  # would alias the next head's component
+            raise MachineError(f"(head H K) wants K in 1..{block_width}, "
+                               f"got {k + 1}")
+        return Proj(h * block_width + k, Arg(1))
+    if op == "tup":
+        return Tup(*[rec(x) for x in rest])
+    if op in ("add", "mul"):
+        acc = rec(rest[0])
+        ctor = Add if op == "add" else Mul
+        for x in rest[1:]:
+            acc = ctor(acc, rec(x))
+        return acc
+    if op == "affine":
+        wf, bf = rest[0], rest[1]
+        if not (isinstance(wf, list) and wf and wf[0] == "w"
+                and isinstance(bf, list) and len(bf) == 2
+                and bf[0] == "b"):
+            raise MachineError("affine wants (w ...) then (b N)")
+        coeffs = [_parse_number(x) for x in wf[1:]]
+        bias = _parse_number(bf[1])
+        return Affine(coeffs, bias, *[rec(x) for x in rest[2:]])
+    if not isinstance(rest[0], str):
+        raise MachineError(f"host wants a name, got {rest[0]!r}")
+    return Host(rest[0], *[rec(x) for x in rest[1:]])
 
 
 def parse_spec(text: str) -> TransformerSpec:

@@ -14,7 +14,7 @@ from satcirc.bitnum import (
     BitNumError, BitString, Flt, Rat, UNat,
     check_size_preserving, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg,
     flt_sqrt, gcd, parse_flt, parse_rat, parse_unat, rat, rat_add, rat_cmp,
-    rat_mul, rat_neg, rat_red, relu, size, uadd, ucmp, umul,
+    rat_mul, rat_neg, relu, size, uadd, ucmp, umul,
 )
 
 import oracles
@@ -103,19 +103,18 @@ def test_gcd_vs_trial_division_and_stdlib():
         assert gcd(UNat.from_int(a), UNat.from_int(b)).value == math.gcd(a, b)
 
 
-def test_rat_red():
-    p, q = rat_red(UNat.from_int(4), UNat.from_int(8))
-    assert (p.value, q.value) == (1, 2)
-    p, q = rat_red(UNat.from_int(7), UNat.from_int(10))
-    assert (p.value, q.value) == (7, 10)
+def test_rat_reduces():
+    assert (rat(4, 8).p.value, rat(4, 8).q.value) == (1, 2)
+    assert (rat(7, 10).p.value, rat(7, 10).q.value) == (7, 10)
     with pytest.raises(BitNumError):
-        rat_red(UNat.from_int(1), UNat.from_int(0))
+        rat(1, 0)
     rng = random.Random(0x4ED)
     for _ in range(300):
         a, b = rng.randrange(0, 10**9), rng.randrange(1, 10**9)
-        p, q = rat_red(UNat.from_int(a), UNat.from_int(b))
-        assert math.gcd(p.value, q.value) == 1
-        assert p.value * b == a * q.value  # cross-multiply equal
+        r = rat(a, b)
+        p, q = r.p.value, r.q.value
+        assert math.gcd(p, q) == 1
+        assert p * b == a * q  # cross-multiply equal
 
 
 # UNat stores (value, length); these pin it to the bit-tuple semantics:

@@ -206,6 +206,20 @@ def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
     assert f"error: {want}" in out(capsys).err
 
 
+def test_every_command_refuses_a_zero_width_spec(tmp_path, capsys):
+    # refused as a spec, not by the circuit library once compile has begun
+    spec = tmp_path / "w0.sexp"
+    spec.write_text("(transformer (alphabet 0 1) (datatype F) (width 0) "
+                    "(embedding (tup)) (layer (head hard (const 0)) "
+                    "(activation (tup))) (classifier (w) (b 1)))")
+    for argv in (["run", "--input", "01"], ["compile", "--n", "2"],
+                 ["verify", "--n", "2"]):
+        assert main(argv + ["--spec", str(spec), "--out-dir",
+                            str(tmp_path)]) == 2
+        assert out(capsys).err == "error: width must be at least 1, got 0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w0.sexp"]
+
+
 @pytest.mark.parametrize("old, new, err, run_err", [
     ("(const 0)", "(gt (arg 1) (arg 2))",
      "gt: expected a scalar, got a 2-tuple", None),
@@ -511,6 +525,24 @@ def test_no_private_function_under_src_exists_only_for_tests():
                 if all(id(node) in inside for node in refs.get(fn.name, ())):
                     found.append(fn.name)
     assert found == []
+
+
+def test_no_nested_function_under_src_names_itself():
+    # a nested function that calls itself holds itself through its own
+    # closure cell: a reference cycle, so every call leaves garbage only
+    # the cyclic collector frees; recursion belongs at module level
+    found = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(Path(SRC, "satcirc").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, defs + (ast.Lambda,)):
+                continue
+            for fn in ast.walk(outer):
+                if fn is not outer and isinstance(fn, defs) and any(
+                        isinstance(node, ast.Name) and node.id == fn.name
+                        for stmt in fn.body for node in ast.walk(stmt)):
+                    found.add(f"{path.name}:{fn.lineno} {fn.name}")
+    assert sorted(found) == []
 
 
 EXPR_OPS = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq", "select",

@@ -7,14 +7,17 @@ correctness means agreeing with it on every tested word.
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import itertools
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,7 +39,8 @@ from satcirc.compile import (CompileError, _Compiler, _Measure,
                              verify_equivalence)
 from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
                              HeadSpec, LayerSpec, MachineError, Proj, Select,
-                             Sqrt, TransformerSpec, Tup, eval_expr, load_spec,
+                             Sqrt, TransformerSpec, Tup, eval_expr,
+                             instrument_sizes, load_spec, parse_spec,
                              recognize, run)
 from test_builtins import TRACE_WORDS
 
@@ -1030,3 +1034,68 @@ def test_spec_traces_are_pinned(name):
     got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
                 for w in words)
     assert got == SPEC_TRACE_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# no reference cycles: a call's values are freed by refcount alone
+
+
+@contextlib.contextmanager
+def _collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _cyclic_garbage(fn) -> int:
+    """Objects the cyclic collector finds after one fn() with collection
+    off, once a first call has filled every cache."""
+    fn()
+    with _collector_off():
+        fn()
+        return gc.collect()
+
+
+@pytest.mark.parametrize("name, pred", [
+    ("maj", None), ("maj-q", None), ("maj-ln", None), ("hard-demo", None),
+    ("prime-universal", "parity"), ("resource-bounded", "bigram11")])
+def test_the_machine_leaves_no_cyclic_garbage(name, pred):
+    spec = builtin_spec(name, pred)
+    w = format(random.Random(name).getrandbits(32), "032b")
+    assert _cyclic_garbage(lambda: recognize(spec, w)) == 0
+    assert _cyclic_garbage(lambda: run(spec, w)) == 0
+
+
+@pytest.mark.parametrize("spec", [MAJ, build_hard_demo(), load_spec(SPEC_FILE)],
+                         ids=["maj", "hard-demo", "maj_f"])
+@pytest.mark.parametrize("include_values", [False, True])
+def test_a_compile_leaves_no_cyclic_garbage(spec, include_values,
+                                            monkeypatch):
+    builders = []
+
+    class Tracked(S.Builder):
+        def __init__(self, n):
+            super().__init__(n)
+            builders.append(weakref.ref(self))
+
+    monkeypatch.setattr(C, "Builder", Tracked)
+    build = lambda: compile_planned(spec, 4, include_values=include_values)
+    assert _cyclic_garbage(build) == 0
+    builders.clear()
+    with _collector_off():
+        build()
+        # the compile's builder, and each cross-check's, die on return
+        assert builders and [ref() for ref in builders] == [None] * len(
+            builders)
+
+
+def test_parse_instrument_and_verify_leave_no_cyclic_garbage(monkeypatch):
+    _in_process(monkeypatch)
+    text = SPEC_FILE.read_text()
+    assert _cyclic_garbage(lambda: parse_spec(text)) == 0
+    assert _cyclic_garbage(
+        lambda: instrument_sizes(MAJ, {4: all_words(MAJ, 4)})) == 0
+    assert _cyclic_garbage(lambda: verify_equivalence(MAJ, [4])) == 0

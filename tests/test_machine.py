@@ -711,6 +711,9 @@ def test_parse_expr_sugar_and_numbers():
     ("(transformer (alphabet 0 1) (datatype F) (width (2)) (embedding (pos)) "
      "(layer (head hard (const 0)) (activation (arg 1))) "
      "(classifier (w 1 1) (b 0)))", "width must be a count"),
+    ("(transformer (alphabet 0 1) (datatype F) (width 0) (embedding (tup)) "
+     "(layer (head hard (const 0)) (activation (tup))) "
+     "(classifier (w) (b 1)))", "width must be at least 1, got 0"),
     ("(transformer ((name)) (alphabet 0 1))", "bad section"),
 ])
 def test_parse_spec_errors(bad, msg):
