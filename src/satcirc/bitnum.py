@@ -155,13 +155,6 @@ def ucmp(a: UNat, b: UNat) -> int:
     return 1 if a.value > b.value else 0
 
 
-def gcd(a: UNat, b: UNat) -> UNat:
-    """Greatest common divisor; gcd(0, 0) is undefined."""
-    if a.value == 0 and b.value == 0:
-        raise BitNumError("gcd(0, 0) is undefined")
-    return UNat.from_int(math.gcd(a.value, b.value))
-
-
 # ---------------------------------------------------------------------------
 # slotted records
 

@@ -148,24 +148,30 @@ def _planes_ge(planes: Sequence[int], k: int, full: int) -> int:
 
 
 def eval_batch(c: Circuit, xs: Sequence) -> list[tuple[int, ...]]:
-    """Evaluate many inputs at once, one integer bitmask per wire."""
+    """Evaluate many inputs at once: each bit vector in xs gives one bit
+    of every input wire's mask (see _eval_masks)."""
     rows = [_coerce_bits(x, c.n) for x in xs]
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
+    masks = [int("".join(map(str, reversed(col))), 2) for col in zip(*rows)]
+    outs = _eval_masks(c, masks, len(rows))
+    return [tuple((v >> s) & 1 for v in outs) for s in range(len(rows))]
+
+
+def _eval_masks(c: Circuit, masks: Sequence[int], m: int) -> list[int]:
+    """The output masks of m inputs at once, one integer bitmask per
+    wire: bit s of masks[i] is input i of sample s, and bit s of each
+    output mask is that output on sample s."""
+    if len(masks) != c.n:
+        raise CircuitError(f"want {c.n} input masks, got {len(masks)}")
     full = (1 << m) - 1
-    in_masks = [0] * c.n
-    for s, row in enumerate(rows):
-        for i, b in enumerate(row):
-            if b:
-                in_masks[i] |= 1 << s
     val = []
     plane_cache: dict[tuple[int, ...], list[int]] = {}
     for g in c.gates:
         if g.kind == INPUT:
-            v = in_masks[g.idx]
+            v = masks[g.idx]
         elif g.kind == NEG_INPUT:
-            v = full ^ in_masks[g.idx]
+            v = full ^ masks[g.idx]
         elif g.kind == CONST:
             v = full if g.k else 0
         elif g.kind == NOT:
@@ -191,7 +197,7 @@ def eval_batch(c: Circuit, xs: Sequence) -> list[tuple[int, ...]]:
             v = ge if g.kind == THRESHOLD_GE else full ^ _planes_ge(
                 planes, g.k + 1, full)
         val.append(v)
-    return [tuple((val[o] >> s) & 1 for o in c.outputs) for s in range(m)]
+    return [val[o] for o in c.outputs]
 
 
 def depth_map(c: Circuit) -> dict[int, int]:
@@ -245,7 +251,10 @@ def family_analyze(family: Callable[[int], Circuit],
     family and send back only a row's five integers
     (workers.forked_map). The largest n is handed out first and an idle
     worker takes the next, so the sweep takes about as long as its
-    largest n. Rows follow ns, and a failure is the one from the first
+    largest n. The parent has no work of its own to pass, so it forks
+    one worker per CPU and only waits: every compile runs in a child,
+    and the long-lived parent never holds a Builder or the garbage of
+    a build. Rows follow ns, and a failure is the one from the first
     failing n in ns.
     """
     distinct = list(dict.fromkeys(ns))
@@ -254,7 +263,7 @@ def family_analyze(family: Callable[[int], Circuit],
                            f"got {len(distinct)}")
     largest_first = sorted(range(len(distinct)), key=lambda i: -distinct[i])
     with workers.forked_map(lambda n: _family_row(family, n), distinct,
-                            largest_first) as got:
+                            largest_first) as (_, got):
         by_n = {r[0]: FamilyRow(*r) for r in got}
     rows = [by_n[n] for n in ns]
     xs = [math.log2(r.n) for r in rows]

@@ -42,10 +42,12 @@ widths are the width plan that certifies the circuit they came with.
 compile_planned also refuses a threshold gate in the circuit of a spec
 whose heads are all hard.
 
-Verification compares the circuit with the machine word by word. The
-machine's verdicts come from forked workers, one per available CPU,
-while the parent compiles and evaluates the circuit (check_circuit,
-through workers.forked_map).
+Verification compares the circuit with the machine word by word
+(check_circuit, through workers.forked_map). The parent counts as one
+CPU: it compiles while forked workers, one per other CPU, compute the
+machine's verdicts, then judges the words still waiting itself and
+checks the circuit on column masks, one int per input wire over a
+block of words, against the verdicts' mask.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Callable, Sequence
 from . import synth as S
 from . import workers
 from .bitnum import Flt, flt, flt_sqrt
-from .circuit import Circuit, eval_batch, metrics
+from .circuit import Circuit, _eval_masks, eval_batch, metrics
 from .machine import (
     DOMAIN_F, AttentionKind, Domain, FuncExpr, MachineError,
     TransformerSpec, _walk, eval_expr, forward, is_size_preserving,
@@ -91,15 +93,34 @@ def _check_compilable(spec: TransformerSpec):
                 "size-preserving, so they do not compile to circuits")
 
 
+def encode_words(spec: TransformerSpec, words: Sequence[str]) -> list[int]:
+    """The circuit's input for a block of words of one length, one int
+    per input wire, position-major: bit s of mask i*|alphabet| + a is set
+    iff words[s][i] is alphabet[a]. Each mask is read off the block's
+    column string at position i, not built word by word."""
+    alpha = spec.alphabet
+    n = len(words[0]) if words else 0
+    for w in words:
+        if len(w) != n:
+            raise CompileError(f"word {w!r} has {len(w)} tokens; the "
+                               f"block's words have {n}")
+    known = set(alpha)
+    chars = [b for b in alpha if len(b) == 1]  # a longer one is no token
+    picks = [str.maketrans({b: "01"[b == a] for b in chars}) for a in alpha]
+    masks = []
+    for col in map("".join, zip(*words)):
+        if not known.issuperset(col):
+            ch = next(ch for w in words for ch in w if ch not in known)
+            raise CompileError(f"token {ch!r} not in alphabet {alpha}")
+        rev = col[::-1]  # word 0 is bit 0
+        masks.extend(int(rev.translate(pick), 2) for pick in picks)
+    return masks
+
+
 def encode_word(spec: TransformerSpec, w: str) -> list[int]:
-    """Position-major one-hot token encoding, the circuit's input."""
-    idx = {a: k for k, a in enumerate(spec.alphabet)}
-    bits = []
-    for ch in w:
-        if ch not in idx:
-            raise CompileError(f"token {ch!r} not in alphabet {spec.alphabet}")
-        bits.extend(int(k == idx[ch]) for k in range(len(spec.alphabet)))
-    return bits
+    """Position-major one-hot token encoding, the circuit's input: the
+    one-word case of encode_words."""
+    return encode_words(spec, [w])
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +634,7 @@ def _word_batch(spec, n, mode, samples, seed):
 
 MIN_CHUNK = 64  # words per chunk; smaller batches are not worth a fork
 CHUNKS_PER_WORKER = 8  # so the parent reads verdicts as they come
-EVAL_BLOCK = 4096  # words per eval_batch call, which bounds its memory
+EVAL_BLOCK = 4096  # words per circuit evaluation, which bounds its memory
 
 
 def _machine_chunk(spec, words, bounds) -> list:
@@ -626,36 +647,41 @@ def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
     """(mismatches, first counterexample) of the circuit's accept bit
     against the machine on words, in word order.
 
-    circuit is a Circuit or a callable that returns one; a callable runs
-    while the machine's verdicts are computed. Forked workers
-    (workers.forked_map) call the module-level recognize on contiguous
-    chunks of words, each chunk in one machine.shared_tables scope, and
-    the parent evaluates the circuit in blocks of EVAL_BLOCK words and
-    reads the verdicts back in word order; spec and words are inherited,
-    never pickled. Where no workers start, the same chunks run
+    circuit is a Circuit or a callable that returns one. The machine's
+    verdicts come from workers.forked_map, which calls the module-level
+    recognize on contiguous chunks of words, each chunk in one
+    machine.shared_tables scope; spec and words are inherited, never
+    pickled. Getting the circuit (the compile, when circuit is a
+    callable) is the parent's own work, so the parent counts as one
+    CPU: it compiles while at most CPUs - 1 forked workers judge
+    chunks, then judges the chunks still waiting itself. The circuit
+    runs on blocks of EVAL_BLOCK words, each encoded as column masks
+    (encode_words); the XOR of its accept mask with the block's verdict
+    mask has one bit per mismatch, and the lowest is the first
+    counterexample. Where no workers start, the same chunks run
     in-process after the circuit. Either way the result does not depend
-    on the chunking or the CPU count: a circuit error wins over a machine
-    error, and a machine error is the one from the first failing word.
-    No worker outlives the call.
+    on the chunking or the CPU count: a circuit error wins over a
+    machine error, and a machine error is the one from the first
+    failing word. No worker outlives the call.
     """
     size = max(MIN_CHUNK, -(-len(words) // (workers._cpu_count()
                                              * CHUNKS_PER_WORKER)))
     bounds = [(lo, min(lo + size, len(words)))
               for lo in range(0, len(words), size)]
+    get = circuit if callable(circuit) else lambda: circuit
     with workers.forked_map(lambda b: _machine_chunk(spec, words, b),
-                            bounds) as chunks:
-        c = circuit() if callable(circuit) else circuit
+                            bounds, own=get) as (c, chunks):
         verdicts = itertools.chain.from_iterable(chunks)
         bad, first = 0, None
         for lo in range(0, len(words), EVAL_BLOCK):
             block = words[lo:lo + EVAL_BLOCK]
-            got = eval_batch(c, [encode_word(spec, w) for w in block])
-            for w, out, accept in zip(block, got, itertools.islice(
-                    verdicts, len(block)), strict=True):
-                if bool(out[0]) != accept:
-                    bad += 1
-                    if first is None:
-                        first = w
+            got = _eval_masks(c, encode_words(spec, block), len(block))[0]
+            want = "".join("01"[bool(v)] for v in
+                           itertools.islice(verdicts, len(block)))
+            diff = got ^ int(want[::-1], 2)
+            bad += diff.bit_count()
+            if diff and first is None:
+                first = block[(diff & -diff).bit_length() - 1]
         return bad, first
 
 

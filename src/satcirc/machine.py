@@ -829,26 +829,35 @@ def check_elementwise_size_preserving(kind: AttentionKind,
 
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s;]+|;[^\n]*")
+# the deepest a spec file may nest: (...) forms, and expression levels
+# with (add ...) and (mul ...) counted at the depth of the chain they parse
+# to; it keeps the reader, the parser and every walk over an expression
+# well inside the interpreter's recursion limit
+MAX_NESTING = 100
 
 
 def _read_sexp(text: str):
     tokens = [t for t in _TOKEN_RE.findall(text) if not t.startswith(";")]
-    form, pos = _read_form(tokens, 0)
+    form, pos = _read_form(tokens, 0, 1)
     if pos != len(tokens):
         raise MachineError("trailing content after the top-level form")
     return form
 
 
-def _read_form(tokens: Sequence[str], pos: int) -> tuple:
-    """(the form that starts at tokens[pos], the index just past it)"""
+def _read_form(tokens: Sequence[str], pos: int, depth: int) -> tuple:
+    """(the form that starts at tokens[pos], the index just past it); a
+    list there is depth levels deep"""
     if pos >= len(tokens):
         raise MachineError("unexpected end of spec file")
     tok = tokens[pos]
     pos += 1
     if tok == "(":
+        if depth > MAX_NESTING:
+            raise MachineError(f"spec file nests deeper than {MAX_NESTING} "
+                               "levels")
         items = []
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_form(tokens, pos)
+            item, pos = _read_form(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise MachineError("unbalanced ( in spec file")
@@ -914,7 +923,8 @@ def _index(atom) -> int:
 _FIXED = {"div", "sqrt", "neg", "relu", "gt", "eq", "select", "pow2"}
 
 
-def _parse_expr(f, n_heads: int, block_width: int) -> FuncExpr:
+def _parse_expr(f, n_heads: int, block_width: int,
+                depth: int = 1) -> FuncExpr:
     """Expression syntax (indices 1-based in files):
 
     atoms: N, p/q, p/2^e as constants
@@ -924,9 +934,14 @@ def _parse_expr(f, n_heads: int, block_width: int) -> FuncExpr:
     sugar: (tok K) (pos) (q K) (key K) (v K) (head H K)
 
     Every expression is evaluated on two arguments, so J is 1 or 2, and
-    (head H K) names one of the n_heads heads.
+    (head H K) names one of the n_heads heads. f sits depth levels deep
+    in the expression, at most MAX_NESTING.
     """
-    rec = partial(_parse_expr, n_heads=n_heads, block_width=block_width)
+    if depth > MAX_NESTING:
+        raise MachineError(f"expression nests deeper than {MAX_NESTING} "
+                           "levels")
+    rec = partial(_parse_expr, n_heads=n_heads, block_width=block_width,
+                  depth=depth + 1)
     if isinstance(f, str):
         if _is_number(f):
             return Const(*_parse_number(f))
@@ -965,7 +980,8 @@ def _parse_expr(f, n_heads: int, block_width: int) -> FuncExpr:
         return Proj(h * block_width + k, Arg(1))
     if op == "tup":
         return Tup(*[rec(x) for x in rest])
-    if op in ("add", "mul"):
+    if op in ("add", "mul"):  # a left-deep chain, len(rest) - 1 levels
+        rec = partial(rec, depth=depth + len(rest) - 1)
         acc = rec(rest[0])
         ctor = Add if op == "add" else Mul
         for x in rest[1:]:

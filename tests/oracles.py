@@ -84,18 +84,6 @@ def repeated_add_mul(a_int, b_int):
     return bits_to_int(acc)
 
 
-def trial_gcd(a, b):
-    """Largest d dividing both, by downward trial division (small values only)."""
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    for d in range(min(a, b), 0, -1):
-        if a % d == 0 and b % d == 0:
-            return d
-    raise AssertionError("unreachable")
-
-
 def isqrt_binary_search(v):
     lo, hi = 0, v + 1
     while hi - lo > 1:

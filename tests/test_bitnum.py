@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from satcirc.bitnum import (
     BitNumError, BitString, Flt, Rat, UNat,
     check_size_preserving, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg,
-    flt_sqrt, gcd, parse_flt, parse_rat, parse_unat, rat, rat_add, rat_cmp,
+    flt_sqrt, parse_flt, parse_rat, parse_unat, rat, rat_add, rat_cmp,
     rat_mul, rat_neg, relu, size, uadd, ucmp, umul,
 )
 
@@ -85,24 +85,6 @@ def test_ucmp_vs_subtraction_oracle():
         assert ucmp(UNat.from_int(a), UNat.from_int(b)) == ref
 
 
-def test_gcd_examples_and_errors():
-    assert gcd(UNat.from_int(6), UNat.from_int(10)).value == 2
-    assert gcd(UNat.from_int(42), UNat.from_int(0)).value == 42
-    with pytest.raises(BitNumError):
-        gcd(UNat.from_int(0), UNat.from_int(0))
-
-
-def test_gcd_vs_trial_division_and_stdlib():
-    rng = random.Random(0x6CD)
-    for _ in range(200):
-        a, b = rng.randrange(1, 3000), rng.randrange(0, 3000)
-        assert gcd(UNat.from_int(a), UNat.from_int(b)).value == \
-            oracles.trial_gcd(a, b)
-    for _ in range(200):
-        a, b = rng.getrandbits(120), rng.getrandbits(120)
-        assert gcd(UNat.from_int(a), UNat.from_int(b)).value == math.gcd(a, b)
-
-
 def test_rat_reduces():
     assert (rat(4, 8).p.value, rat(4, 8).q.value) == (1, 2)
     assert (rat(7, 10).p.value, rat(7, 10).q.value) == (7, 10)
@@ -166,34 +148,6 @@ def test_unat_from_int_rejects_negatives_and_non_integers():
     assert str(UNat.from_int(True)) == "1"
     with pytest.raises(BitNumError):
         UNat((0, 2))
-
-
-def ref_binary_gcd(x, y):
-    """Binary GCD by shifting, the textbook loop on bit strings."""
-    if x == 0 or y == 0:
-        return x | y
-    shift = 0
-    while (x | y) & 1 == 0:
-        x, y, shift = x >> 1, y >> 1, shift + 1
-    while x & 1 == 0:
-        x >>= 1
-    while y:
-        while y & 1 == 0:
-            y >>= 1
-        if x > y:
-            x, y = y, x
-        y -= x
-    return x << shift
-
-
-@given(st.integers(0, 1 << 200), st.integers(0, 1 << 200))
-def test_gcd_vs_reference_binary_gcd(a, b):
-    if a == b == 0:
-        with pytest.raises(BitNumError, match=r"gcd\(0, 0\)"):
-            gcd(UNat.from_int(a), UNat.from_int(b))
-        return
-    assert gcd(UNat.from_int(a), UNat.from_int(b)) == \
-        UNat.from_int(ref_binary_gcd(a, b))
 
 
 # ---------------------------------------------------------------------------

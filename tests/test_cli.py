@@ -206,6 +206,45 @@ def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
     assert f"error: {want}" in out(capsys).err
 
 
+def _nested(op, depth, leaf="(tok 2)"):
+    return f"({op} " * depth + leaf + ")" * depth
+
+
+def test_every_command_refuses_an_over_deep_spec_without_a_traceback(
+        tmp_path):
+    spec = tmp_path / "deep.sexp"
+    spec.write_text(MAJ_TEXT.replace("(tok 2)", _nested("neg", 3000)))
+    for argv in (["run", "--input", "01"], ["compile", "--n", "2"],
+                 ["verify", "--n", "2"]):
+        r = _satcirc(["-m", "satcirc.cli", *argv, "--spec", str(spec),
+                      "--out-dir", str(tmp_path / "out")], 60)
+        assert (r.returncode, r.stderr) == (
+            2, "error: spec file nests deeper than 100 levels\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_nesting_is_bounded_at_100_levels_chains_included(tmp_path,
+                                                               capsys):
+    # (transformer (embedding (tup (tok 2)))): the token is 4 levels deep
+    # in the file and 2 in the embedding expression
+    spec = tmp_path / "deep.sexp"
+    cases = [(_nested("neg", 96), None),
+             (_nested("neg", 97), "spec file nests deeper than 100 levels"),
+             # (add ...) of k operands parses to a chain k - 1 levels deep
+             ("(add" + " (tok 2)" * 99 + ")", None),
+             ("(add" + " (tok 2)" * 100 + ")",
+              "expression nests deeper than 100 levels"),
+             ("(add" + " (tok 2)" * 3000 + ")",
+              "expression nests deeper than 100 levels")]
+    for expr, why in cases:
+        spec.write_text(MAJ_TEXT.replace("(tok 2)", expr))
+        code = main(["run", "--spec", str(spec), "--input", "01",
+                     "--out-dir", str(tmp_path)])
+        err = out(capsys).err
+        assert (code, err) == ((0, "") if why is None
+                               else (2, f"error: {why}\n")), expr[:12]
+
+
 def test_every_command_refuses_a_zero_width_spec(tmp_path, capsys):
     # refused as a spec, not by the circuit library once compile has begun
     spec = tmp_path / "w0.sexp"
@@ -644,6 +683,30 @@ def test_verify_corrupted_circuit_reports_mismatch(tmp_path, capsys):
     assert "MISMATCH" in got
     rows = (tmp_path / "verify.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[3] != "0"
+
+
+def test_verify_finds_the_same_mismatches_under_python_O(tmp_path, capsys):
+    """The mismatch count and the first counterexample come from the
+    circuit check itself, not from an assert that -O strips."""
+    assert main(["compile", "--builtin", "maj", "--n", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    d = json.loads((tmp_path / "maj_n4.json").read_text())
+    d["outputs"][0] = next(g["id"] for g in d["gates"]
+                           if g["kind"] == "INPUT")
+    bad = tmp_path / "rewired.json"
+    bad.write_text(json.dumps(d))
+    runs = {}
+    for flags in ((), ("-O",)):
+        r = _satcirc(["-m", "satcirc.cli", "verify", "--builtin", "maj",
+                      "--n", "4", "--circuit", str(bad), "--out-dir",
+                      str(tmp_path / "out")], 60, *flags)
+        runs[flags] = r.returncode, r.stdout, r.stderr
+    assert runs[()] == runs[("-O",)]
+    code, stdout, _ = runs[()]
+    assert code == 1
+    assert re.search(r"^n=4 exhaustive tested=16 mismatches=[1-9]\d* "
+                     r"first=[01]{4} \[MISMATCH\]$", stdout, re.M)
 
 
 @pytest.mark.parametrize("samples", [str((1 << 20) + 1), str(10**9)])

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from satcirc.builtins import (build_hard_demo, build_majority,
                               build_majority_layernorm,
                               build_prime_universal,
                               build_resource_bounded, builtin_spec)
-from satcirc.circuit import eval_batch, family_analyze, metrics
+from satcirc.circuit import (_eval_masks, eval_batch, family_analyze,
+                             metrics)
 from satcirc.cli import main as cli_main
 from satcirc.compile import (CompileError, _Compiler, _Measure,
                              _read_paths, _read_view, compile_hard,
@@ -417,6 +419,34 @@ def test_encode_word_rejects_unknown_tokens():
         encode_word(MAJ, "01x")
 
 
+def test_column_masks_equal_encode_word_word_by_word():
+    rng = random.Random(0xC01)
+    # a symbol longer than one character is never a token of any word
+    for spec in (MAJ, types.SimpleNamespace(alphabet=("c", "a", "b", "ab"))):
+        chars = [a for a in spec.alphabet if len(a) == 1]
+        for n, count in ((1, 1), (5, 70), (9, 3)):
+            words = ["".join(rng.choice(chars) for _ in range(n))
+                     for _ in range(count)]
+            masks = C.encode_words(spec, words)
+            assert len(masks) == n * len(spec.alphabet)
+            assert [[(m >> s) & 1 for m in masks]
+                    for s in range(count)] == [encode_word(spec, w)
+                                               for w in words]
+    assert encode_word(MAJ, "011") == [1, 0, 0, 1, 0, 1]
+    assert C.encode_words(MAJ, ["011", "110"]) == [1, 2, 0, 3, 2, 1]
+
+
+def test_encode_words_refuses_a_foreign_token_and_a_stray_length():
+    # the first foreign token in word order, whatever column it is in
+    with pytest.raises(CompileError,
+                       match=r"^token 'x' not in alphabet \('0', '1'\)$"):
+        C.encode_words(MAJ, ["0101", "011x", "y000"])
+    with pytest.raises(CompileError,
+                       match=r"^word '010' has 3 tokens; the block's words "
+                             r"have 4$"):
+        C.encode_words(MAJ, ["0101", "1111", "010"])
+
+
 # ---------------------------------------------------------------------------
 # width plans
 
@@ -694,14 +724,32 @@ def test_pool_equals_the_in_process_reference(spec, ns, pool, monkeypatch):
     assert any(bad for bad, _ in want[0])
 
 
-def test_pool_runs_the_machine_in_the_workers(pool, monkeypatch):
-    parent = os.getpid()
-    monkeypatch.setattr(C, "recognize", lambda spec, w: (
-        recognize(spec, w) == (os.getpid() != parent)))
-    c, words = compile_saturated(MAJ, 5), all_words(MAJ, 5)
-    assert C.check_circuit(MAJ, c, words) == (0, None)
-    _in_process(monkeypatch)
-    assert C.check_circuit(MAJ, c, words) == (32, "00000")
+def test_pool_runs_the_machine_in_the_workers(pool, monkeypatch, tmp_path):
+    """Every chunk is judged exactly once, at least one in a worker, and
+    none by the parent before its own work, the compile, returns."""
+    parent, log = os.getpid(), tmp_path / "judged"
+    built = []
+
+    def judge(spec, words, bounds):
+        with open(log, "a") as f:  # one short append: one whole line
+            f.write(f"{os.getpid() != parent} {bool(built)} {bounds[0]}\n")
+        return real(spec, words, bounds)
+
+    def build():
+        assert _wait_for(log)  # a worker has taken a chunk
+        built.append(True)
+        return compile_saturated(MAJ, 7)
+
+    real = C._machine_chunk
+    monkeypatch.setattr(C, "_machine_chunk", judge)
+    words = all_words(MAJ, 7)
+    assert C.check_circuit(MAJ, build, words) == (0, None)
+    rows = [line.split() for line in log.read_text().splitlines()]
+    # 128 words on 2 CPUs: 16 chunks of 8
+    assert sorted(int(lo) for _, _, lo in rows) == list(range(0, 128, 8))
+    assert ["True", "False"] in [r[:2] for r in rows]
+    assert all(after == "True" for worker, after, _ in rows
+               if worker == "False")
 
 
 def test_the_machine_runs_while_the_circuit_builds(pool, monkeypatch,
@@ -749,13 +797,22 @@ def test_worker_machine_error_is_the_first_in_word_order(pool, monkeypatch):
         verify_equivalence(MAJ, [0, 7])
 
 
+def _wait_for(path, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path.exists()
+
+
 def _reaped():
     import multiprocessing
     return multiprocessing.active_children() == []
 
 
-class _Alarm(Exception):
-    pass
+class _Alarm(BaseException):
+    """A timeout: a BaseException, like KeyboardInterrupt, so it leaves a
+    chunk the parent is judging at once instead of being kept as that
+    chunk's error."""
 
 
 @contextlib.contextmanager
@@ -784,7 +841,7 @@ def test_no_worker_outlives_the_call(pool, monkeypatch):
     with pytest.raises(CompileError, match="refused"):
         C.check_circuit(MAJ, refuse, words)
     assert _reaped()
-    # the alarm lands in the parent's compile, then in its wait
+    # the alarm lands in the parent's compile, then in a chunk it judges
     with pytest.raises(_Alarm), _alarm(0.2):
         C.check_circuit(MAJ, lambda: time.sleep(60), words)
     assert _reaped()
@@ -807,17 +864,25 @@ def test_workers_ignore_sigint(pool, monkeypatch):
     assert C.check_circuit(MAJ, c, words) == (0, None)
 
 
-def test_a_killed_worker_raises_instead_of_hanging(pool, monkeypatch):
-    def die(spec, w):  # the last word: the last worker's last chunk
-        if w == "111111":
+def test_a_killed_worker_raises_instead_of_hanging(pool, monkeypatch,
+                                                  tmp_path):
+    parent, mark = os.getpid(), tmp_path / "worker-dying"
+
+    def die(spec, w):  # the first word a worker judges, during the compile
+        if os.getpid() != parent:
+            mark.touch()
             os.kill(os.getpid(), signal.SIGKILL)
         return recognize(spec, w)
+
+    def build():
+        assert _wait_for(mark)
+        return c
 
     monkeypatch.setattr(C, "recognize", die)
     c, words = compile_saturated(MAJ, 6), all_words(MAJ, 6)
     with _alarm(30), pytest.raises(ChildProcessError,
                                    match="died with exit code -9"):
-        C.check_circuit(MAJ, c, words)
+        C.check_circuit(MAJ, build, words)
     assert _reaped()
 
 
@@ -837,16 +902,17 @@ def test_exhaustive_verify_evaluates_at_most_4096_words_per_call(
         monkeypatch, tmp_path, capsys):
     rows = []
 
-    def spy(c, xs):
-        rows.append(len(xs))
-        return eval_batch(c, xs)
+    def spy(c, masks, m):
+        rows.append(m)
+        return _eval_masks(c, masks, m)
 
-    monkeypatch.setattr(C, "eval_batch", spy)
+    monkeypatch.setattr(C, "_eval_masks", spy)
     assert cli_main(["verify", "--builtin", "maj", "--n", "14",
                      "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    # the compile's own checks evaluate a few rows first
-    assert max(rows) <= 4096 and rows[-4:] == [4096] * 4
+    # 16384 words in blocks of at most 4096; the compile's own
+    # cross-checks go through eval_batch, not this name
+    assert rows == [4096] * 4
     assert (tmp_path / "verify.csv").read_bytes() == (
         b"n,mode,tested,mismatches,first_counterexample\r\n"
         b"14,exhaustive,16384,0,\r\n")
@@ -876,6 +942,28 @@ def test_sweep_csv_does_not_depend_on_the_workers(pool, monkeypatch,
     assert got == {1: want, 2: want, 4: want}
     assert [r.split(b",")[0] for r in want.splitlines()] == \
         [b"n", b"4", b"2", b"8", b"3", b"3"]
+
+
+def test_sweep_forks_a_worker_per_cpu_and_compiles_nothing_in_the_parent(
+        pool, tmp_path):
+    parent, log = os.getpid(), tmp_path / "compiled"
+
+    def family(n):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        # hold each worker on its first n until all three have taken one
+        deadline = time.monotonic() + 30
+        while (len(log.read_text().split()) < 3
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return compile_saturated(MAJ, n)
+
+    pool(3)
+    assert family_analyze(family, [2, 3, 4, 5]).depths
+    pids = log.read_text().split()
+    assert len(pids) == 4 and str(parent) not in pids
+    assert len(set(pids[:3])) == 3
+    assert _reaped()
 
 
 def test_sweep_hands_out_the_largest_n_first(pool, tmp_path):
