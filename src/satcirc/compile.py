@@ -678,6 +678,9 @@ def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
             got = _eval_masks(c, encode_words(spec, block), len(block))[0]
             want = "".join("01"[bool(v)] for v in
                            itertools.islice(verdicts, len(block)))
+            if len(want) != len(block):
+                raise ValueError(f"{len(want)} machine verdicts for "
+                                 f"{len(block)} words")
             diff = got ^ int(want[::-1], 2)
             bad += diff.bit_count()
             if diff and first is None:

@@ -89,8 +89,10 @@ def _in_order(workers, fn, items, tasks):
     """Results 0..len(items)-1 in item order, whichever process computes
     each; an item's exception is raised when its turn comes. With a task
     pipe (tasks not None) the parent takes items too: before each, it
-    reads the results already waiting, and once the pipe is empty it
-    waits for the workers."""
+    reads the results already waiting, and once the pipe is empty, or
+    an item it took has failed, it waits for the workers: after a
+    failure only the items before it still matter, and those are in
+    the workers' hands or still in the pipe for them."""
     live = {conn: p for p, conn in workers}
     done = {}
     for i in range(len(items)):
@@ -105,6 +107,8 @@ def _in_order(workers, fn, items, tasks):
                     tasks = None
                 else:
                     done[j] = _attempt(fn, items[j])
+                    if not done[j][0]:
+                        tasks = None
         ok, got = done.pop(i)
         if not ok:
             raise got
@@ -125,12 +129,15 @@ def forked_map(fn: Callable, items: Sequence, order: Sequence[int] = None,
     after reading the results already waiting. own's exception is raised
     before any item's. An item's exception is raised when the iterator
     reaches it, so the error raised is the first in item order however
-    the items finish; only an Exception is kept for its turn, so a
-    KeyboardInterrupt or a timeout raised as a BaseException leaves an
-    item the parent computes at once. Where no worker would start (one
-    CPU, or one item and no own), without fork or inside a worker (a
-    nested map), own and then fn run lazily in-process instead. No
-    worker outlives the with block, however it ends.
+    the items finish. Once an item the parent took fails, it takes no
+    more and waits only for the items before it, so an Exception raised
+    in the parent (a timeout from a signal handler, say) ends the map
+    as soon as those are done; taken in item order, they are the items
+    the workers hold then. A BaseException such as KeyboardInterrupt
+    leaves at once. Where no worker would start (one CPU, or one item
+    and no own), without fork or inside a worker (a nested map), own
+    and then fn run lazily in-process instead. No worker outlives the
+    with block, however it ends.
     """
     k = min(_cpu_count() - (own is not None), len(items))
     # a parent that only waits gains nothing from forking one item

@@ -809,22 +809,24 @@ def _reaped():
     return multiprocessing.active_children() == []
 
 
-class _Alarm(BaseException):
-    """A timeout: a BaseException, like KeyboardInterrupt, so it leaves a
-    chunk the parent is judging at once instead of being kept as that
-    chunk's error."""
+class _Alarm(Exception):
+    pass
 
 
 @contextlib.contextmanager
 def _alarm(seconds):
-    """Raise _Alarm from a SIGALRM handler after seconds."""
+    """Raise _Alarm from a SIGALRM handler after seconds; gives the list
+    of the functions it rang in."""
+    rang = []
+
     def ring(signum, frame):
+        rang.append(frame.f_code.co_name)
         raise _Alarm
 
     old = signal.signal(signal.SIGALRM, ring)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        yield
+        yield rang
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -841,14 +843,41 @@ def test_no_worker_outlives_the_call(pool, monkeypatch):
     with pytest.raises(CompileError, match="refused"):
         C.check_circuit(MAJ, refuse, words)
     assert _reaped()
-    # the alarm lands in the parent's compile, then in a chunk it judges
+    # the alarm lands in the parent's compile
     with pytest.raises(_Alarm), _alarm(0.2):
         C.check_circuit(MAJ, lambda: time.sleep(60), words)
     assert _reaped()
-    monkeypatch.setattr(C, "recognize", lambda spec, w: time.sleep(60))
-    with pytest.raises(_Alarm), _alarm(0.2):
+    # then in a chunk the parent judges: kept as that chunk's error, so
+    # the parent judges no more words and raises it once the chunks
+    # before it, which the worker holds, are done
+    parent, judged = os.getpid(), []
+
+    def judge(spec, w):
+        if os.getpid() == parent:
+            judged.append(w)
+        time.sleep(0.05)
+        return True
+
+    c, words = compile_saturated(MAJ, 8), all_words(MAJ, 8)
+    monkeypatch.setattr(C, "recognize", judge)
+    # 16 chunks of 16 words, 0.8 s each: the parent and its one worker
+    # would need 6.4 s for all of them
+    t = time.monotonic()
+    with pytest.raises(_Alarm), _alarm(0.2) as rang:
         C.check_circuit(MAJ, c, words)
+    assert rang == ["judge"]
+    assert 0 < len(judged) <= 16  # part of one chunk
+    assert time.monotonic() - t < 3
     assert _reaped()
+
+
+def test_a_short_verdict_stream_is_refused_not_padded(monkeypatch):
+    _in_process(monkeypatch)
+    chunk = C._machine_chunk
+    monkeypatch.setattr(C, "_machine_chunk",
+                        lambda spec, words, b: chunk(spec, words, b)[:-1])
+    with pytest.raises(ValueError, match="^63 machine verdicts for 64 words$"):
+        C.check_circuit(MAJ, compile_saturated(MAJ, 6), all_words(MAJ, 6))
 
 
 def test_workers_ignore_sigint(pool, monkeypatch):

@@ -111,6 +111,29 @@ def test_an_item_failing_in_the_parent_raises_at_its_turn(cpus, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def test_the_parent_takes_no_item_after_one_fails_there(cpus, tmp_path):
+    parent, taken = os.getpid(), []
+    mark = tmp_path / "item-0-taken"
+
+    def fn(x):
+        if os.getpid() == parent:
+            taken.append(x)
+            raise ValueError(f"parent failed item {x}")
+        if x == 0:  # hold item 0 while the parent takes the next
+            mark.touch()
+        time.sleep(0.05)
+        return x
+
+    cpus(2)
+    with pytest.raises(ValueError, match="parent failed item 1"):
+        with W.forked_map(fn, list(range(20)),
+                          own=lambda: _wait_for(mark)) as (_, it):
+            list(it)
+    # it waits for item 0 instead of taking items 2, 3, ...
+    assert taken == [1]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_killed_while_the_parent_computes_raises(cpus, tmp_path):
     parent = os.getpid()
     mark = tmp_path / "worker-dying"
