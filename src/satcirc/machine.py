@@ -20,10 +20,14 @@ the embeddings, each head over its block, the activation and the
 classifier sum. run walks it over the datatype's Domain and the compiler
 over an arithmetic whose ops emit gadgets, so both read it alike.
 
-Every recursive walk here (eval_expr's _ev, the reader's _read_form, the
-parser's _parse_expr) is a module-level function, not a closure that
-calls itself, so evaluating a word or parsing a spec allocates no
-reference cycle: its values are freed by refcount when it returns.
+eval_expr evaluates an expression through its staged function: stage
+turns each FuncExpr node, once, into a plain function of (args, domain,
+hosts) that has the node's op and data resolved and calls its
+children's functions. Every recursive walk here (stage's _stage, the
+reader's _read_form, the parser's _parse_expr) is a module-level
+function, and no staged function holds itself or a node, so staging,
+evaluating a word or parsing a spec allocates no reference cycle: its
+values are freed by refcount when it returns.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ def _number(num: int, den: int = 1) -> Number:
 class Domain:
     """Arithmetic dispatch for one of the two datatypes, and the protocol
     eval_expr evaluates an expression over (compile._Wires is the
-    circuit's). Its ops take scalars, since eval_expr checks shapes first:
+    circuit's). A staged expression takes the domain as an argument, so
+    the same staged tree runs over either datatype, compile._Measure and
+    compile._Wires. Its ops take scalars, since the staged functions
+    check shapes first:
 
     - const(num, den): the constant num/den that the spec or n names;
     - add, mul, div, sqrt, neg, relu;
@@ -230,7 +237,10 @@ def domain_of(name: str) -> Domain:
 
 @dataclass(frozen=True)
 class FuncExpr:
-    """Closed expression tree; ``data`` holds the op-specific payload."""
+    """Closed expression tree; ``data`` holds the op-specific payload.
+
+    stage keeps the node's staged function on it, outside the fields, so
+    equality, hashing, repr and pickling ignore it."""
 
     op: str
     args: tuple["FuncExpr", ...] = ()
@@ -240,6 +250,9 @@ class FuncExpr:
         inner = ", ".join(repr(a) for a in self.args)
         payload = f"[{self.data!r}]" if self.data is not None else ""
         return f"{self.op}{payload}({inner})"
+
+    def __reduce__(self):
+        return FuncExpr, (self.op, self.args, self.data)
 
 
 def Const(num: int, den: int = 1) -> FuncExpr:
@@ -328,6 +341,9 @@ def is_size_preserving(e: FuncExpr) -> bool:
 
 
 _ARITH = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq"}
+# the largest E that (pow2 E) takes: 2^E then has at most 65537 bits,
+# where a nest such as (pow2 (pow2 (pow2 (pos)))) could ask for gigabytes
+MAX_POW2_EXPONENT = 1 << 16
 
 
 def _scalar(x, what: str):
@@ -341,62 +357,125 @@ def eval_expr(e: FuncExpr, args: Sequence[Any], domain: Domain,
     """Evaluate ``e`` with ``args`` as the values of (arg 0), (arg 1), ...
 
     Scalars are the values of ``domain`` (see Domain for the protocol it
-    provides); vectors are plain tuples of scalars. The walk is the
-    module-level _ev, and select's branches are partials of it, so an
-    evaluation allocates no reference cycle (see the module docstring).
+    provides); vectors are plain tuples of scalars. The work is done by
+    e's staged function (see stage), built on the first evaluation.
     """
-    return _ev(e, args, domain, hosts)
+    return stage(e)(args, domain, hosts)
 
 
-def _ev(node: FuncExpr, args: Sequence[Any], domain, hosts):
-    op = node.op
+def stage(e: FuncExpr) -> Callable:
+    """e as a function (args, domain, hosts) -> e's value, built once per
+    node and kept on it. Each node's op and data are read once, here, so
+    an evaluation only calls its children's functions left to right,
+    checks each operand's shape before the next is evaluated, and calls
+    the domain's ops; select evaluates one branch. The domain and hosts
+    are arguments, so one staged tree serves every arithmetic. A staged
+    function holds its children's functions and its node's data, never
+    a node or itself, so staging and evaluating allocate no cycle."""
+    fn = e.__dict__.get("_staged")
+    if fn is None:
+        fn = _stage(e)
+        object.__setattr__(e, "_staged", fn)
+    return fn
+
+
+def _stage(e: FuncExpr) -> Callable:
+    """The staged function of e alone, over its children's (see stage)."""
+    op, data = e.op, e.data
     if op == "const":
-        return domain.const(*node.data)
+        num, den = data
+
+        def ev_const(args, domain, hosts):
+            return domain.const(num, den)
+        return ev_const
     if op == "arg":
-        j = node.data
-        if not 0 <= j < len(args):
-            raise MachineError(f"arg {j} out of range (have {len(args)})")
-        return args[j]
+        def ev_arg(args, domain, hosts):
+            if not 0 <= data < len(args):
+                raise MachineError(f"arg {data} out of range "
+                                   f"(have {len(args)})")
+            return args[data]
+        return ev_arg
+    subs = tuple(map(stage, e.args))
     if op == "proj":
-        v = _ev(node.args[0], args, domain, hosts)
-        if not isinstance(v, tuple):
-            raise MachineError("proj applied to a scalar")
-        k = node.data
-        if not 0 <= k < len(v):
-            raise MachineError(f"proj index {k} out of range (width {len(v)})")
-        return v[k]
+        sub = subs[0]
+
+        def ev_proj(args, domain, hosts):
+            v = sub(args, domain, hosts)
+            if not isinstance(v, tuple):
+                raise MachineError("proj applied to a scalar")
+            if not 0 <= data < len(v):
+                raise MachineError(f"proj index {data} out of range "
+                                   f"(width {len(v)})")
+            return v[data]
+        return ev_proj
     if op == "tup":
-        return tuple(_scalar(_ev(a, args, domain, hosts), "tup component")
-                     for a in node.args)
+        def ev_tup(args, domain, hosts):
+            return tuple(_operands(subs, "tup component", args, domain,
+                                   hosts))
+        return ev_tup
     if op == "select":
-        # partials, not lambdas: a lambda would make then and other cell
-        # variables of every _ev call, whatever its op
-        c, then, other = node.args
-        return domain.select(_scalar(_ev(c, args, domain, hosts), op),
-                             partial(_ev, then, args, domain, hosts),
-                             partial(_ev, other, args, domain, hosts))
+        # partials, not lambdas: a lambda would give ev_select cells for
+        # args, domain and hosts on every call
+        cond, then, other = subs
+
+        def ev_select(args, domain, hosts):
+            return domain.select(_scalar(cond(args, domain, hosts), op),
+                                 partial(then, args, domain, hosts),
+                                 partial(other, args, domain, hosts))
+        return ev_select
     if op == "host":
-        table = hosts or {}
-        if node.data not in table:
-            raise MachineError(f"unknown host function {node.data!r}")
-        out = table[node.data](domain, *[_ev(a, args, domain, hosts)
-                                         for a in node.args])
-        if isinstance(out, bool):
-            return domain.from_int(int(out))
-        if isinstance(out, int):
-            return domain.from_int(out)
-        return out
-    vals = [_scalar(_ev(a, args, domain, hosts), op) for a in node.args]
+        def ev_host(args, domain, hosts):
+            table = hosts or {}
+            if data not in table:
+                raise MachineError(f"unknown host function {data!r}")
+            out = table[data](domain, *[sub(args, domain, hosts)
+                                        for sub in subs])
+            if isinstance(out, bool):
+                return domain.from_int(int(out))
+            if isinstance(out, int):
+                return domain.from_int(out)
+            return out
+        return ev_host
     if op in _ARITH:
-        return getattr(domain, op)(*vals)
+        def ev_arith(args, domain, hosts):
+            return getattr(domain, op)(*_operands(subs, op, args, domain,
+                                                  hosts))
+        return ev_arith
     if op == "affine":
-        return domain.affine(*node.data, vals)
+        coeffs, bias = data
+
+        def ev_affine(args, domain, hosts):
+            return domain.affine(coeffs, bias,
+                                 _operands(subs, op, args, domain, hosts))
+        return ev_affine
     if op == "pow2":
-        num, den = vals[0].as_pair()
-        if den != 1 or num < 0:
-            raise MachineError("pow2 wants a nonnegative integer value")
-        return domain.from_int(1 << num)
-    raise MachineError(f"unknown op {op!r}")
+        def ev_pow2(args, domain, hosts):
+            num, den = _operands(subs, op, args, domain, hosts)[0].as_pair()
+            if den != 1 or num < 0:
+                raise MachineError("pow2 wants a nonnegative integer value")
+            if num > MAX_POW2_EXPONENT:
+                raise MachineError(f"pow2 wants an exponent of at most "
+                                   f"{MAX_POW2_EXPONENT}")
+            return domain.from_int(1 << num)
+        return ev_pow2
+
+    def ev_unknown(args, domain, hosts):
+        _operands(subs, op, args, domain, hosts)
+        raise MachineError(f"unknown op {op!r}")
+    return ev_unknown
+
+
+def _operands(subs: Sequence[Callable], what: str, args, domain,
+              hosts) -> list:
+    """The values of the staged functions subs, in order, each checked to
+    be a scalar before the next is evaluated."""
+    vals = []
+    for sub in subs:
+        x = sub(args, domain, hosts)
+        if isinstance(x, tuple):
+            _scalar(x, what)  # raises
+        vals.append(x)
+    return vals
 
 
 # ---------------------------------------------------------------------------

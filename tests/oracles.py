@@ -200,6 +200,74 @@ def recursive_eval(circuit_dict, x):
 
 
 # ---------------------------------------------------------------------------
+# the expression interpreter before staging: one recursive dispatch on
+# each node's op at every evaluation
+
+ARITH_OPS = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq"}
+
+
+def _ref_scalar(x, what):
+    from satcirc.machine import MachineError
+    if isinstance(x, tuple):
+        raise MachineError(f"{what}: expected a scalar, got a {len(x)}-tuple")
+    return x
+
+
+def ref_eval(node, args, domain, hosts=None):
+    """The value of expression node over domain, as machine.eval_expr
+    gives it, with the same MachineError texts and the same order of
+    host calls (select evaluates one branch only)."""
+    from satcirc.machine import MachineError
+    op = node.op
+    if op == "const":
+        return domain.const(*node.data)
+    if op == "arg":
+        j = node.data
+        if not 0 <= j < len(args):
+            raise MachineError(f"arg {j} out of range (have {len(args)})")
+        return args[j]
+    if op == "proj":
+        v = ref_eval(node.args[0], args, domain, hosts)
+        if not isinstance(v, tuple):
+            raise MachineError("proj applied to a scalar")
+        k = node.data
+        if not 0 <= k < len(v):
+            raise MachineError(f"proj index {k} out of range (width {len(v)})")
+        return v[k]
+    if op == "tup":
+        return tuple(_ref_scalar(ref_eval(a, args, domain, hosts),
+                                 "tup component") for a in node.args)
+    if op == "select":
+        c, then, other = node.args
+        return domain.select(_ref_scalar(ref_eval(c, args, domain, hosts), op),
+                             lambda: ref_eval(then, args, domain, hosts),
+                             lambda: ref_eval(other, args, domain, hosts))
+    if op == "host":
+        table = hosts or {}
+        if node.data not in table:
+            raise MachineError(f"unknown host function {node.data!r}")
+        out = table[node.data](domain, *[ref_eval(a, args, domain, hosts)
+                                         for a in node.args])
+        if isinstance(out, bool):
+            return domain.from_int(int(out))
+        if isinstance(out, int):
+            return domain.from_int(out)
+        return out
+    vals = [_ref_scalar(ref_eval(a, args, domain, hosts), op)
+            for a in node.args]
+    if op in ARITH_OPS:
+        return getattr(domain, op)(*vals)
+    if op == "affine":
+        return domain.affine(*node.data, vals)
+    if op == "pow2":
+        num, den = vals[0].as_pair()
+        if den != 1 or num < 0:
+            raise MachineError("pow2 wants a nonnegative integer value")
+        return domain.from_int(1 << num)
+    raise MachineError(f"unknown op {op!r}")
+
+
+# ---------------------------------------------------------------------------
 # combinatorial predicates
 
 def popcount(bits):

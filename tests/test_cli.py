@@ -245,6 +245,33 @@ def test_spec_nesting_is_bounded_at_100_levels_chains_included(tmp_path,
                                else (2, f"error: {why}\n")), expr[:12]
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
+def test_every_command_runs_a_spec_nested_exactly_100_levels(tmp_path, flags):
+    # staging and every staged call add a frame per level; both chains
+    # reach level 100 of the file: (tok 2) under 96 negs, (const 1) under
+    # 48 proj/tup pairs
+    chain = "(proj 1 (tup " * 48 + "(const 1)" + "))" * 48
+    spec = tmp_path / "deep.sexp"
+    spec.write_text(MAJ_TEXT.replace("(tok 2)", _nested("neg", 96))
+                    .replace("(const 1)", chain))
+    for argv in (["run", "--input", "0110"], ["compile", "--n", "2"],
+                 ["verify", "--n", "2"]):
+        r = _satcirc([*flags, "-m", "satcirc.cli", *argv, "--spec",
+                      str(spec), "--out-dir", str(tmp_path / "out")], 120)
+        assert (r.returncode, r.stderr) == (0, ""), argv
+
+
+def test_a_pow2_tower_is_refused_by_name(tmp_path, capsys):
+    # (pow2 (pow2 (pow2 (pos)))) at position 5 is 2^(2^32): 512 MB
+    spec = tmp_path / "tower.sexp"
+    spec.write_text(MAJ_TEXT.replace("(const 1)",
+                                     "(pow2 (pow2 (pow2 (pos))))"))
+    assert main(["run", "--spec", str(spec), "--input", "01010",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert out(capsys).err == ("error: pow2 wants an exponent of at most "
+                               f"{satcirc.machine.MAX_POW2_EXPONENT}\n")
+
+
 def test_every_command_refuses_a_zero_width_spec(tmp_path, capsys):
     # refused as a spec, not by the circuit library once compile has begun
     spec = tmp_path / "w0.sexp"

@@ -1209,6 +1209,24 @@ def test_a_compile_leaves_no_cyclic_garbage(spec, include_values,
             builders)
 
 
+def test_staging_a_fresh_spec_leaves_no_cycle_and_frees_its_nodes():
+    # _cyclic_garbage measures a second call, once every node is staged;
+    # this one measures the call that stages them
+    with _collector_off():
+        spec = parse_spec(SPEC_FILE.read_text())
+        recognize(spec, "0110")
+        assert gc.collect() == 0
+        todo, refs = [spec.embedding, spec.layers[0].activation,
+                      spec.layers[0].heads[0].scorer], []
+        while todo:
+            e = todo.pop()
+            assert e.__dict__.get("_staged") is not None
+            refs.append(weakref.ref(e))
+            todo.extend(e.args)
+        del spec, e
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+
 def test_parse_instrument_and_verify_leave_no_cyclic_garbage(monkeypatch):
     _in_process(monkeypatch)
     text = SPEC_FILE.read_text()

@@ -3,24 +3,27 @@
 import dataclasses
 import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from satcirc import machine
 from satcirc.bitnum import Flt, Rat, flt, rat, size
 from satcirc.builtins import builtin_spec
 from satcirc.machine import (
-    Add, Affine, Arg, AttentionKind, Const, Div, Eq, FuncExpr, Gt, HeadSpec,
-    Host, LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Relu, Select, Sqrt,
-    TransformerSpec, Tup, attend, check_elementwise_size_preserving,
-    classifier_value, domain_of, eval_expr, instrument_sizes,
-    is_size_preserving, max_set, parse_spec, recognize, run, shared_tables,
+    MAX_POW2_EXPONENT, Add, Affine, Arg, AttentionKind, Const, Div, Eq,
+    FuncExpr, Gt, HeadSpec, Host, LayerSpec, MachineError, Mul, Neg, Pow2,
+    Proj, Relu, Select, Sqrt, TransformerSpec, Tup, attend,
+    check_elementwise_size_preserving, classifier_value, domain_of,
+    eval_expr, instrument_sizes, is_size_preserving, max_set, parse_spec,
+    recognize, run, shared_tables,
 )
 
-from oracles import majority01, popcount
+from oracles import majority01, popcount, ref_eval
 
 F = domain_of("F")
 Q = domain_of("Q")
@@ -203,6 +206,121 @@ def test_pow2_and_host_flagged_not_size_preserving():
     hosts = {"twice": lambda dom, x: dom.add(x, x)}
     got = eval_expr(Host("twice", Const(3)), (), Q, hosts)
     assert as_fraction(got) == 6
+
+
+def test_pow2_refuses_an_exponent_over_the_cap():
+    got = eval_expr(Pow2(Const(MAX_POW2_EXPONENT)), (), Q)
+    assert as_fraction(got) == 1 << MAX_POW2_EXPONENT
+    with pytest.raises(MachineError, match="^pow2 wants an exponent of at "
+                       f"most {MAX_POW2_EXPONENT}$"):
+        eval_expr(Pow2(Pow2(Pow2(Const(5)))), (), F)
+
+
+# ---------------------------------------------------------------------------
+# staging against the reference interpreter
+
+
+def _exprs():
+    """Expression trees over every op, ill-shaped ones included: tuples
+    where scalars belong, indices out of range, denominators F cannot
+    hold, unknown hosts and ops. pow2 takes a leaf only, so its exponent
+    stays at most 9."""
+    num = st.tuples(st.integers(-4, 9), st.sampled_from([1, 2, 4] * 2 + [3]))
+    leaf = st.one_of(st.builds(lambda c: Const(*c), num),
+                     st.builds(Arg, st.sampled_from([0, 0, 1, 1, 2])))
+    small = st.one_of(leaf, st.builds(Proj, st.integers(0, 2), leaf))
+
+    def extend(sub):
+        def some(lo, hi):
+            return st.lists(sub, min_size=lo, max_size=hi)
+
+        def affine(es):
+            return st.builds(lambda cs, b: Affine(cs, b, *es),
+                             st.lists(num, min_size=len(es),
+                                      max_size=len(es)), num)
+        host = some(0, 3).map(lambda es: Host("rec", *es))
+        return st.one_of(
+            st.builds(Proj, st.integers(0, 2), sub),
+            some(0, 3).map(lambda es: Tup(*es)),
+            *[st.builds(ctor, sub, sub) for ctor in (Add, Mul, Div, Gt, Eq)],
+            *[st.builds(ctor, sub) for ctor in (Sqrt, Neg, Relu)],
+            st.builds(Select, st.one_of(st.builds(Gt, sub, sub), sub), sub,
+                      sub),
+            some(1, 3).flatmap(affine),
+            st.builds(Pow2, small),
+            host, host, host,
+            st.one_of(some(0, 1).map(lambda es: Host("nope", *es)),
+                      some(0, 2).map(lambda es: FuncExpr("frob", tuple(es)))))
+    return st.recursive(leaf, extend, max_leaves=12)
+
+
+def _outcome(evaluate, e, args, domain):
+    """(value or error, the host calls seen) of one evaluation; the host
+    "rec" returns a bool, an int, its first operand or a pair in turn."""
+    calls = []
+
+    def rec(dom, *xs):
+        calls.append(repr(xs))
+        return (True, -2, xs[0] if xs else dom.one,
+                (dom.zero, dom.one))[len(calls) % 4]
+    try:
+        got = ("value", repr(evaluate(e, args, domain, {"rec": rec})))
+    except MachineError as exc:
+        got = ("MachineError", str(exc))
+    return got, calls
+
+
+@settings(max_examples=400, deadline=None)
+# an operand's shape is checked before the next operand's host call, and
+# select calls the host in its taken branch only
+@example(e=Tup(Arg(0), Host("rec")), dt="Q", nums=[(1, 0)] * 3)
+@example(e=Add(Host("rec", Arg(1)), Host("rec")), dt="F", nums=[(1, 0)] * 3)
+@example(e=Select(Const(1), Host("rec", Const(1)), Host("rec", Const(2))),
+         dt="F", nums=[(1, 0)] * 3)
+@given(e=_exprs(), dt=st.sampled_from("FQ"),
+       nums=st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 2)),
+                     min_size=3, max_size=3))
+def test_staged_evaluation_matches_the_reference_interpreter(e, dt, nums):
+    domain = domain_of(dt)
+    x = [flt(m, k) if dt == "F" else rat(m, k + 1) for m, k in nums]
+    args = ((x[0], x[1]), x[2])  # a vector and a scalar, as forward passes
+    want = _outcome(ref_eval, e, args, domain)
+    assert _outcome(eval_expr, e, args, domain) == want
+    assert _outcome(eval_expr, e, args, domain) == want  # staged already
+
+
+def test_a_staged_expression_pickles_as_its_fields():
+    e = Add(Proj(1, Arg(0)), Const(3, 4))
+    eval_expr(e, ((Q.zero, Q.one),), Q)
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and repr(back) == repr(e)
+    assert as_fraction(eval_expr(back, ((Q.zero, Q.one),), Q)) == Fraction(7, 4)
+
+
+MIX = [("maj", None), ("maj-q", None), ("maj-ln", None), ("hard-demo", None),
+       ("prime-universal", "parity"), ("resource-bounded", "bigram11")]
+
+
+def test_each_expression_node_is_staged_once(monkeypatch):
+    # a cache keyed by value would stage equal nodes once, one keyed by
+    # a reused id would hand a node another's function
+    staged = []
+    real = machine._stage
+    monkeypatch.setattr(machine, "_stage",
+                        lambda e: staged.append(e) or real(e))
+    specs = [builtin_spec(name, pred) for name, pred in MIX]
+    rng = random.Random("staged once")
+    for k in range(600):
+        recognize(specs[k % len(specs)], format(rng.getrandbits(32), "032b"))
+    nodes, todo = {}, [spec.embedding for spec in specs]
+    todo += [e for spec in specs for layer in spec.layers
+             for e in (layer.activation, *(h.scorer for h in layer.heads))]
+    while todo:
+        e = todo.pop()
+        nodes[id(e)] = e
+        todo.extend(e.args)
+    assert len(set(nodes.values())) < len(nodes)  # some nodes are equal
+    assert sorted(map(id, staged)) == sorted(nodes)
 
 
 # ---------------------------------------------------------------------------
