@@ -11,7 +11,7 @@ Submodules:
 """
 
 from .bitnum import (
-    BitNumError, UNat, Rat, Flt, rat, flt, size, check_size_preserving,
+    BitNumError, UNat, Rat, Flt, rat, flt, size,
 )
 from .machine import (
     MachineError, AttentionKind, HeadSpec, LayerSpec, TransformerSpec,

@@ -3,10 +3,10 @@
 Three value kinds share one size accounting:
 
 * ``UNat``: an unsigned integer with bits x_1..x_k weighted 2^(i-1),
-  stored as the pair (value, k). The little-endian ``BitString`` is
-  built on demand; textual display is most-significant-first, so the
-  string "101" means five. ``size`` is k, and padding zeros count in k
-  when a value is built from an explicit bit string.
+  stored as the pair (value, k). Textual display is
+  most-significant-first, so the string "101" means five. ``size`` is
+  k, and padding zeros count in k when a value is built from an
+  explicit bit sequence.
 * ``Rat``: sign plus reduced numerator/denominator; numeric value is
   (2*sign - 1) * p/q and size is 2*max(|p|, |q|) + 1.
 * ``Flt``: a rational whose denominator is a power of two, stored as the
@@ -27,47 +27,11 @@ from __future__ import annotations
 
 import math
 import operator
-import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 
 class BitNumError(ValueError):
     """Domain error: zero denominator, negative square root, and kin."""
-
-
-# ---------------------------------------------------------------------------
-# bit strings
-
-
-@dataclass(frozen=True)
-class BitString:
-    """A finite 0/1 sequence, lowest bit first; no implicit canonical form."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise BitNumError("bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def display(self) -> str:
-        """Most-significant-bit-first text; the empty string shows as 0."""
-        if not self.bits:
-            return "0"
-        return "".join(str(b) for b in reversed(self.bits))
-
-    @staticmethod
-    def parse(text: str) -> "BitString":
-        """Parse most-significant-first 0/1 text ("0" parses to empty)."""
-        if not text or set(text) - {"0", "1"}:
-            raise BitNumError(f"not a bit string: {text!r}")
-        bits = tuple(int(ch) for ch in reversed(text))
-        if bits == (0,):
-            bits = ()
-        return BitString(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +41,17 @@ class BitString:
 class UNat:
     """Unsigned integer numeral, stored as its value and its bit length.
 
-    The length keeps padding zeros when the numeral is built from an
-    explicit bit string, so equality and size respect padding; the
-    little-endian ``BitString`` is built only when ``bits`` or
-    ``display`` asks for it.
+    ``UNat(bits)`` takes the 0/1 sequence lowest bit first. The length
+    keeps padding zeros, so equality and size respect padding.
     """
 
     __slots__ = ("_value", "_len")
 
-    def __init__(self, bits: Union[BitString, Sequence[int]]):
-        if not isinstance(bits, BitString):
-            bits = BitString(tuple(bits))
-        self._value = sum(b << i for i, b in enumerate(bits.bits))
+    def __init__(self, bits: Sequence[int]):
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise BitNumError("bits must be 0 or 1")
+        self._value = sum(b << i for i, b in enumerate(bits))
         self._len = len(bits)
 
     @classmethod
@@ -101,10 +64,6 @@ class UNat:
         u._value = value
         u._len = value.bit_length()
         return u
-
-    @property
-    def bits(self) -> BitString:
-        return BitString(tuple((self._value >> i) & 1 for i in range(self._len)))
 
     @property
     def value(self) -> int:
@@ -121,38 +80,15 @@ class UNat:
         return hash((self._value, self._len))
 
     def display(self) -> str:
-        return self.bits.display()
+        """Most-significant-bit-first text, padding included; the empty
+        numeral shows as 0."""
+        return format(self._value, f"0{self._len}b") if self._len else "0"
 
     def __str__(self) -> str:
         return str(self._value)
 
     def __repr__(self) -> str:
         return f"UNat({self.display()!r})"
-
-
-def parse_unat(text: str) -> UNat:
-    """Accepts unsigned decimal ("13") or binary with prefix ("0b1101")."""
-    text = text.strip()
-    if text.startswith("0b") or text.startswith("0B"):
-        return UNat(BitString.parse(text[2:]))
-    if not text.isdigit():
-        raise BitNumError(f"not an unsigned literal: {text!r}")
-    return UNat.from_int(int(text))
-
-
-def uadd(a: UNat, b: UNat) -> UNat:
-    return UNat.from_int(a.value + b.value)
-
-
-def umul(a: UNat, b: UNat) -> UNat:
-    return UNat.from_int(a.value * b.value)
-
-
-def ucmp(a: UNat, b: UNat) -> int:
-    """-1, 0, or 1 by numeric value; padding zeros ignored."""
-    if a.value < b.value:
-        return -1
-    return 1 if a.value > b.value else 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +178,6 @@ def rat(num: int, den: int = 1) -> Rat:
     return Rat.make(num, den)
 
 
-def parse_rat(text: str) -> Rat:
-    m = re.fullmatch(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*", text)
-    if not m:
-        raise BitNumError(f"not a rational literal: {text!r}")
-    sign, p, q = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-    return rat(-p if sign == "-" else p, q)
-
-
 def rat_add(r: Rat, s: Rat) -> Rat:
     (pn, pd), (qn, qd) = r.as_pair(), s.as_pair()
     return rat(pn * qd + qn * pd, pd * qd)
@@ -331,14 +259,6 @@ _flt_sign, _flt_p, _flt_e = _setters(Flt)
 
 def flt(num: int, e: int = 0) -> Flt:
     return Flt.make(num, e)
-
-
-def parse_flt(text: str) -> Flt:
-    m = re.fullmatch(r"\s*([+-]?)(\d+)(?:/2\^(\d+))?\s*", text)
-    if not m:
-        raise BitNumError(f"not a float literal: {text!r}")
-    sign, p, e = m.group(1), int(m.group(2)), int(m.group(3) or 0)
-    return flt(-p if sign == "-" else p, e)
 
 
 def flt_add(x: Flt, y: Flt) -> Flt:
@@ -431,65 +351,6 @@ def size(v) -> int:
             return 0
         return 2 * max(size(c) for c in v) + 1
     raise BitNumError(f"size undefined for {type(v).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# size-preservation checks
-
-
-@dataclass(frozen=True)
-class SizeProfile:
-    """Measured (input size, output size) pairs and the fitted bound.
-
-    ``c`` is the smallest integer with out <= c * in over every sample
-    whose input size is at least ``n0`` (None when no sample qualifies);
-    the check passes iff c exists and c <= cap.
-    """
-
-    samples: tuple[tuple[int, int], ...]
-    c: Union[int, None]
-    n0: int
-    cap: int
-    ok: bool
-    worst: Union[tuple[int, int], None] = None
-
-    def __str__(self) -> str:
-        verdict = "pass" if self.ok else "FAIL"
-        return (f"SizeProfile({verdict}: c={self.c}, n0={self.n0}, cap={self.cap}, "
-                f"{len(self.samples)} samples, worst={self.worst})")
-
-
-def check_size_preserving(f: Callable[..., object],
-                          sample_plan: Iterable[tuple],
-                          n0: int = 4,
-                          cap: int = 8) -> SizeProfile:
-    """Measure |f(x)| against c*|x| over a sample plan of argument tuples.
-
-    Multi-argument samples are sized by the tuple rule (2*max+1), single
-    arguments by their own size. A violation is a reported outcome (ok
-    False), never an exception.
-    """
-    pairs = []
-    for args in sample_plan:
-        args = tuple(args)
-        out = f(*args)
-        ins = size(args[0]) if len(args) == 1 else size(args)
-        pairs.append((ins, size(out)))
-    return fit_size_profile(pairs, n0, cap)
-
-
-def fit_size_profile(pairs, n0: int, cap: int) -> SizeProfile:
-    """The least c with |out| <= c*|in| over the (|in|, |out|) pairs
-    whose input size is nonzero and at least n0, and whether c <= cap."""
-    c = worst = None
-    for ins, outs in pairs:
-        if ins < n0 or ins == 0:
-            continue
-        need = -(-outs // ins)
-        if c is None or need > c:
-            c, worst = need, (ins, outs)
-    return SizeProfile(tuple(pairs), c, n0, cap, c is not None and c <= cap,
-                       worst)
 
 
 def ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

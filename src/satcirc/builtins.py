@@ -26,7 +26,7 @@ from .bitnum import Rat, UNat
 from .machine import (
     Add, Affine, Arg, AttentionKind, Const, Div, Gt, HeadSpec, Host,
     LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Select, Sqrt,
-    TransformerSpec, Tup, run,
+    TransformerSpec, Tup,
 )
 
 
@@ -96,20 +96,6 @@ def build_majority(datatype: str) -> TransformerSpec:
                            ((1, 1), (0, 1)), (-1, 2), {}, "maj")
 
 
-@dataclass(frozen=True)
-class LayerNormPair:
-    """Pre- and post-normalization pairs from one traced position."""
-
-    pre: tuple
-    post: tuple
-
-    def order_preserved(self, cmp) -> bool:
-        def sign(c):
-            return (c > 0) - (c < 0)
-        return sign(cmp(self.pre[0], self.pre[1])) == \
-            sign(cmp(self.post[0], self.post[1]))
-
-
 def build_majority_layernorm() -> TransformerSpec:
     """Majority again, but the decision pair goes through layer norm.
 
@@ -135,13 +121,6 @@ def build_majority_layernorm() -> TransformerSpec:
                            (LayerSpec((head,), act),),
                            ((0, 1), (0, 1), (1, 1), (-1, 1)), (0, 1), {},
                            "maj-ln")
-
-
-def ln_pair(w: str, spec: TransformerSpec = None) -> LayerNormPair:
-    """Trace the layer-norm majority spec on w; position 1's pairs."""
-    t = run(spec or build_majority_layernorm(), w)
-    v = t.values[-1][0]
-    return LayerNormPair((v[0], v[1]), (v[2], v[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +184,6 @@ def build_prime_universal(g: Callable[[str], bool],
 def rb_reconstruct(weight_sum: int, n: int) -> str:
     """Bits of W = sum of 2^(i-1) over 1-positions, lowest position first."""
     return "".join("1" if (weight_sum >> i) & 1 else "0" for i in range(n))
-
-
-def rb_weight_sum(trace, datatype: str) -> int:
-    """Recover W from a trace's first-layer head outputs (position 1)."""
-    b1 = trace.head_out[0][0][0][0]
-    b2 = trace.head_out[0][1][0][0]
-    b3 = trace.head_out[0][2][0][0]
-    n_num, n_den = b2.as_pair()
-    _require(n_den == 1, "n_den == 1")
-    if datatype == "Q":
-        num, den = b1.as_pair()
-        w, rem = divmod(num * n_num, den)
-    else:
-        kw_num, kw_den = b1.as_pair()
-        p_num, p_den = b3.as_pair()
-        _require(p_den == 1, "p_den == 1")
-        k = (1 << n_num.bit_length()) // n_num
-        w, rem = divmod(kw_num * p_num, kw_den * k)
-    _require(rem == 0, "weight sum did not reconstruct to an integer")
-    return w
 
 
 def build_resource_bounded(delta: Callable[[str], bool], datatype: str,

@@ -131,6 +131,8 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
                     seed: int = 0) -> list[str]:
     if n < 1:
         raise CompileError("need n >= 1")
+    if count < 1:
+        raise CompileError("need count >= 1")
     alpha = spec.alphabet
     words = {alpha[0] * n, alpha[-1] * n,
              "".join(alpha[i % len(alpha)] for i in range(n))}

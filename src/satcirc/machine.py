@@ -40,12 +40,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from .bitnum import (
-    BitNumError, Flt, Rat, SizeProfile, fit_size_profile, flt, flt_add,
-    flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt, flt_sum, ols, rat,
-    rat_add, rat_cmp, rat_mul, rat_neg, rat_sum, relu as bitnum_relu, size,
+    BitNumError, Flt, Rat, flt, flt_add, flt_cmp, flt_div, flt_mul,
+    flt_neg, flt_sqrt, flt_sum, ols, rat, rat_add, rat_cmp, rat_mul,
+    rat_neg, rat_sum, relu as bitnum_relu, size,
 )
 
 
@@ -507,24 +507,6 @@ def max_set(scores: Sequence[Scalar], domain: Domain) -> tuple[int, ...]:
                  if domain.cmp(scores[j], scores[best]) == 0)
 
 
-def attend(kind: AttentionKind, scores: Sequence[Scalar],
-           domain: Domain) -> tuple[Scalar, ...]:
-    """Attention weights for one score row.
-
-    Uniform is 1/n everywhere; hard is one-hot at the least maximizer;
-    saturated is 1/|M| on the maximizer set M and 0 elsewhere. Over F
-    the reciprocals go through flt_div, so they are the approximate
-    floor-reciprocal floats; over Q they are exact and sum to 1.
-    """
-    if not scores:
-        raise MachineError("empty score sequence")
-    ties = None if kind is AttentionKind.UNIFORM else max_set(scores, domain)
-    w, members = _pool(kind, len(scores), ties, domain)
-    members = set(members)
-    return tuple(w if j in members else domain.zero
-                 for j in range(len(scores)))
-
-
 def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
           domain: Domain) -> tuple[Scalar, Sequence[int]]:
     """(w, M) for a row of n scores whose maximizer set is ties (unused
@@ -607,8 +589,8 @@ class ValueTrace:
 
     ``values[l][i]`` is the m-tuple after layer l (layer 0 = embeddings);
     ``scores[l][h][i][j]``, ``ties[l][h][i]``, and ``head_out[l][h][i]``
-    cover the attention internals. When run was asked for some final
-    positions only, the others hold None and ``partial`` is True.
+    cover the attention internals, at every position. ``layer_max_size[l]``
+    is the largest component size among ``values[l]``.
     """
 
     input: str
@@ -618,13 +600,6 @@ class ValueTrace:
     ties: tuple
     head_out: tuple
     layer_max_size: tuple[int, ...]
-    partial: bool = False
-
-    def final(self, i: int = 0):
-        v = self.values[-1][i]
-        if v is None:
-            raise MachineError(f"position {i} not evaluated in this trace")
-        return v
 
 
 def _check_vector(v, width, what):
@@ -749,21 +724,15 @@ def _walk(spec: TransformerSpec, w: str, domain, final_positions) -> tuple:
         onehot, tables, final_positions)
 
 
-def run(spec: TransformerSpec, w: str, _final_positions=None) -> ValueTrace:
-    """Full evaluation of ``spec`` on token string ``w``.
-
-    ``_final_positions`` restricts which positions get their last-layer
-    value (position 0 among them); everything feeding the restricted
-    layer is still evaluated everywhere.
-    """
-    values, scores, ties, head_out = _walk(spec, w, spec.domain,
-                                           _final_positions)[1]
-    max_sizes = []
-    for layer_vals in values:
-        sizes = [size(c) for v in layer_vals if v is not None for c in v]
-        max_sizes.append(max(sizes) if sizes else 0)
-    return ValueTrace(w, len(w), values, scores, ties, head_out,
-                      tuple(max_sizes), partial=_final_positions is not None)
+def run(spec: TransformerSpec, w: str) -> ValueTrace:
+    """Full evaluation of ``spec`` on token string ``w``: every layer at
+    every position, for ``run --trace`` and the size instrumentation.
+    ``recognize`` is the lazy path that evaluates the last layer at
+    position 1 only."""
+    values, scores, ties, head_out = _walk(spec, w, spec.domain, None)[1]
+    max_sizes = tuple(max((size(c) for v in layer_vals for c in v),
+                          default=0) for layer_vals in values)
+    return ValueTrace(w, len(w), values, scores, ties, head_out, max_sizes)
 
 
 def classifier_value(spec: TransformerSpec, w: str) -> Scalar:
@@ -845,6 +814,9 @@ def instrument_sizes(spec: TransformerSpec,
         per_layer = None
         z_by_head: dict = {}
         measured_by_head: dict = {}
+        if not inputs_by_n[n]:
+            raise MachineError(f"size instrumentation got no inputs of "
+                               f"length {n}")
         for w in inputs_by_n[n]:
             if len(w) != n:
                 raise MachineError(f"input {w!r} is not length {n}")
@@ -882,25 +854,6 @@ def instrument_sizes(spec: TransformerSpec,
     margins = tuple(a + b * x - y for x, y in zip(xs, ys))
     return SizeGrowthReport(tuple(rows), a, b, a_ols, margins,
                             tuple(head_bounds))
-
-
-def check_elementwise_size_preserving(kind: AttentionKind,
-                                      samples: Iterable[Sequence[Scalar]],
-                                      domain: Domain,
-                                      n0: int = 1, cap: int = 8) -> SizeProfile:
-    """Profile weight sizes against the max score-component size.
-
-    The defining bound is stated per component but saturated weights
-    depend on the whole score vector, so the input size used here is the
-    row maximum; this is the recorded reading of that mismatch.
-    """
-    pairs = []
-    for row in samples:
-        weights = attend(kind, row, domain)
-        ins = max(size(s) for s in row)
-        for wt in weights:
-            pairs.append((ins, size(wt)))
-    return fit_size_profile(pairs, n0, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written with different machinery than
-src/satcirc: bit-list schoolbook arithmetic instead of int carriers,
-fractions.Fraction for rational semantics, a memoization-free recursive
-circuit evaluator, and brute-force scans for the combinatorial predicates.
+src/satcirc: fractions.Fraction for rational semantics, a
+memoization-free recursive circuit evaluator, a trace decoder that
+shares nothing with the builtins' host callbacks, and brute-force scans
+for the combinatorial predicates.
 """
 
 from fractions import Fraction
@@ -11,78 +12,7 @@ import math
 
 
 # ---------------------------------------------------------------------------
-# schoolbook bit-level arithmetic (little-endian bit lists of 0/1)
-
-def int_to_bits(v):
-    bits = []
-    while v:
-        bits.append(v & 1)
-        v >>= 1
-    return bits
-
-
-def bits_to_int(bits):
-    return sum(b << i for i, b in enumerate(bits))
-
-
-def school_add(a, b):
-    """Ripple-carry addition on little-endian bit lists."""
-    out = []
-    carry = 0
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        s = x + y + carry
-        out.append(s & 1)
-        carry = s >> 1
-    if carry:
-        out.append(1)
-    return out
-
-
-def school_sub(a, b):
-    """a - b with borrow; returns (bits, borrow_out). borrow_out=1 means a < b."""
-    out = []
-    borrow = 0
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else 0
-        y = (b[i] if i < len(b) else 0) + borrow
-        if x >= y:
-            out.append(x - y)
-            borrow = 0
-        else:
-            out.append(x + 2 - y)
-            borrow = 1
-    while out and out[-1] == 0:
-        out.pop()
-    return out, borrow
-
-
-def school_cmp(a, b):
-    """Compare via subtraction, the way the spec's oracle asks for."""
-    diff, borrow = school_sub(a, b)
-    if borrow:
-        return -1
-    return 1 if diff else 0
-
-
-def school_mul(a, b):
-    """Shift-and-add long multiplication."""
-    acc = []
-    for i, bit in enumerate(a):
-        if bit:
-            acc = school_add(acc, [0] * i + list(b))
-    return acc
-
-
-def repeated_add_mul(a_int, b_int):
-    """Repeated addition; only usable for small a_int."""
-    acc = []
-    b = int_to_bits(b_int)
-    for _ in range(a_int):
-        acc = school_add(acc, b)
-    return bits_to_int(acc)
-
+# integers
 
 def isqrt_binary_search(v):
     lo, hi = 0, v + 1
@@ -161,6 +91,44 @@ def flt_size(sign, p, e):
     """2*max(|p|, e+1) + 1 with |0| = 0 bits."""
     pw = p.bit_length()
     return 2 * max(pw, e + 1) + 1
+
+
+# ---------------------------------------------------------------------------
+# size preservation
+
+def size_factor(pairs, n0):
+    """(c, worst) over (|in|, |out|) size pairs: the least integer c with
+    |out| <= c*|in| on every pair whose |in| is nonzero and at least n0,
+    and the pair that needs it. Fails when no pair qualifies."""
+    c = worst = None
+    for ins, outs in pairs:
+        if ins >= max(n0, 1) and (c is None or outs > c * ins):
+            c, worst = -(-outs // ins), (ins, outs)
+    assert c is not None, f"no sample of input size >= {n0}"
+    return c, worst
+
+
+# ---------------------------------------------------------------------------
+# traces: the resource-bounded construction's input, read back
+
+def rb_weight_sum(trace, datatype):
+    """W = sum of 2^(i-1) over the 1-positions, from the first layer's
+    head outputs at position 1: over Q head 1 gives W/n and head 2 gives
+    n; over F head 1 gives floor(2^|n|/n)*W/2^|n| and head 3 gives 2^|n|."""
+    b1, b2, b3 = (trace.head_out[0][h][0][0] for h in range(3))
+    n_num, n_den = b2.as_pair()
+    assert n_den == 1
+    if datatype == "Q":
+        num, den = b1.as_pair()
+        w, rem = divmod(num * n_num, den)
+    else:
+        kw_num, kw_den = b1.as_pair()
+        p_num, p_den = b3.as_pair()
+        assert p_den == 1
+        k = (1 << n_num.bit_length()) // n_num
+        w, rem = divmod(kw_num * p_num, kw_den * k)
+    assert rem == 0, "weight sum did not reconstruct to an integer"
+    return w
 
 
 # ---------------------------------------------------------------------------

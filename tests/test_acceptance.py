@@ -13,14 +13,12 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from satcirc.bitnum import (Flt, check_size_preserving, flt, flt_add,
-                            flt_cmp, flt_div, flt_mul, flt_neg, flt_sqrt,
-                            rat, rat_add, rat_cmp, rat_mul, rat_neg, relu,
-                            size, uadd, ucmp, umul, UNat)
+from satcirc.bitnum import (Flt, flt, flt_add, flt_cmp, flt_div, flt_mul,
+                            flt_neg, flt_sqrt, rat, rat_add, rat_cmp,
+                            rat_mul, rat_neg, relu, size, UNat)
 from satcirc.builtins import (build_hard_demo, build_majority,
                               build_prime_universal, build_resource_bounded,
-                              primes, pu_reconstruct, rb_reconstruct,
-                              rb_weight_sum)
+                              primes, pu_reconstruct, rb_reconstruct)
 from satcirc.circuit import eval_batch, family_analyze, metrics
 from satcirc.compile import (_dnf_wires, compile_hard, compile_saturated,
                              default_samples, encode_word)
@@ -241,7 +239,7 @@ def test_c10_universality_constructions_reconstruct_exactly():
             for w in all_words("01", n):
                 assert recognize(rb, w) == oracles.contains_bigram11(w)
                 t = run(rb, w)
-                wsum = rb_weight_sum(t, datatype)
+                wsum = oracles.rb_weight_sum(t, datatype)
                 assert rb_reconstruct(wsum, n) == w
                 assert wsum == sum(1 << i for i, ch in enumerate(w)
                                    if ch == "1")
@@ -263,15 +261,24 @@ def test_c11_primitives_are_size_preserving():
         den = rng.getrandbits(rng.randint(1, bits)) + 1
         return rat(num if rng.random() < 0.5 else -num, den)
 
-    binary = [(uadd, rand_u), (umul, rand_u),
-              (lambda a, b: UNat.from_int(max(ucmp(a, b), 0)), rand_u),
+    def factor(f, plan):
+        # the least c with |f(args)| <= c*|args| where |args| >= 4; one
+        # argument is sized alone, two by the tuple rule
+        return oracles.size_factor(
+            [(size(args[0]) if len(args) == 1 else size(args),
+              size(f(*args))) for args in plan], 4)
+
+    # unsigned add, mul and compare are int operations on the values
+    binary = [(lambda a, b: UNat.from_int(a.value + b.value), rand_u),
+              (lambda a, b: UNat.from_int(a.value * b.value), rand_u),
+              (lambda a, b: UNat.from_int(int(a.value > b.value)), rand_u),
               (flt_add, rand_f), (flt_mul, rand_f),
               (rat_add, rand_r), (rat_mul, rand_r)]
     for f, gen in binary:
         plan = [(gen(64), gen(64)) for _ in range(400)]
         assert all(size(v) <= 131 for args in plan for v in args)
-        prof = check_size_preserving(f, plan, cap=8)
-        assert prof.ok, (f, prof.c, prof.worst)
+        c, worst = factor(f, plan)
+        assert c <= 8, (f, c, worst)
     unary = [(flt_neg, rand_f), (relu, rand_f),
              (flt_sqrt, lambda b: Flt.make(
                  rng.getrandbits(rng.randint(1, b)),
@@ -279,21 +286,21 @@ def test_c11_primitives_are_size_preserving():
              (rat_neg, rand_r)]
     for f, gen in unary:
         plan = [(gen(128),) for _ in range(400)]
-        prof = check_size_preserving(f, plan, cap=8)
-        assert prof.ok, (f, prof.c, prof.worst)
+        c, worst = factor(f, plan)
+        assert c <= 8, (f, c, worst)
     div_plan = []
     while len(div_plan) < 400:
         x, y = rand_f(64), rand_f(64)
         if not y.is_zero():
             div_plan.append((x, y))
-    prof = check_size_preserving(flt_div, div_plan, cap=8)
-    assert prof.ok, (prof.c, prof.worst)
+    c, worst = factor(flt_div, div_plan)
+    assert c <= 8, (c, worst)
 
     def unary_blowup(k: UNat):
         return UNat((1,) * (k.value + 1))
-    control = check_size_preserving(
+    control, _ = factor(
         unary_blowup, [(UNat.from_int(v),) for v in (3, 17, 120, 900, 4000)])
-    assert not control.ok and control.c > control.cap
+    assert control > 8
 
 
 def test_c12_out_of_scope_claims_are_pointed_elsewhere():

@@ -11,17 +11,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from satcirc.bitnum import (
-    BitNumError, BitString, Flt, Rat, UNat,
-    check_size_preserving, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg,
-    flt_sqrt, parse_flt, parse_rat, parse_unat, rat, rat_add, rat_cmp,
-    rat_mul, rat_neg, relu, size, uadd, ucmp, umul,
+    BitNumError, Flt, Rat, UNat, flt, flt_add, flt_cmp, flt_div, flt_mul,
+    flt_neg, flt_sqrt, rat, rat_add, rat_cmp, rat_mul, rat_neg, relu, size,
 )
 
 import oracles
-
-
-def u(text):
-    return UNat(BitString.parse(text))
+from oracles import size_factor
 
 
 # ---------------------------------------------------------------------------
@@ -29,60 +24,17 @@ def u(text):
 
 def test_display_example_five_plus_one():
     # display is most-significant-first: 101 + 1 = 110 reads as 5 + 1 = 6
-    assert uadd(u("101"), u("1")).display() == "110"
+    five, one = UNat((1, 0, 1)), UNat((1,))
+    assert (five.display(), one.display()) == ("101", "1")
+    assert UNat.from_int(five.value + one.value).display() == "110"
 
 
-def test_uadd_identity():
-    x = UNat.from_int(1234)
-    assert uadd(UNat.from_int(0), x) == x
-
-
-def test_uadd_random_256bit_vs_schoolbook():
-    rng = random.Random(0xADD)
-    for _ in range(300):
-        a, b = rng.getrandbits(256), rng.getrandbits(256)
-        ours = uadd(UNat.from_int(a), UNat.from_int(b))
-        ref = oracles.school_add(oracles.int_to_bits(a), oracles.int_to_bits(b))
-        assert ours.value == oracles.bits_to_int(ref)
-
-
-def test_umul_identities_and_small():
-    x = UNat.from_int(77)
-    assert umul(x, UNat.from_int(1)) == x
-    assert umul(UNat.from_int(3), UNat.from_int(5)).value == 15
-
-
-def test_umul_repeated_addition_small():
-    rng = random.Random(0x5EED)
-    for _ in range(50):
-        a, b = rng.randrange(0, 40), rng.getrandbits(24)
-        assert umul(UNat.from_int(a), UNat.from_int(b)).value == \
-            oracles.repeated_add_mul(a, b)
-
-
-def test_umul_random_128bit_vs_schoolbook():
-    rng = random.Random(0x30B)
-    for _ in range(200):
-        a, b = rng.getrandbits(128), rng.getrandbits(128)
-        ref = oracles.school_mul(oracles.int_to_bits(a), oracles.int_to_bits(b))
-        assert umul(UNat.from_int(a), UNat.from_int(b)).value == \
-            oracles.bits_to_int(ref)
-
-
-def test_ucmp_basic_and_padding():
-    assert ucmp(UNat.from_int(0), UNat.from_int(0)) == 0
-    assert ucmp(UNat.from_int(5), UNat.from_int(6)) == -1
-    # padding zeros change size, not ordering
-    assert ucmp(u("0101"), u("101")) == 0
-    assert size(u("0101")) == 4 and size(u("101")) == 3
-
-
-def test_ucmp_vs_subtraction_oracle():
-    rng = random.Random(0xC99)
-    for _ in range(500):
-        a, b = rng.getrandbits(64), rng.getrandbits(64)
-        ref = oracles.school_cmp(oracles.int_to_bits(a), oracles.int_to_bits(b))
-        assert ucmp(UNat.from_int(a), UNat.from_int(b)) == ref
+def test_display_example_padded_five():
+    # bits are given lowest first and shown most-significant-first; the
+    # padding zero counts in size, not in value or ordering
+    x = UNat((1, 0, 1, 0))
+    assert (x.display(), x.value, size(x)) == ("0101", 5, 4)
+    assert x != UNat((1, 0, 1)) and x.value == UNat((1, 0, 1)).value
 
 
 def test_rat_reduces():
@@ -100,7 +52,7 @@ def test_rat_reduces():
 
 
 # UNat stores (value, length); these pin it to the bit-tuple semantics:
-# value and size from the bits, equality on the padded bit tuple.
+# value, size and display from the bits, equality on the padded bit tuple.
 
 bit_lists = st.lists(st.integers(0, 1), max_size=80)
 
@@ -114,10 +66,9 @@ def test_unat_from_bits_keeps_padding(bits):
     x = UNat(bits)
     assert x.value == sum(b << i for i, b in enumerate(bits))
     assert len(x) == size(x) == len(bits)
-    assert x.bits == BitString(tuple(bits))
     assert x.display() == ref_display(bits)
     assert repr(x) == f"UNat({ref_display(bits)!r})"
-    assert UNat(x.bits) == x == UNat(BitString(tuple(bits)))
+    assert UNat(iter(bits)) == x == UNat(tuple(bits))
 
 
 @given(st.integers(0, 1 << 300))
@@ -125,10 +76,8 @@ def test_unat_from_int_is_minimal(v):
     x = UNat.from_int(v)
     bits = [(v >> i) & 1 for i in range(v.bit_length())]
     assert (x.value, len(x), str(x)) == (v, v.bit_length(), str(v))
-    assert x.bits.bits == tuple(bits)
     assert x == UNat(bits) and hash(x) == hash(UNat(bits))
     assert x.display() == ref_display(bits)
-    assert UNat(BitString.parse(x.display())) == x
 
 
 @given(bit_lists, bit_lists)
@@ -335,12 +284,6 @@ def test_flt_canonical_invariant():
 def test_bulk_commutativity_associativity():
     rng = random.Random(0xA55)
     for _ in range(10_000):
-        au, bu, cu = (UNat.from_int(rng.getrandbits(48)) for _ in range(3))
-        assert uadd(au, bu) == uadd(bu, au)
-        assert uadd(uadd(au, bu), cu) == uadd(au, uadd(bu, cu))
-        assert umul(au, bu) == umul(bu, au)
-        assert umul(umul(au, bu), cu) == umul(au, umul(bu, cu))
-    for _ in range(10_000):
         a = rat(rng.randrange(-99, 100), rng.randrange(1, 100))
         b = rat(rng.randrange(-99, 100), rng.randrange(1, 100))
         c = rat(rng.randrange(-99, 100), rng.randrange(1, 100))
@@ -366,11 +309,6 @@ def test_flt_embeds_in_rat(pn, pe, qn, qe):
     assert flt_mul(x, y).as_pair() == rat_mul(rx, ry).as_pair()
 
 
-@given(st.integers(0, 10**12), st.integers(0, 10**12))
-def test_ucmp_total_order(a, b):
-    assert ucmp(UNat.from_int(a), UNat.from_int(b)) == (a > b) - (a < b)
-
-
 # ---------------------------------------------------------------------------
 # size accounting
 
@@ -380,18 +318,6 @@ def test_size_worked_examples():
     assert size(flt(3, 2)) == 7   # p=3 (2 bits), denominator 100 (3 bits)
     assert size(rat(0)) == 3      # +0/1: numerator empty, q one bit
     assert size(UNat.from_int(0)) == 0
-
-
-def test_roundtrip_literals():
-    rng = random.Random(0x707)
-    for _ in range(200):
-        n = UNat.from_int(rng.getrandbits(40))
-        assert parse_unat(str(n)) == n
-        assert parse_unat("0b" + n.display()) == n
-        r = rat(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
-        assert parse_rat(str(r)) == r
-        x = rand_flt(rng)
-        assert parse_flt(str(x)) == x
 
 
 def test_relu():
@@ -404,23 +330,33 @@ def test_relu():
 # ---------------------------------------------------------------------------
 # size preservation profiles
 
+def test_size_factor_is_the_least_bound_over_qualifying_pairs():
+    # the oracle behind every size-preservation test: pairs with |in|
+    # below n0 (or zero) are ignored however large their output, c is the
+    # ceiling of |out|/|in|, and the pair that needs the largest c is named
+    pairs = [(2, 100), (4, 9), (5, 5), (8, 17)]
+    assert size_factor(pairs, 4) == (3, (4, 9))
+    assert size_factor(pairs, 0) == (50, (2, 100))
+    assert size_factor([(0, 7), (3, 3)], 0) == (1, (3, 3))
+    with pytest.raises(AssertionError, match="no sample of input size >= 9"):
+        size_factor(pairs, 9)
+
+
 def test_profile_identity():
-    prof = check_size_preserving(lambda x: x,
-                                 [(UNat.from_int(v),) for v in range(1, 200)])
-    assert prof.ok and prof.c == 1
+    xs = [UNat.from_int(v) for v in range(1, 200)]
+    assert size_factor([(size(x), size(x)) for x in xs], 4)[0] == 1
 
 
 def test_profile_flt_add_paired():
+    # two arguments are sized by the tuple rule
     rng = random.Random(0x51E)
     plan = [(rand_flt(rng, 64, 30), rand_flt(rng, 64, 30)) for _ in range(800)]
-    prof = check_size_preserving(flt_add, plan, cap=4)
-    assert prof.ok, prof
+    pairs = [(size(args), size(flt_add(*args))) for args in plan]
+    c, worst = size_factor(pairs, 4)
+    assert c <= 4, worst
 
 
 def test_profile_unary_expansion_fails():
-    def unary(k):
-        return UNat((1,) * k.value)
-    plan = [(UNat.from_int(v),) for v in [3, 9, 40, 200, 1000, 5000]]
-    prof = check_size_preserving(unary, plan)
-    assert not prof.ok
-    assert prof.c > prof.cap
+    ks = [UNat.from_int(v) for v in [3, 9, 40, 200, 1000, 5000]]
+    pairs = [(size(k), size(UNat((1,) * k.value))) for k in ks]
+    assert size_factor(pairs, 4)[0] > 8

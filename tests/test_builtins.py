@@ -1,5 +1,6 @@
 """Ready-made constructions against brute-force oracles."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -13,11 +14,12 @@ from satcirc.machine import (MachineError, load_spec, recognize, run,
                              shared_tables)
 from satcirc.builtins import (
     BUILTIN_NAMES, build_hard_demo, build_majority, build_majority_layernorm,
-    build_prime_universal, build_resource_bounded, builtin_spec, ln_pair,
-    primes, pu_reconstruct, rb_reconstruct, rb_weight_sum,
+    build_prime_universal, build_resource_bounded, builtin_spec, primes,
+    pu_reconstruct, rb_reconstruct,
 )
 
-from oracles import contains_bigram11, is_prime, majority01, parity
+from oracles import (contains_bigram11, is_prime, majority01, parity,
+                     rb_weight_sum)
 
 
 def all_words(n):
@@ -91,10 +93,11 @@ def test_layernorm_order_invariant():
               for _ in range(60)}
     spec = build_majority_layernorm()
     for w in sorted(words):
-        pair = ln_pair(w, spec)
-        assert pair.order_preserved(flt_cmp), w
+        # position 1's pair (a, 0) before layer norm and (t1, t2) after
+        v = run(spec, w).values[-1][0]
+        assert flt_cmp(v[0], v[1]) == flt_cmp(v[2], v[3]), w
         # post-norm values are +-c with 1/2 < c <= 1, or (0, 0) on ties
-        t1 = abs(as_fraction(pair.post[0]))
+        t1 = abs(as_fraction(v[2]))
         assert t1 == 0 or Fraction(1, 2) < t1 <= 1
 
 
@@ -142,14 +145,14 @@ def test_prime_universal_reconstruction_random():
     for _ in range(25):
         n = rng.randint(1, 64)
         w = "".join(rng.choice("01") for _ in range(n))
-        t = run(spec, w, _final_positions=(0,))
+        t = run(spec, w)
         s = rat_mul(t.head_out[0][0][0][0], rat(n, 1))
         assert pu_reconstruct(s, table, n) == w
 
 
 def test_prime_universal_embedding_size_logarithmic():
     spec = build_prime_universal(lambda w: True, n_max=64)
-    t = run(spec, "1" * 64, _final_positions=(0,))
+    t = run(spec, "1" * 64)
     c = 0.0
     for i in range(2, 65):
         c = max(c, size(t.values[0][i - 1]) / (2 * math.log2(i)))
@@ -254,46 +257,63 @@ def test_builtin_factory_names():
 
 
 TRACE_WORDS = ("00000000", "11111111", "10110010", "01101101")
+
+
+def trace_sha256(t) -> str:
+    """sha256 of the repr of a trace's fields, named one by one, so that
+    the pin holds the values and not the dataclass's repr."""
+    return hashlib.sha256(repr((
+        t.input, t.n, t.values, t.scores, t.ties, t.head_out,
+        t.layer_max_size)).encode()).hexdigest()
+
+
 TRACE_SHA256 = {
     ("maj", None): (
-        "7d28d1297c9931c78ee14ec165025d71357ed42625fd8e0fb94c8ef034ff4cd6",
-        "18e8a9bc7c48ba166aff6c0b5681029b6a28e52fb4380a47287fd9ae684bf3cf",
-        "f891638b5efe2f9744406c4a300a07a96d2c4c38cf9b9dc4fc03dba5b2d8f4ec",
-        "5a400037e46ceecac5cd70e801ae991483e241a8ca3e2400e1e854256e90a974"),
+        "bbfb9cf475405f2c3b6f1da631c002dd418f209edcbe979baccbdc8261098981",
+        "015657cb3083de0b8267546484ac9dff391f1a8910ac6e93196d57a839e865dd",
+        "bc8f6bb73dd1ee71807f5b5985df1f33ba55ac22c9b1d0c3c124eb3b6d34a9da",
+        "4560cd232cfc1657c4c97faadc8008581fd944d5d53728082e3a09a3dbb4fe77"),
     ("maj-q", None): (
-        "d58a7abec3e9b7b0b1e8cf361d5cdc4b5b8bcd03669ee051a5a8c427e636fbb1",
-        "6468344f1b36bb24e65c7570e02d9e4a4eec3080adf2edf08b97759119dcda1a",
-        "fdb08643e61bb62f1899ec03df1eafae35e32706ad5cacf6b0fd2f8a5e54d1ed",
-        "31bd3cdae200eec1aaaeb9434c233ad6205ec7eaa959d4f7720aaa81525f92b0"),
+        "03500ad6cbe81fb42432fab5de00dc2a2e8d56a76e594de7a6fc9faed72b5a41",
+        "69446454844786edbd99412eba5717946dd50ff55c1ee2bcad4707bcada9f4eb",
+        "bb64a39d2947158c0a0293e514181b4ec97cc1a77475b7d59fe47723d2376a25",
+        "c58037bc0533423cd65b88f8ad5b75e06af14c83a1495ff3c74eb686392ba87f"),
     ("maj-ln", None): (
-        "d26e6f64fbc7cf613154429b7877b74431cdec2ce9e4bc654e43122e5904a4f8",
-        "b6c0bbb13d03b9111a8b4139c3ed563e96c7cf78e42100a1367cf980f806339b",
-        "87229b85e6c6fe6cdf60e574b62f80aac2aa8964eec77b70f99381e2cb1cff18",
-        "a205ee45de5bdcbf01babac70c6d1ffa53bf9c28c292c7d139ea217c2be0b08c"),
+        "02f154a396797c47b5d0125155f12cfae6b815bde435777909375dc80098efa5",
+        "9acf95c5ea72575c61398224799886a57313c2c8b38816d7f97e1fd21d829e8f",
+        "1228ec7fb3a5574df00a03cc6a94eb5f1b5d6cd643b69a2dfa8bf0e3e3136ce9",
+        "249a92bde31a80dbe7dfdd595a274512dfd5f3485161d1956a9772fc21ecb49e"),
     ("hard-demo", None): (
-        "ab382ab8a99e329ec37afeeb9cf4ede1a9cc5675f5437d331b71b47ed6609e92",
-        "122f418669b817eee2586e9c20f80c549e93d97e3f6eda9379d47b5536372e4f",
-        "5a2e3b38fdcd5d1233be79b7aae95e97c988311eca8deb6c0b4d71ac5ab337d3",
-        "2ab84459144fab693c3b3a4ab4762bd88f5c0442c455d2d2eae14a8c6e72edee"),
+        "f4525bd02a81d5d6d945061e1c2d863fa7d432a92757001a25324465c8d7eca1",
+        "4bfac94e83795582ed20feb3f5b02e27c69eb1d6cd562e19d3b611d0bbf87b8b",
+        "414e8730cee870eb88cdb3bac4e5650076810e77dd17acd99e63fcfd930668f8",
+        "1cac01e658c17cf78518e215920e75404681e609851d4fd9c469993e2341409d"),
     ("prime-universal", "parity"): (
-        "96faa5402a35bae2473bca199184c9bc3a70161ce0cc23f34b07dfe3d43e9ea0",
-        "3ec6e9b03d6305f61080b13803de3ba27a0411699d5e1e960609692f4ea72d70",
-        "1117815efea266b43a0ac6c69c5b6fb7b06ce1178c1a5151c7fd8b6b8b424fda",
-        "e38c149256ba0fb9105980e6199708260f77b2e871ca81d048928667d4c6a6f0"),
+        "0fb54d511332fccd3ba74ef22796759e5e49a8a32887c64219d670646ec1acb9",
+        "dce584e8721c28750a0febc6e7a96721d993629945f1fed9118eb1d728372f15",
+        "298da3bdcef3dfaaa1ebd94f9ba1e3855601c8a244e1c6a4ba0f3bfdc8edf085",
+        "2ba363b1228fcfcef0e1fde5eefc527132da4d93c3a9b727d903e27181816f27"),
     ("resource-bounded", "bigram11"): (
-        "ad0fff2b026ae2a2b5c02455ea278a0a66e4f5e13584b78581468d9cae534fa1",
-        "ec58cd3cfcb10eaa15ae17eb47bc34ba9294bc8a5a4fd74e4cdb4134c30d88e4",
-        "89e58a734917367ddd0f6c662507dc3e135423702528bde913d0f643322f9993",
-        "d16caac1ff5482d8deb6944fd851c97488513e413d6ea0218e0519c8ac590431"),
+        "2b0b979229560b8b0e6cc6ddc95636750d4d01a4fef543af0bcae9042629c356",
+        "ee53883488595d99893250e68d32e3cb16107357662f486c9d8985bb3828e6f6",
+        "99af50d48c11dd8fd3029769579845a4c0a69a0d3dc35f8fe04ffbea705e93ac",
+        "74d9fd721cde1327aba6127ca7ca810992ca314bb77e6be608559f18ed1a3c19"),
 }
 
 
 @pytest.mark.parametrize("name, pred", list(TRACE_SHA256))
 def test_traces_are_pinned(name, pred):
     spec = builtin_spec(name, pred)
-    got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
-                for w in TRACE_WORDS)
+    got = tuple(trace_sha256(run(spec, w)) for w in TRACE_WORDS)
     assert got == TRACE_SHA256[name, pred]
+
+
+def test_trace_pin_hashes_every_field():
+    # a field added to ValueTrace must join the pinned tuple
+    t = run(builtin_spec("maj"), TRACE_WORDS[2])
+    fields = tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+    assert trace_sha256(t) == hashlib.sha256(
+        repr(fields).encode()).hexdigest()
 
 
 def test_shared_tables_change_no_builtin_verdict_or_trace():

@@ -502,7 +502,11 @@ def test_size_growth_script(tmp_path):
                                   "--builtin NAME"),
             (["--builtin", "maj", "--n-list", "0,4"], "need n >= 1"),
             (["--builtin", "maj", "--n-list", ","],
-             "size instrumentation needs at least one n")):
+             "size instrumentation needs at least one n"),
+            (["--builtin", "maj", "--n-list", "4", "--samples", "0"],
+             "need count >= 1"),
+            (["--builtin", "maj", "--n-list", "4", "--samples", "-3"],
+             "need count >= 1")):
         r = _satcirc([script, *args, "--out-dir", str(tmp_path)], 60)
         assert r.returncode == 2 and r.stderr.startswith(f"error: {err}"), \
             r.stderr
@@ -591,6 +595,41 @@ def test_no_private_function_under_src_exists_only_for_tests():
                 if all(id(node) in inside for node in refs.get(fn.name, ())):
                     found.append(fn.name)
     assert found == []
+
+
+def test_no_public_name_under_src_exists_only_for_tests():
+    # a public module-level function or class is named outside its own
+    # body somewhere under src/, scripts/ or perfbench/ (its tests aside),
+    # or exported from satcirc/__init__.py; a name found here is dead, and
+    # so is what only dead code names
+    root = Path(SRC).parent
+    mods = sorted(Path(SRC, "satcirc").glob("*.py"))
+    users = mods + sorted(path for d in ("scripts", "perfbench")
+                          for path in Path(root, d).rglob("*.py")
+                          if not path.name.startswith("test_"))
+    refs, defs = {}, []
+    for path in users:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            refs.setdefault(name, []).append(node)
+        if path in mods:
+            defs += [(path.name, d) for d in tree.body
+                     if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                     and not d.name.startswith("_")]
+    found, dead = {}, set()
+    while True:
+        more = {f"{mod}:{d.name}": d for mod, d in defs
+                if f"{mod}:{d.name}" not in found
+                and {id(node) for node in refs.get(d.name, ())}
+                <= dead | {id(node) for node in ast.walk(d)}}
+        if not more:
+            break
+        found.update(more)
+        dead |= {id(node) for d in more.values() for node in ast.walk(d)}
+    assert sorted(found) == []
 
 
 def test_no_nested_function_under_src_names_itself():

@@ -44,7 +44,7 @@ from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
                              Sqrt, TransformerSpec, Tup, eval_expr,
                              instrument_sizes, load_spec, parse_spec,
                              recognize, run)
-from test_builtins import TRACE_WORDS
+from test_builtins import TRACE_WORDS, trace_sha256
 
 
 def all_words(spec, n):
@@ -566,6 +566,12 @@ def test_default_samples_stop_at_the_number_of_words():
     for n in (0, -3):
         with pytest.raises(CompileError, match="need n >= 1"):
             default_samples(MAJ, n)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_default_samples_refuses_a_count_below_one(count):
+    with pytest.raises(CompileError, match="need count >= 1"):
+        default_samples(MAJ, 4, count=count)
 
 
 def test_a_trace_wider_than_its_analytic_width_is_refused(
@@ -1129,18 +1135,18 @@ def test_spec_artifacts_are_pinned(name, n, monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-# sha256 of repr(run(...)) on TRACE_WORDS spelt over a, b
+# trace_sha256(run(...)) on TRACE_WORDS spelt over a, b
 SPEC_TRACE_SHA256 = {
     "two-layer": (
-        "4549deaee4fddf6585b00debc9e8ab790e8688181d27787c5b0f8cc5d76568cb",
-        "1588001b585d316378259a5af9acc678b895bcd849de2787b15a7798974a0aed",
-        "45807c9a7908677dea1ac69794dd9a1b6417cf7b7ce27d1889c873a6bc6fa58c",
-        "7b4e237b4f0d39ee7222c64128ece1b52b53f66163539fb87bbfdea901a129d2"),
+        "4d94389680a534858875e2d7db16b2298b0dd45d96e927ce5ddf80da4bd322af",
+        "46c074980976a079ddf4ca24ce2869d7362430c87935548ae25b5b04330d0212",
+        "a672f911865cca495adb9a027750c2937e5e9e4e63a23dd1d14337b6850f8113",
+        "e267d17ca566c4a689d5527f3c2b5daf26afc44c3b893ce5b35783cf588b92a9"),
     "uniform": (
-        "23ea59fc11e581aca73d1bd0786c339fbbdaed9057695ae6928deb1451b38ea5",
-        "36d5334472d94d32a997680e28b30f87bd0768f42f273f21ba35b04ce1db0326",
-        "da660e17bdef12c6b0785090d68e5efde158f7e894f80e66b553caf03aa49ea0",
-        "f480689261c22a74d3cac739b1f4aa199a599e2be35c9773a54b5b632678f4ad"),
+        "bf0222c16d0d3da10ccd1b5d57ec44741e93414a529f3f916969251419deb61d",
+        "1d11d4640e186c8b2baa118683de0ea11cfb7a80606c5b7df432fd807608252e",
+        "a49235d85201d2baa4797223c2a7a14f2cac9f62df9da10f45e223338325aac5",
+        "d55007131f1c7e7ea3d857a90f126dd6ff281d77657b18f1a3814b9249112332"),
 }
 
 
@@ -1148,8 +1154,7 @@ SPEC_TRACE_SHA256 = {
 def test_spec_traces_are_pinned(name):
     spec = TABLE_SPECS[name][0]()
     words = [w.translate(str.maketrans("01", "ab")) for w in TRACE_WORDS]
-    got = tuple(hashlib.sha256(repr(run(spec, w)).encode()).hexdigest()
-                for w in words)
+    got = tuple(trace_sha256(run(spec, w)) for w in words)
     assert got == SPEC_TRACE_SHA256[name]
 
 

@@ -17,13 +17,12 @@ from satcirc.builtins import builtin_spec
 from satcirc.machine import (
     MAX_POW2_EXPONENT, Add, Affine, Arg, AttentionKind, Const, Div, Eq,
     FuncExpr, Gt, HeadSpec, Host, LayerSpec, MachineError, Mul, Neg, Pow2,
-    Proj, Relu, Select, Sqrt, TransformerSpec, Tup, attend,
-    check_elementwise_size_preserving, classifier_value, domain_of,
-    eval_expr, instrument_sizes, is_size_preserving, max_set, parse_spec,
-    recognize, run, shared_tables,
+    Proj, Relu, Select, Sqrt, TransformerSpec, Tup, classifier_value,
+    domain_of, eval_expr, instrument_sizes, is_size_preserving, max_set,
+    parse_spec, recognize, run, shared_tables,
 )
 
-from oracles import majority01, popcount, ref_eval
+from oracles import majority01, popcount, ref_eval, size_factor
 
 F = domain_of("F")
 Q = domain_of("Q")
@@ -36,6 +35,14 @@ def as_fraction(x):
 
 # ---------------------------------------------------------------------------
 # attention
+
+
+def attend(kind, scores, domain):
+    """The weight of each position in one row of scores: the machine's
+    head output over the columns of the identity matrix."""
+    unit = [tuple(domain.one if j == c else domain.zero
+                  for j in range(len(scores))) for c in range(len(scores))]
+    return domain.attend(kind, lambda: scores, unit)[2]
 
 
 def test_attend_hard_least_maximizer():
@@ -370,7 +377,7 @@ def test_first_token_spec_hard_attention():
 def test_run_trace_contents():
     spec = mean_majority_spec("F")
     t = run(spec, "110")
-    assert t.n == 3 and not t.partial
+    assert t.n == 3
     # layer 0 embeddings: (is_one, 1)
     assert [as_fraction(c) for c in t.values[0][0]] == [1, 1]
     assert [as_fraction(c) for c in t.values[0][2]] == [0, 1]
@@ -392,7 +399,7 @@ def test_run_finds_each_tie_set_once(monkeypatch):
     t = run(mean_majority_spec("F"), "1101")
     assert calls == [4] * 4 and t.ties[0][0][2] == (0, 1, 2, 3)
     calls.clear()
-    run(mean_majority_spec("F"), "1101", _final_positions=(0,))
+    assert recognize(mean_majority_spec("F"), "1101")
     assert calls == [4]
 
 
@@ -414,16 +421,24 @@ def test_zero_layer_spec_classifies_embedding():
     assert recognize(spec, "10") and not recognize(spec, "01")
 
 
-def test_recognize_is_lazy_at_final_layer():
-    spec = mean_majority_spec("F")
-    t = run(spec, "1011", _final_positions=(0,))
-    assert t.partial
-    assert t.values[-1][0] is not None
-    assert all(t.values[-1][i] is None for i in (1, 2, 3))
-    full = run(spec, "1011")
-    assert t.values[-1][0] == full.values[-1][0]
-    with pytest.raises(MachineError):
-        t.final(2)
+def test_recognize_is_lazy_at_final_layer(monkeypatch):
+    # recognize evaluates every position below the last layer and
+    # position 1 in it; its verdict is the full trace's
+    import satcirc.machine as M
+
+    calls = []
+    monkeypatch.setattr(M, "max_set", lambda row, domain: calls.append(
+        len(row)) or max_set(row, domain))
+    spec = two_layer_spec()
+    for w in ("1011", "0110"):
+        calls.clear()
+        t = run(spec, w)
+        assert calls == [4] * 8
+        calls.clear()
+        got = recognize(spec, w)
+        assert calls == [4] * 5
+        cls = F.affine(spec.classifier_w, spec.classifier_b, t.values[-1][0])
+        assert got == (F.cmp(cls, F.zero) > 0)
 
 
 def test_classifier_value_exact():
@@ -590,7 +605,7 @@ def test_the_verdict_path_equals_the_trace_path(name, pred):
 
     def both(w):
         traced = spec.domain.affine(spec.classifier_w, spec.classifier_b,
-                                    run(spec, w).final(0))
+                                    run(spec, w).values[-1][0])
         assert classifier_value(spec, w) == traced, w
         return recognize(spec, w), spec.domain.cmp(traced, zero) > 0
 
@@ -736,6 +751,29 @@ def test_instrument_rejects_length_mismatch():
         instrument_sizes(spec, {3: ["01"]})
 
 
+def test_instrument_refuses_an_n_with_no_words():
+    spec = mean_majority_spec("F")
+    with pytest.raises(MachineError, match="got no inputs of length 4"):
+        instrument_sizes(spec, {2: ["01"], 4: []})
+
+
+@pytest.mark.parametrize("name", ["maj", "hard-demo"])
+def test_run_evaluates_every_position(name):
+    # run keeps no partial trace: every layer holds all n positions
+    spec, w = builtin_spec(name), "10110"
+    t = run(spec, w)
+    layers, heads, n = len(spec.layers), spec.n_heads, len(w)
+    assert len(t.values) == layers + 1 == len(t.layer_max_size)
+    assert all(len(v) == n and None not in v for v in t.values)
+    for per_layer in (t.scores, t.ties, t.head_out):
+        assert len(per_layer) == layers
+        assert all(len(h) == heads for h in per_layer)
+        assert all(len(h) == n and None not in h
+                   for layer in per_layer for h in layer)
+    assert all(len(row) == n for layer in t.scores for h in layer
+               for row in h)
+
+
 def test_elementwise_profile_saturated():
     rng = random.Random(11)
     rows = []
@@ -743,8 +781,11 @@ def test_elementwise_profile_saturated():
         n = rng.randint(1, 8)
         rows.append(tuple(flt(rng.randint(-7, 7), rng.randint(0, 2))
                           for _ in range(n)))
-    prof = check_elementwise_size_preserving(AttentionKind.SATURATED, rows, F)
-    assert prof.ok
+    # a weight depends on the whole row, so its input size is the row's
+    # largest score
+    pairs = [(max(map(size, row)), size(wt)) for row in rows
+             for wt in attend(AttentionKind.SATURATED, row, F)]
+    assert size_factor(pairs, 1)[0] <= 8
 
 
 # ---------------------------------------------------------------------------
