@@ -22,8 +22,8 @@ from .circuit import (CircuitError, family_analyze, from_json, to_dot,
                       to_json)
 from .compile import (CompileError, compile_planned, compile_saturated,
                       default_samples, verify_equivalence)
-from .machine import (MachineError, instrument_sizes, load_spec, recognize,
-                      run)
+from .machine import (MachineError, _run, instrument_sizes, load_spec,
+                      recognize)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
@@ -98,8 +98,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args)
     if not args.input:
         raise MachineError("run needs --input WORD")
-    t = run(spec, args.input) if args.trace else None
-    accept = recognize(spec, args.input)
+    if args.trace:
+        accept, t = _run(spec, args.input)
+    else:
+        accept, t = recognize(spec, args.input), None
     name = spec.name or "spec"
     print(f"{name} on {args.input!r}: {'accept' if accept else 'reject'}")
     if t is not None:

@@ -134,8 +134,9 @@ def default_samples(spec: TransformerSpec, n: int, count: int = 6,
     if count < 1:
         raise CompileError("need count >= 1")
     alpha = spec.alphabet
-    words = {alpha[0] * n, alpha[-1] * n,
-             "".join(alpha[i % len(alpha)] for i in range(n))}
+    fixed = dict.fromkeys([alpha[0] * n, alpha[-1] * n,
+                           "".join(alpha[i % len(alpha)] for i in range(n))])
+    words = set(list(fixed)[:count])
     # only |alpha|^n words exist; an exponent past count cannot lower it
     count = min(count, len(alpha) ** min(n, count))
     rng = random.Random(seed)
@@ -172,11 +173,8 @@ class _Measure(Domain):
 
 
 def _flatten_packs(val, out: list):
-    if isinstance(val, tuple):
-        for v in val:
-            _flatten_packs(v, out)
-    elif val is not None:  # None: a component the expression never reads
-        out.append(val)
+    """Append val's packs to out in order."""
+    _map_packs(val, out.append)
 
 
 def _pack_const(b: Builder, pack: WirePack):
@@ -317,9 +315,7 @@ class _Wires:
         counts = S._exact_count(b, flags)  # |M| one-hot over 0..n
         outs = []
         for col in cols:
-            gated = [S.float_pack(x.sign, [b.and_(g, w) for w in x.p],
-                                  [b.and_(g, w) for w in x.e], x.e_max)
-                     for g, x in zip(flags, col)]
+            gated = [S.f_gate(b, x, g, x.sign) for g, x in zip(flags, col)]
             outs.append(S.f_div_by_indicators(b, S.f_sum(b, gated), counts))
         return scores, flags, tuple(outs)
 
@@ -353,7 +349,12 @@ class _Compiler:
         read = list(dict.fromkeys(uses))
         index = {w: t for t, w in enumerate(read)}  # its bit in the table
         alias = tuple(index[w] for w in uses)  # i = j vs i != j, etc.
-        key = (e, _shape_sig(b, view), alias, _shape_sig(b, ref))
+
+        def sig(pk):  # a pack's shape and constant bits
+            return (pk.p_width, pk.e_width, pk.e_max,
+                    tuple(map(b.const_value, pk.wires)))
+
+        key = (e, _map_packs(view, sig), alias, _map_packs(ref, sig))
         if key not in self._tables:
             rows = self._table_rows(e, args, ref, read)
             if rows is not None:
@@ -374,11 +375,15 @@ class _Compiler:
         """One row per assignment of the read live wires; every other
         live wire is tied to 0, which the expression never sees."""
         b = self.b
+        packs: list = []
+        _flatten_packs(args, packs)
+        consts = [(w, b.const_value(w)) for pk in packs for w in pk.wires]
         rows = []
         for m in range(1 << len(read)):
             asn = {w: (m >> t) & 1 for t, w in enumerate(read)}
             try:
-                vals = _decode_args(b, args, asn)
+                vals = _split([asn.get(w, 0) if v is None else v
+                               for w, v in consts], args)
                 out = eval_expr(e, vals, self.spec.domain, self.spec.hosts)
                 rows.append(_encode_result(out, ref))
             except (MachineError, SynthError):
@@ -406,7 +411,7 @@ class _Compiler:
         xs = [[(m >> t) & 1 for t in range(len(read))]
               for m in range(len(rows))]
         for m, (got_bits, row) in enumerate(zip(eval_batch(c2, xs), rows)):
-            if _decode_result(got_bits, ref2) != _decode_result(row, ref):
+            if _split(got_bits, ref2) != _split(row, ref):
                 raise CompileError(
                     f"structural/lookup cross-check failed for {e.op!r} "
                     f"on assignment {m}")
@@ -478,30 +483,12 @@ def _read_view(val, paths, at=()):
     return tuple(_read_view(v, paths, at + (k,)) for k, v in enumerate(val))
 
 
-def _shape_sig(b: Builder, val):
-    if val is None:
-        return None
-    if isinstance(val, tuple):
-        return tuple(_shape_sig(b, v) for v in val)
-    return (val.p_width, val.e_width, val.e_max,
-            tuple(b.const_value(w) for w in val.wires))
-
-
-def _decode_args(b: Builder, val, asn):
-    if isinstance(val, tuple):
-        return tuple(_decode_args(b, v, asn) for v in val)
-    bits = []
-    for w in val.wires:
-        cv = b.const_value(w)
-        bits.append(asn.get(w, 0) if cv is None else cv)
-    return S.decode_flt(bits, val.p_width, val.e_width)
-
-
 def _map_packs(val, fn):
-    """val with each pack replaced by fn(pack), nested tuples kept."""
+    """val with each pack replaced by fn(pack), nested tuples kept and
+    None, a component the expression never reads, left None."""
     if isinstance(val, tuple):
         return tuple(_map_packs(v, fn) for v in val)
-    return fn(val)
+    return None if val is None else fn(val)
 
 
 def _encode_result(val, ref) -> tuple:
@@ -519,17 +506,14 @@ def _encode_result(val, ref) -> tuple:
     return tuple(S.encode_flt(val, ref.p_width, ref.e_width))
 
 
-def _split(flat, ref, make):
+def _split(flat, ref, make=None):
     """Cut flat into one chunk per pack of ref, in order, and rebuild
-    ref's shape from make(chunk, pack)."""
+    ref's shape from make(chunk, pack), by default the Flt that the
+    chunk's bits encode in the pack's layout."""
     chunks = iter(flat)
+    make = make or (lambda c, r: S.decode_flt(c, r.p_width, r.e_width))
     return _map_packs(ref, lambda r: make(
         list(itertools.islice(chunks, 1 + r.p_width + r.e_width)), r))
-
-
-def _decode_result(bits, ref):
-    return _split(bits, ref,
-                  lambda c, r: S.decode_flt(c, r.p_width, r.e_width))
 
 
 # ---------------------------------------------------------------------------

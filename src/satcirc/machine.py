@@ -729,10 +729,16 @@ def run(spec: TransformerSpec, w: str) -> ValueTrace:
     every position, for ``run --trace`` and the size instrumentation.
     ``recognize`` is the lazy path that evaluates the last layer at
     position 1 only."""
-    values, scores, ties, head_out = _walk(spec, w, spec.domain, None)[1]
+    return _run(spec, w)[1]
+
+
+def _run(spec: TransformerSpec, w: str) -> tuple[bool, ValueTrace]:
+    """(recognize's verdict, run's trace) of w, from one full walk."""
+    cls, (values, scores, ties, head_out) = _walk(spec, w, spec.domain, None)
     max_sizes = tuple(max((size(c) for v in layer_vals for c in v),
                           default=0) for layer_vals in values)
-    return ValueTrace(w, len(w), values, scores, ties, head_out, max_sizes)
+    return _accepts(spec, cls), ValueTrace(w, len(w), values, scores, ties,
+                                           head_out, max_sizes)
 
 
 def classifier_value(spec: TransformerSpec, w: str) -> Scalar:
@@ -743,7 +749,11 @@ def classifier_value(spec: TransformerSpec, w: str) -> Scalar:
 
 def recognize(spec: TransformerSpec, w: str) -> bool:
     """Strict-positivity acceptance on the first position's final value."""
-    return spec.domain.cmp(classifier_value(spec, w), spec.domain.zero) > 0
+    return _accepts(spec, classifier_value(spec, w))
+
+
+def _accepts(spec: TransformerSpec, cls) -> bool:
+    return spec.domain.cmp(cls, spec.domain.zero) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1020,17 +1030,27 @@ def _parse_expr(f, n_heads: int, block_width: int,
             acc = ctor(acc, rec(x))
         return acc
     if op == "affine":
-        wf, bf = rest[0], rest[1]
-        if not (isinstance(wf, list) and wf and wf[0] == "w"
-                and isinstance(bf, list) and len(bf) == 2
-                and bf[0] == "b"):
-            raise MachineError("affine wants (w ...) then (b N)")
-        coeffs = [_parse_number(x) for x in wf[1:]]
-        bias = _parse_number(bf[1])
+        coeffs, bias = _weights("affine", rest[0], rest[1])
         return Affine(coeffs, bias, *[rec(x) for x in rest[2:]])
     if not isinstance(rest[0], str):
         raise MachineError(f"host wants a name, got {rest[0]!r}")
     return Host(rest[0], *[rec(x) for x in rest[1:]])
+
+
+def _weights(what: str, wf, bf) -> tuple:
+    """(coefficients, bias) of the forms (w N...) (b N), which end an
+    affine expression's operands and make up the classifier."""
+    if not (isinstance(wf, list) and wf[:1] == ["w"]
+            and isinstance(bf, list) and bf[:1] == ["b"]):
+        raise MachineError(f"{what} wants (w ...) then (b N)")
+    _want("b", bf[1:], 1, 1)
+    return [_parse_number(x) for x in wf[1:]], _parse_number(bf[1])
+
+
+# operand count per section other than (layer ...), as _ARITY; each
+# appears at most once, and every one but name must appear
+_SECTIONS = {"name": (1, 1), "alphabet": (1, None), "datatype": (1, 1),
+             "width": (1, 1), "embedding": (1, 1), "classifier": (2, 2)}
 
 
 def parse_spec(text: str) -> TransformerSpec:
@@ -1038,9 +1058,7 @@ def parse_spec(text: str) -> TransformerSpec:
     form = _read_sexp(text)
     if not isinstance(form, list) or not form or form[0] != "transformer":
         raise MachineError("spec file must be a (transformer ...) form")
-    fields = {"name": "", "alphabet": None, "datatype": None, "width": None,
-              "embedding": None, "classifier": None}
-    layer_forms = []
+    fields, layer_forms = {}, []
     for section in form[1:]:
         if not (isinstance(section, list) and section
                 and isinstance(section[0], str)):
@@ -1048,14 +1066,18 @@ def parse_spec(text: str) -> TransformerSpec:
         key = section[0]
         if key == "layer":
             layer_forms.append(section[1:])
-        elif key in fields:
-            fields[key] = section[1:]
-        else:
+        elif key not in _SECTIONS:
             raise MachineError(f"unknown section {key!r}")
-    for req in ("alphabet", "datatype", "width", "embedding", "classifier"):
-        if fields[req] is None:
-            raise MachineError(f"missing ({req} ...) section")
-        _want(req, fields[req], 1)
+        elif key in fields:
+            raise MachineError(f"more than one ({key} ...) section")
+        else:
+            fields[key] = section[1:]
+    fields.setdefault("name", [""])
+    for key, (least, most) in _SECTIONS.items():
+        if key not in fields:
+            raise MachineError(f"missing ({key} ...) section")
+        _want(key, fields[key], least)  # too few reads "at least"
+        _want(key, fields[key], least, most)
     if not layer_forms:
         raise MachineError("missing (layer ...) section")
     alphabet = tuple(fields["alphabet"])
@@ -1096,17 +1118,8 @@ def parse_spec(text: str) -> TransformerSpec:
             raise MachineError("layer missing (activation ...)")
         layers.append(LayerSpec(tuple(heads), activation))
 
-    wf = bf = None
-    for item in fields["classifier"]:
-        if isinstance(item, list) and item and item[0] == "w":
-            wf = [_parse_number(x) for x in item[1:]]
-        elif isinstance(item, list) and item and item[0] == "b":
-            _want("b", item[1:], 1, 1)
-            bf = _parse_number(item[1])
-    if wf is None or bf is None:
-        raise MachineError("classifier wants (w ...) and (b ...)")
-
-    name = fields["name"][0] if fields["name"] else ""
+    wf, bf = _weights("classifier", *fields["classifier"])
+    name = fields["name"][0]
     seps = {"/", os.sep, os.altsep} - {None}
     if (not isinstance(name, str) or name in (".", "..")
             or any(sep in name for sep in seps)):

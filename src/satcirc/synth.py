@@ -29,6 +29,14 @@ all calls of it.
 Attention's argmax is f_maximizers (a flag on every tied maximum, from
 pairwise f_ge), first_hot (keep the first flag) and f_onehot (the pack
 whose hot wire is set).
+
+The other rules are each written once too. Builder.and_ and Builder.or_
+are one folding rule (_fold) with the absorbing constant as a parameter.
+_adder2 and _sub are one lookahead DNF (_lookahead) over their own
+carry or borrow literals, and _padded brings two numbers to a common
+width for them, _geq_u and _eq_u. f_div_const is f_mul_const by the
+reciprocal constant of bitnum.flt_div. f_gate zeroes a pack where a
+wire is 0; f_relu and the saturated pooling's flag gating call it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitnum import Flt
+from .bitnum import Flt, UNat
 from .circuit import (
     AND, CONST, Circuit, Gate, INPUT, NEG_INPUT, NOT, OR, THRESHOLD_GE,
     THRESHOLD_LE, metrics,
@@ -54,6 +62,32 @@ def clog2(x: int) -> int:
 
 # ---------------------------------------------------------------------------
 # builder
+
+
+def _fold(kind: str, absorb: int):
+    """The method behind Builder.and_ (kind AND, absorbing constant 0)
+    and Builder.or_ (OR, 1). When folding, an input at the absorbing
+    constant is the result, the other constant and repeated wires drop
+    out, and a single wire left is the result (none left: the other
+    constant). Without folding, the gate takes every input, sorted."""
+    def fold(self, *ws) -> int:
+        ws = _flatten(ws)
+        if self.folding:
+            kept = []
+            for w in ws:
+                cv = self.const_value(w)
+                if cv == absorb:
+                    return self.const(absorb)
+                if cv is None:
+                    kept.append(w)
+            kept = sorted(set(kept))
+            if not kept:
+                return self.const(1 - absorb)
+            if len(kept) == 1:
+                return kept[0]
+            return self._emit(kind, tuple(kept))
+        return self._emit(kind, tuple(sorted(ws)))
+    return fold
 
 
 class Builder:
@@ -115,41 +149,8 @@ class Builder:
     def const(self, v: int) -> int:
         return self._emit(CONST, k=1 if v else 0)
 
-    def and_(self, *ws) -> int:
-        ws = _flatten(ws)
-        if self.folding:
-            kept = []
-            for w in ws:
-                cv = self.const_value(w)
-                if cv == 0:
-                    return self.const(0)
-                if cv is None:
-                    kept.append(w)
-            kept = sorted(set(kept))
-            if not kept:
-                return self.const(1)
-            if len(kept) == 1:
-                return kept[0]
-            return self._emit(AND, tuple(kept))
-        return self._emit(AND, tuple(sorted(ws)))
-
-    def or_(self, *ws) -> int:
-        ws = _flatten(ws)
-        if self.folding:
-            kept = []
-            for w in ws:
-                cv = self.const_value(w)
-                if cv == 1:
-                    return self.const(1)
-                if cv is None:
-                    kept.append(w)
-            kept = sorted(set(kept))
-            if not kept:
-                return self.const(0)
-            if len(kept) == 1:
-                return kept[0]
-            return self._emit(OR, tuple(kept))
-        return self._emit(OR, tuple(sorted(ws)))
+    and_ = _fold(AND, 0)
+    or_ = _fold(OR, 1)
 
     def not_(self, w: int) -> int:
         if self.folding:
@@ -340,90 +341,79 @@ def _pad(b: Builder, ws, width: int) -> list[int]:
     return ws
 
 
-def _adder2(b: Builder, aws, bws) -> list[int]:
-    """a + b via merged carry-lookahead DNF; width max(|a|,|b|)+1.
-
-    The carry into j is expanded inside each sum bit's DNF: carry
-    terms are generate-and-propagate chains, no-carry terms are
-    kill-and-no-generate chains, each AND'ed directly with the parity
-    literals of position j, so the whole output is a depth-4 OR of ANDs
-    regardless of width.
-    """
+def _padded(b: Builder, aws, bws) -> tuple[list[int], list[int]]:
+    """aws and bws zero-padded to their common width, at least 1."""
     W = max(len(aws), len(bws), 1)
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
-    na = [b.not_(w) for w in a]
-    nc = [b.not_(w) for w in c]
-    g = [b.and_(a[t], c[t]) for t in range(W)]
-    p = [b.or_(a[t], c[t]) for t in range(W)]
-    ng = [b.or_(na[t], nc[t]) for t in range(W)]
-    np_ = [b.and_(na[t], nc[t]) for t in range(W)]
+    return _pad(b, aws, W), _pad(b, bws, W)
+
+
+def _lookahead(b: Builder, a, c, na, nc, raised, passed, killed,
+               held) -> list[int]:
+    """Bit j of a + c or a - c as one DNF: the parity literals of a[j]
+    and c[j] (na, nc their negations) AND'ed with a chain that says
+    whether a carry (borrow) reaches j, so the output is a depth-4 OR of
+    ANDs at every width. One reaches j when raised at some k < j (the
+    literals raised[k]) and passed on by every position between; none
+    does when none below j raises one (held), or one is killed at t
+    (killed[t]) and none above t raises one."""
     out = []
-    for j in range(W):
+    for j in range(len(a)):
         terms = []
-        for k in range(j):  # carry into j from a generate at k
-            chain = [g[k]] + p[k + 1:j]
+        for k in range(j):
+            chain = raised[k] + passed[k + 1:j]
             terms.append(b.and_(*chain, a[j], c[j]))
             terms.append(b.and_(*chain, na[j], nc[j]))
-        opts = [ng[0:j]]  # no generate below j at all
-        for t in range(j):  # kill at t, no generate above it
-            opts.append([np_[t]] + ng[t + 1:j])
-        for opt in opts:
+        for opt in [held[:j]] + [killed[t] + held[t + 1:j] for t in range(j)]:
             terms.append(b.and_(*opt, a[j], nc[j]))
             terms.append(b.and_(*opt, na[j], c[j]))
         out.append(b.or_(*terms))
-    carry = [b.and_(g[k], *p[k + 1:W]) for k in range(W)]
-    out.append(b.or_(*carry))
     return out
 
 
-def _eq_bits(b: Builder, a, c, W):
-    return [b.or_(b.and_(a[t], c[t]),
-                  b.and_(b.not_(a[t]), b.not_(c[t]))) for t in range(W)]
+def _adder2(b: Builder, aws, bws) -> list[int]:
+    """a + b; width max(|a|,|b|)+1. A carry is a generate passed on by
+    propagates, and none is no generate or a kill with none above it."""
+    a, c = _padded(b, aws, bws)
+    na = [b.not_(w) for w in a]
+    nc = [b.not_(w) for w in c]
+    g = [b.and_(x, y) for x, y in zip(a, c)]
+    p = [b.or_(x, y) for x, y in zip(a, c)]
+    ng = [b.or_(x, y) for x, y in zip(na, nc)]
+    kill = [[b.and_(x, y)] for x, y in zip(na, nc)]
+    out = _lookahead(b, a, c, na, nc, [[w] for w in g], p, kill, ng)
+    out.append(b.or_(*[b.and_(g[k], *p[k + 1:]) for k in range(len(a))]))
+    return out
 
 
 def _sub(b: Builder, aws, bws) -> list[int]:
-    """a - b, correct when a >= b; merged borrow-lookahead DNF."""
-    W = max(len(aws), len(bws), 1)
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
+    """a - b, correct when a >= b. A borrow is raised where a has 0 and
+    b has 1 and passed on by equal bits; none is all equal below or a
+    > b at some t with equal bits above it."""
+    a, c = _padded(b, aws, bws)
     na = [b.not_(w) for w in a]
     nc = [b.not_(w) for w in c]
-    eq = _eq_bits(b, a, c, W)
-    out = []
-    for j in range(W):
-        terms = []
-        for k in range(j):  # borrow into j raised at k
-            chain = [na[k], c[k]] + eq[k + 1:j]
-            terms.append(b.and_(*chain, a[j], c[j]))
-            terms.append(b.and_(*chain, na[j], nc[j]))
-        opts = [eq[0:j]]  # no borrow: everything below equal
-        for t in range(j):  # or strictly greater at t
-            opts.append([a[t], nc[t]] + eq[t + 1:j])
-        for opt in opts:
-            terms.append(b.and_(*opt, a[j], nc[j]))
-            terms.append(b.and_(*opt, na[j], c[j]))
-        out.append(b.or_(*terms))
-    return out
+    eq = _eq_bits(b, a, c)
+    return _lookahead(b, a, c, na, nc, [[x, y] for x, y in zip(na, c)], eq,
+                      [[x, y] for x, y in zip(a, nc)], eq)
+
+
+def _eq_bits(b: Builder, a, c) -> list[int]:
+    return [b.or_(b.and_(x, y), b.and_(b.not_(x), b.not_(y)))
+            for x, y in zip(a, c)]
 
 
 def _geq_u(b: Builder, aws, bws, strict=False) -> int:
     """a >= b (a > b if strict) on unsigned wires, theta-free depth <= 4."""
-    W = max(len(aws), len(bws), 1)
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
-    eq = _eq_bits(b, a, c, W)
+    a, c = _padded(b, aws, bws)
+    eq = _eq_bits(b, a, c)
     terms = [] if strict else [b.and_(*eq)]
-    for j in range(W):
+    for j in range(len(a)):
         terms.append(b.and_(a[j], b.not_(c[j]), *eq[j + 1:]))
     return b.or_(*terms)
 
 
 def _eq_u(b: Builder, aws, bws) -> int:
-    W = max(len(aws), len(bws), 1)
-    a = _pad(b, aws, W)
-    c = _pad(b, bws, W)
-    return b.and_(*_eq_bits(b, a, c, W))
+    return b.and_(*_eq_bits(b, *_padded(b, aws, bws)))
 
 
 def _onehot_bits(b: Builder, hots, rows) -> list[int]:
@@ -574,7 +564,7 @@ def _enum_shift(b: Builder, bits, sels, width: int) -> list[int]:
 
 def f_const(b: Builder, x: Flt) -> WirePack:
     p = [b.const(bit) for bit in encode_uint(x.p.value, max(len(x.p), 1))]
-    e = [b.const(bit) for bit in encode_uint(x.e, clog2(x.e + 1))]
+    e = _const_e_wires(b, x.e, x.e)
     return float_pack(b.const(x.sign), p, e, x.e, canonical=True)
 
 
@@ -666,10 +656,15 @@ def f_pos_or_zero(b: Builder, x: WirePack) -> int:
     return b.or_(x.sign, b.not_(f_nonzero(b, x)))
 
 
-def f_relu(b: Builder, x: WirePack) -> WirePack:
-    keep = x.sign
-    return float_pack(b.const(1), [b.and_(keep, w) for w in x.p],
+def f_gate(b: Builder, x: WirePack, keep: int, sign: int) -> WirePack:
+    """x's p and e wires AND'ed with keep, under the sign wire sign: x
+    (signed by sign) where keep is set, zero where it is not."""
+    return float_pack(sign, [b.and_(keep, w) for w in x.p],
                       [b.and_(keep, w) for w in x.e], x.e_max)
+
+
+def f_relu(b: Builder, x: WirePack) -> WirePack:
+    return f_gate(b, x, x.sign, b.const(1))
 
 
 def _enum_value(b: Builder, pairs, width: int) -> list[int]:
@@ -711,18 +706,14 @@ def f_mul_const(b: Builder, x: WirePack, c: Flt) -> WirePack:
 
 
 def f_div_const(b: Builder, x: WirePack, c: Flt) -> WirePack:
-    """x / c for a compile-time constant c, per the reciprocal-scaling
-    rule: k = floor(2^|c.p| / c.p), p' = p*k*2^c.e, e' = e + |c.p|."""
+    """x / c for a compile-time constant c, by bitnum.flt_div's
+    reciprocal rule: x times k * 2^c.e / 2^|c.p| with
+    k = floor(2^|c.p| / c.p), a constant f_mul_const takes unreduced."""
     if c.is_zero():
         raise SynthError("division by the constant zero")
     pw = len(c.p)
     k = (1 << pw) // c.p.value
-    p = _mul_const_u(b, x.p, k << c.e)
-    emax = x.e_max + pw
-    e = _enum_value(b, [(u + pw, s) for u, s in _e_sels(b, x)],
-                    clog2(emax + 1))
-    sign = x.sign if c.sign else b.not_(x.sign)
-    return float_pack(sign, p, e, emax)
+    return f_mul_const(b, x, Flt(c.sign, UNat.from_int(k << c.e), pw))
 
 
 def f_div_by_indicators(b: Builder, x: WirePack, indicators) -> WirePack:

@@ -87,12 +87,6 @@ def oracle_rat_mul(ap, aq, bp, bq):
     return (num // g, den // g)
 
 
-def flt_size(sign, p, e):
-    """2*max(|p|, e+1) + 1 with |0| = 0 bits."""
-    pw = p.bit_length()
-    return 2 * max(pw, e + 1) + 1
-
-
 # ---------------------------------------------------------------------------
 # size preservation
 
@@ -238,10 +232,6 @@ def ref_eval(node, args, domain, hosts=None):
 # ---------------------------------------------------------------------------
 # combinatorial predicates
 
-def popcount(bits):
-    return sum(bits)
-
-
 def majority01(w):
     return w.count("1") > w.count("0")
 
@@ -252,15 +242,6 @@ def parity(w):
 
 def contains_bigram11(w):
     return "11" in w
-
-
-def first_max_index(xs):
-    """Linear scan: first i with xs[i] >= xs[j] for all j."""
-    best = max(xs)
-    for i, v in enumerate(xs):
-        if v == best:
-            return i
-    raise AssertionError("empty")
 
 
 def is_prime(n):

@@ -10,12 +10,11 @@ import itertools
 import math
 import random
 import time
-from fractions import Fraction
 from functools import lru_cache
 
 from satcirc.bitnum import (Flt, flt, flt_add, flt_cmp, flt_div, flt_mul,
-                            flt_neg, flt_sqrt, rat, rat_add, rat_cmp,
-                            rat_mul, rat_neg, relu, size, UNat)
+                            flt_neg, flt_sqrt, rat, rat_add, rat_mul,
+                            rat_neg, relu, size, UNat)
 from satcirc.builtins import (build_hard_demo, build_majority,
                               build_prime_universal, build_resource_bounded,
                               primes, pu_reconstruct, rb_reconstruct)

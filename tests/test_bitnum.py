@@ -7,12 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from satcirc.bitnum import (
     BitNumError, Flt, Rat, UNat, flt, flt_add, flt_cmp, flt_div, flt_mul,
-    flt_neg, flt_sqrt, rat, rat_add, rat_cmp, rat_mul, rat_neg, relu, size,
+    flt_neg, flt_sqrt, rat, rat_add, rat_mul, rat_neg, relu, size,
 )
 
 import oracles

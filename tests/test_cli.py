@@ -88,14 +88,13 @@ RUN_TRACE_SHA256 = {
 def test_run_trace_runs_the_machine_once(name, word, tmp_path, capsys,
                                          monkeypatch):
     calls = []
-    real = satcirc.machine.run
+    real = satcirc.machine.forward
 
-    def counted(spec, w, *args, **kwargs):
-        calls.append(w)
-        return real(spec, w, *args, **kwargs)
+    def counted(spec, word, *args, **kwargs):
+        calls.append(word)
+        return real(spec, word, *args, **kwargs)
 
-    monkeypatch.setattr(satcirc.machine, "run", counted)
-    monkeypatch.setattr(satcirc.cli, "run", counted)
+    monkeypatch.setattr(satcirc.machine, "forward", counted)
     assert main(["run", "--builtin", name, "--input", word, "--trace",
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == [word]
@@ -204,6 +203,30 @@ def test_run_spec_with_wrong_operand_count_is_refused(expr, want, tmp_path,
     assert main(["run", "--spec", str(spec), "--input", "01",
                  "--out-dir", str(tmp_path)]) == 2
     assert f"error: {want}" in out(capsys).err
+
+
+@pytest.mark.parametrize("old, new, want", [
+    ("(width 2)", "(width 2 7)", "(width ...) wants 1 operand, got 2"),
+    ("(datatype F)", "(datatype F Q)",
+     "(datatype ...) wants 1 operand, got 2"),
+    ("(embedding (tup (tok 2) (const 1)))",
+     "(embedding (tup (tok 2) (const 1)) (pos))",
+     "(embedding ...) wants 1 operand, got 2"),
+    ("(name maj-file)", "(name maj-file) (name other)",
+     "more than one (name ...) section"),
+    ("(b 0))", "(b 0) (b 5))", "(classifier ...) wants 2 operands, got 3"),
+    ("(b 0))", "(junk 1))", "classifier wants (w ...) then (b N)"),
+    ("(b 0))", "0)", "classifier wants (w ...) then (b N)"),
+    ("(w 2 -1) (b 0)", "(b 0) (w 2 -1)",
+     "classifier wants (w ...) then (b N)"),
+])
+def test_run_spec_with_extra_or_misplaced_sections_is_refused(
+        old, new, want, tmp_path, capsys):
+    spec = tmp_path / "bad.sexp"
+    spec.write_text(MAJ_TEXT.replace(old, new))
+    assert main(["run", "--spec", str(spec), "--input", "01",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert out(capsys).err == f"error: {want}\n"
 
 
 def _nested(op, depth, leaf="(tok 2)"):
@@ -556,12 +579,11 @@ def test_no_assert_statements_under_src():
     assert found == []
 
 
-def test_no_unused_imports_under_src():
-    # __init__.py imports to re-export; __future__ imports switch features
+def _unused_imports(paths) -> list:
+    """The module-level imports that nothing in their file names;
+    __future__ imports switch features and are never named."""
     found = []
-    for path in sorted(Path(SRC, "satcirc").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
@@ -571,7 +593,19 @@ def test_no_unused_imports_under_src():
                   and getattr(node, "module", None) != "__future__"
                   for alias in node.names
                   if (alias.asname or alias.name.split(".")[0]) not in used]
-    assert found == []
+    return found
+
+
+def test_no_unused_imports_under_src():
+    # __init__.py imports to re-export
+    assert _unused_imports(
+        path for path in sorted(Path(SRC, "satcirc").glob("*.py"))
+        if path.name != "__init__.py") == []
+
+
+def test_no_unused_imports_under_tests():
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    assert paths and _unused_imports(paths) == []
 
 
 def test_no_private_function_under_src_exists_only_for_tests():

@@ -26,7 +26,6 @@ import pytest
 from satcirc import compile as C
 from satcirc import synth as S
 from satcirc import workers as W
-from satcirc.bitnum import flt
 from satcirc.builtins import (build_hard_demo, build_majority,
                               build_majority_layernorm,
                               build_prime_universal,
@@ -566,6 +565,15 @@ def test_default_samples_stop_at_the_number_of_words():
     for n in (0, -3):
         with pytest.raises(CompileError, match="need n >= 1"):
             default_samples(MAJ, n)
+
+
+def test_default_samples_return_exactly_count_words():
+    assert default_samples(MAJ, 4, count=1) == ["0000"]
+    assert default_samples(MAJ, 4, count=2) == ["0000", "1111"]
+    assert default_samples(MAJ, 4, count=3) == ["0000", "0101", "1111"]
+    assert default_samples(MAJ, 1, count=1) == ["0"]
+    for count in range(1, 10):
+        assert len(default_samples(MAJ, 3, count=count)) == min(count, 8)
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from satcirc import machine
-from satcirc.bitnum import Flt, Rat, flt, rat, size
+from satcirc.bitnum import Flt, flt, rat, size
 from satcirc.builtins import builtin_spec
 from satcirc.machine import (
     MAX_POW2_EXPONENT, Add, Affine, Arg, AttentionKind, Const, Div, Eq,
@@ -22,7 +22,7 @@ from satcirc.machine import (
     parse_spec, recognize, run, shared_tables,
 )
 
-from oracles import majority01, popcount, ref_eval, size_factor
+from oracles import majority01, ref_eval, size_factor
 
 F = domain_of("F")
 Q = domain_of("Q")

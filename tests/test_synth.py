@@ -8,6 +8,7 @@ arithmetic, not just numerically.
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -21,8 +22,9 @@ from satcirc import synth as S
 from satcirc.bitnum import (
     Flt, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg, relu,
 )
-from satcirc.circuit import depth_map, eval_batch, metrics
-from satcirc.compile import _dnf_wires
+from satcirc.circuit import depth_map, eval_batch, metrics, to_json
+from satcirc.compile import _Wires, _dnf_wires
+from satcirc.machine import AttentionKind
 from satcirc.synth import (
     Builder, SynthError, WirePack, clog2, decode_flt,
     decode_uint, encode_flt, encode_uint,
@@ -582,3 +584,99 @@ def test_manifest_fields():
     assert man["params"] == {"B": 3}
     assert set(man) >= {"size", "depth", "theta_count", "max_fanin",
                         "inputs", "outputs"}
+
+
+# ---------------------------------------------------------------------------
+# structure pins: one small fixed build per gadget, so a rewrite of a
+# gadget must keep its gates and the order it creates them in
+
+
+def _folds(b, g):
+    x, y, z = g
+    outs = [b.and_(x, b.const(1), y, x), b.and_(x, b.const(0)),
+            b.and_(b.const(1)), b.and_(z, y, x), b.or_(x, b.const(0)),
+            b.or_(y, b.const(1), z), b.or_(), b.or_(z, x, z)]
+    with b.no_fold():
+        outs += [b.and_(x, b.const(1)), b.or_(y, y, b.const(0))]
+    return outs
+
+
+def _folded_and_verbatim(gadget):
+    """gadget's wires built with folding, then again without."""
+    def fn(b, *groups):
+        outs = list(gadget(b, *groups))
+        with b.no_fold():
+            return outs + list(gadget(b, *groups))
+    return fn
+
+
+def _saturated_head(b, s0, s1, v0, v1):
+    """A saturated head's flags and output over two positions."""
+    scores = [fpack(s, 2, 1) for s in (s0, s1)]
+    col = [fpack(v, 2, 1) for v in (v0, v1)]
+    _, flags, (out,) = _Wires(b).attend(AttentionKind.SATURATED,
+                                        lambda: scores, [col])
+    return flags + [out]
+
+
+def _geq_all(b, x, y):
+    return [S._geq_u(b, x, y), S._geq_u(b, x, y, strict=True),
+            S._geq_u(b, y, x)]
+
+
+def _by_consts(op, *cs):
+    """op(b, x, c) for each constant c, x a pack of 3 p bits, e <= 2."""
+    return lambda b, g: [op(b, fpack(g, 3, 2), c) for c in cs]
+
+
+PACK = fwidth(3, 2)
+# name: (build, input widths, sha256 of the build's to_json), each pin
+# taken at b846a6b, before these gadgets shared their code
+STRUCTURE_PINS = {
+    "fold": (
+        _folds, (3,),
+        "d75ff83e93c168a657ba85044108a39032946d20e9b252d73f73b673ca53adf1"),
+    "adder2": (
+        _folded_and_verbatim(S._adder2), (3, 2),
+        "537ea80130c30561e38ca56fa6d101c7c3baf9a58fafc81215b394c8a606bfee"),
+    "sub": (
+        _folded_and_verbatim(S._sub), (3, 2),
+        "4a3d5de2aa517fc425aba281532bbddca2a560b38ba1e36056217b4545e13a9d"),
+    "geq_u": (
+        _folded_and_verbatim(_geq_all), (3, 2),
+        "f61a85c61ea65ed8a0d3083f529d91ab124899f1ff90756e31798577a73ca708"),
+    "eq_u": (
+        _folded_and_verbatim(lambda b, x, y: [S._eq_u(b, x, y)]), (3, 2),
+        "86da377cfe457620aba22bd8d838077d6fb61fdc34f560f56baaa72365f8677e"),
+    "f_const": (
+        lambda b, _: [S.f_const(b, f) for f in (
+            flt(-5, 3), flt(0), flt(12), flt(1, 1))], (1,),
+        "a0e8f3ac75429c0ca5af852aaf88668acbd1b463bb9ef4074b5c4c528a15ade3"),
+    "f_mul_const": (
+        _by_consts(S.f_mul_const, flt(-3, 1), flt(5), flt(0), flt(1, 2)),
+        (PACK,),
+        "0ed89ce14cb8745326ad5b4cd9b3a4b9e26844e7dfb070ffd9a0b9b06671eabd"),
+    "f_div_const": (
+        _by_consts(S.f_div_const, flt(-3), flt(5, 2), flt(4), flt(7, 1)),
+        (PACK,),
+        "bb958beca27a36be53206fc44d621bc1045ef00fbc3bfec77f285bdc9b396b9d"),
+    "f_relu": (
+        lambda b, x, y: [S.f_relu(b, fpack(x, 3, 2)),
+                         S.f_relu(b, fpack(y, 2, 0))], (PACK, fwidth(2, 0)),
+        "93f824ad88de9a1d25cd50fc9bb4227951cc98cd104f0f205c904e9add1fe8ad"),
+    "saturated_gating": (
+        _saturated_head, (fwidth(2, 1),) * 4,
+        "bd35b9fa273d4ace0f960690cd0b4681caf132807e1c191332bd969766f7d9a5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_PINS))
+def test_gadget_structure_pinned(name):
+    fn, widths, sha = STRUCTURE_PINS[name]
+    b = Builder(sum(widths))
+    wires = [b.input(i) for i in range(sum(widths))]
+    ends = list(itertools.accumulate(widths))
+    outs = []
+    for res in fn(b, *[wires[end - w:end] for w, end in zip(widths, ends)]):
+        outs += res.wires if isinstance(res, WirePack) else [res]
+    assert hashlib.sha256(to_json(b.build(outs)).encode()).hexdigest() == sha
