@@ -7,12 +7,11 @@ PYTHONPATH=src python3 scripts/size_growth.py --builtin maj --n-list 8,16,64,256
 """
 
 import argparse
-import csv
-import io
 import os
 import sys
 
-from satcirc.cli import USER_ERRORS, _int_list, _load, _out_dir, _write
+from satcirc.cli import (USER_ERRORS, _int_list, _load, _out_dir,
+                         _write_csv)
 from satcirc.compile import default_samples
 from satcirc.machine import instrument_sizes
 
@@ -40,18 +39,14 @@ def report(a) -> int:
     inputs = {n: default_samples(spec, n, count=a.samples, seed=a.seed)
               for n in a.n_list}
     rep = instrument_sizes(spec, inputs)
-    path = os.path.join(_out_dir(a), "size_growth.csv")
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["n", "max_value_bits"] +
-                [f"layer{t}_bits" for t in range(len(rep.rows[0].per_layer))])
     for r in rep.rows:
-        wr.writerow([r.n, r.overall] + list(r.per_layer))
         print(f"n={r.n} max_bits={r.overall} per_layer={r.per_layer}")
-    _write(path, buf.getvalue())
     print(f"envelope: {rep.a:.2f} + {rep.b:.2f}*log2(n)  "
-          f"margins {'all >= 0' if rep.ok else 'VIOLATED'}")
-    print(f"report -> {path}")
+          f"head-sum bounds {'hold' if rep.ok else 'VIOLATED'}")
+    _write_csv(os.path.join(_out_dir(a), "size_growth.csv"),
+               ["n", "max_value_bits"] +
+               [f"layer{t}_bits" for t in range(len(rep.rows[0].per_layer))],
+               ([r.n, r.overall] + list(r.per_layer) for r in rep.rows))
     return 0 if rep.ok else 1
 
 

@@ -49,6 +49,16 @@ def _write(path: str, text: str):
         raise
 
 
+def _write_csv(path: str, header: list, rows):
+    """The CSV report at path, written atomically, and where it went."""
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    wr.writerows(rows)
+    _write(path, buf.getvalue())
+    print(f"report -> {path}")
+
+
 def _load(args: argparse.Namespace):
     if bool(args.spec) == bool(args.builtin):
         raise MachineError("give exactly one of --spec FILE or --builtin NAME")
@@ -169,21 +179,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   else compile_saturated)
     rep = verify_equivalence(spec, _ns(args), args.mode,
                              compile_fn=compile_fn, **given)
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["n", "mode", "tested", "mismatches",
-                 "first_counterexample"])
     for r in rep.rows:
-        wr.writerow([r.n, r.mode, r.tested, r.mismatches,
-                     r.first_counterexample or ""])
         status = "ok" if r.mismatches == 0 else "MISMATCH"
         extra = ("" if r.first_counterexample is None
                  else f" first={r.first_counterexample}")
         print(f"n={r.n} {r.mode} tested={r.tested} "
               f"mismatches={r.mismatches}{extra} [{status}]")
-    path = os.path.join(_out_dir(args), "verify.csv")
-    _write(path, buf.getvalue())
-    print(f"report -> {path}")
+    _write_csv(os.path.join(_out_dir(args), "verify.csv"),
+               ["n", "mode", "tested", "mismatches", "first_counterexample"],
+               ([r.n, r.mode, r.tested, r.mismatches,
+                 r.first_counterexample or ""] for r in rep.rows))
     return 0 if rep.ok else 1
 
 
@@ -197,21 +202,17 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     inputs = {n: default_samples(spec, n, seed=args.seed) for n in ns}
     sizes = instrument_sizes(spec, inputs)
     bits = {r.n: r.overall for r in sizes.rows}
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["n", "size", "depth", "theta_count", "max_fanin",
-                 "max_value_bits"])
     for r in fam.rows:
-        wr.writerow([r.n, r.size, r.depth, r.theta_count, r.max_fanin,
-                     bits[r.n]])
         print(f"n={r.n} size={r.size} depth={r.depth} "
               f"theta={r.theta_count} value_bits={bits[r.n]}")
-    path = os.path.join(_out_dir(args), "complexity.csv")
-    _write(path, buf.getvalue())
     print(f"size slope {fam.slope:.3f} (log-log), depth "
           f"{'constant' if fam.depth_constant else 'VARIES'}, "
           f"value bits fit {sizes.a:.2f} + {sizes.b:.2f}*log2(n)")
-    print(f"report -> {path}")
+    _write_csv(os.path.join(_out_dir(args), "complexity.csv"),
+               ["n", "size", "depth", "theta_count", "max_fanin",
+                "max_value_bits"],
+               ([r.n, r.size, r.depth, r.theta_count, r.max_fanin, bits[r.n]]
+                for r in fam.rows))
     return 0
 
 

@@ -105,8 +105,7 @@ def encode_words(spec: TransformerSpec, words: Sequence[str]) -> list[int]:
             raise CompileError(f"word {w!r} has {len(w)} tokens; the "
                                f"block's words have {n}")
     known = set(alpha)
-    chars = [b for b in alpha if len(b) == 1]  # a longer one is no token
-    picks = [str.maketrans({b: "01"[b == a] for b in chars}) for a in alpha]
+    picks = [str.maketrans({b: "01"[b == a] for b in alpha}) for a in alpha]
     masks = []
     for col in map("".join, zip(*words)):
         if not known.issuperset(col):

@@ -328,16 +328,10 @@ def Host(name: str, *es: FuncExpr) -> FuncExpr:
 _NON_SIZE_PRESERVING = {"pow2", "host"}
 
 
-def expr_ops(e: FuncExpr) -> set:
-    ops = {e.op}
-    for a in e.args:
-        ops |= expr_ops(a)
-    return ops
-
-
 def is_size_preserving(e: FuncExpr) -> bool:
     """True iff the tree uses only the bounded-growth primitives."""
-    return not (expr_ops(e) & _NON_SIZE_PRESERVING)
+    return (e.op not in _NON_SIZE_PRESERVING
+            and all(map(is_size_preserving, e.args)))
 
 
 _ARITH = {"add", "mul", "div", "sqrt", "neg", "relu", "gt", "eq"}
@@ -558,6 +552,10 @@ class TransformerSpec:
     def __post_init__(self):
         if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
             raise MachineError("alphabet must be nonempty and duplicate-free")
+        bad = [a for a in self.alphabet if len(a) != 1]
+        if bad:
+            raise MachineError(f"alphabet symbols must be one character "
+                               f"each, got {bad[0]!r}")
         domain_of(self.datatype)
         if self.width < 1:
             raise MachineError(f"width must be at least 1, got {self.width}")
@@ -788,26 +786,22 @@ class SizeRow:
 
 @dataclass(frozen=True)
 class SizeGrowthReport:
-    """Measured value sizes against an a + b*log2(n) envelope.
+    """Measured value sizes against an a + b*log2(n) envelope, and the
+    head-sum bounds.
 
     ``b`` is the OLS slope (clamped at 0); ``a`` is lifted so the line
-    dominates every measurement, making ``margins`` nonnegative by
-    construction; ``a_ols`` keeps the raw intercept for reference. The
-    meaningful number is b: logarithmic growth shows up as a small
-    finite slope.
+    dominates every measurement, so the envelope describes the rows and
+    cannot fail. ``ok`` is whether every head-sum bound holds.
     """
 
     rows: tuple[SizeRow, ...]
     a: float
     b: float
-    a_ols: float
-    margins: tuple[float, ...]
     head_bounds: tuple[HeadSumBound, ...]
 
     @property
     def ok(self) -> bool:
-        return (all(m >= 0 for m in self.margins)
-                and all(hb.margin >= 0 for hb in self.head_bounds))
+        return all(hb.margin >= 0 for hb in self.head_bounds)
 
 
 def instrument_sizes(spec: TransformerSpec,
@@ -858,12 +852,9 @@ def instrument_sizes(spec: TransformerSpec,
                                             measured_by_head[(li, h)], bound))
     xs = [math.log2(r.n) for r in rows]
     ys = [float(r.overall) for r in rows]
-    a_ols, b = ols(xs, ys)
-    b = max(b, 0.0)
+    b = max(ols(xs, ys)[1], 0.0)
     a = max(y - b * x for x, y in zip(xs, ys))
-    margins = tuple(a + b * x - y for x, y in zip(xs, ys))
-    return SizeGrowthReport(tuple(rows), a, b, a_ols, margins,
-                            tuple(head_bounds))
+    return SizeGrowthReport(tuple(rows), a, b, tuple(head_bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ def _fold(kind: str, absorb: int):
     out, and a single wire left is the result (none left: the other
     constant). Without folding, the gate takes every input, sorted."""
     def fold(self, *ws) -> int:
-        ws = _flatten(ws)
         if self.folding:
             kept = []
             for w in ws:
@@ -238,16 +237,6 @@ def _fields(g: tuple) -> tuple:
     if kind in (CONST, THRESHOLD_GE, THRESHOLD_LE):
         return g[2:], g[1], None
     return g[1:], None, None
-
-
-def _flatten(ws) -> list:
-    out = []
-    for w in ws:
-        if isinstance(w, (list, tuple)):
-            out.extend(w)
-        else:
-            out.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +421,16 @@ ITADD_MAX_N = 32767  # two reduction rounds always reach <= 4 summands
 ITADD_TREE = 4
 
 
-def _itadd(b: Builder, summands, out_width: int = None) -> list[int]:
-    """Sum of unsigned rows (may be ragged); fixed-shape construction:
-    exactly two column-count reduction rounds, then a 4-leaf adder tree,
-    so the depth added is identical for every summand count up to
-    ITADD_MAX_N. Built fold-free throughout."""
+def _itadd(b: Builder, summands, out_width: int) -> list[int]:
+    """Sum of unsigned rows (may be ragged) as out_width bits;
+    fixed-shape construction: exactly two column-count reduction rounds,
+    then a 4-leaf adder tree, so the depth added is identical for every
+    summand count up to ITADD_MAX_N. Built fold-free throughout."""
     rows = [list(r) for r in summands]
     if not rows:
         raise SynthError("need at least one summand")
     if len(rows) > ITADD_MAX_N:
         raise SynthError(f"itadd supports at most {ITADD_MAX_N} summands")
-    total_max = sum((1 << len(r)) - 1 for r in rows)
-    W = max(total_max.bit_length(), 1)
     with b.no_fold():
         zero = b.const(0)
 
@@ -483,9 +470,7 @@ def _itadd(b: Builder, summands, out_width: int = None) -> list[int]:
         t1 = _adder2(b, rows[0], rows[1])
         t2 = _adder2(b, rows[2], rows[3])
         total = _adder2(b, t1, t2)
-        want = W if out_width is None else out_width
-        total = _pad(b, total, want)[:want]
-    return total
+        return _pad(b, total, out_width)[:out_width]
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +484,12 @@ def _mul_u(b: Builder, aws, bws) -> list[int]:
     rows = []
     for k, bk in enumerate(bws):
         rows.append([zero] * k + [b.and_(ai, bk) for ai in aws])
-    out_w = len(aws) + len(bws)
-    return _pad(b, _itadd(b, rows, out_width=out_w), out_w)[:out_w]
+    return _itadd(b, rows, len(aws) + len(bws))
 
 
 def _mul_const_u(b: Builder, aws, c: int) -> list[int]:
-    """Multiply by a compile-time constant: shifted copies summed by
-    the theta-free adder tree (popcount of c is a constant)."""
-    if c == 0:
-        return [b.const(0)]
+    """Multiply by a positive compile-time constant: shifted copies
+    summed by the theta-free adder tree (popcount of c is a constant)."""
     out_w = len(aws) + c.bit_length()
     rows = []
     k = 0
@@ -630,8 +612,7 @@ def f_sum(b: Builder, packs) -> WirePack:
     is one fixed constant for every summand count, which is what keeps
     compiled attention pooling at the same depth across sequence
     lengths. Spends threshold gates."""
-    return _banked_sum(b, packs,
-                       lambda rows, w: _itadd(b, rows, out_width=w))
+    return _banked_sum(b, packs, lambda rows, w: _itadd(b, rows, w))
 
 
 def f_sum_tree(b: Builder, packs) -> WirePack:

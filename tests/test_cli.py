@@ -229,6 +229,20 @@ def test_run_spec_with_extra_or_misplaced_sections_is_refused(
     assert out(capsys).err == f"error: {want}\n"
 
 
+def test_every_command_refuses_a_multi_character_alphabet_symbol(tmp_path,
+                                                                capsys):
+    # refused when read, not later as a token the user never wrote
+    spec = tmp_path / "ab.sexp"
+    spec.write_text(MAJ_TEXT.replace("(alphabet 0 1)", "(alphabet ab cd)"))
+    for argv in (["run", "--input", "abcd"], ["compile", "--n", "2"],
+                 ["verify", "--n", "2"]):
+        assert main([*argv, "--spec", str(spec), "--out-dir",
+                     str(tmp_path / "out")]) == 2, argv
+        assert out(capsys).err == ("error: alphabet symbols must be one "
+                                   "character each, got 'ab'\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
 def _nested(op, depth, leaf="(tok 2)"):
     return f"({op} " * depth + leaf + ")" * depth
 
@@ -631,33 +645,93 @@ def test_no_private_function_under_src_exists_only_for_tests():
     assert found == []
 
 
+def _satcirc_bindings(tree, subs) -> dict:
+    """What each name a file imports from satcirc binds: ("mod", m) for
+    the module m ("__init__" is the package) or ("def", m, name) for a
+    name taken from m."""
+    binds = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] != "satcirc":
+                    continue
+                # "import satcirc.m" binds the package, "... as x" binds m
+                named = alias.asname and parts[1:]
+                binds[alias.asname or "satcirc"] = (
+                    "mod", parts[-1] if named else "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (["satcirc"] if node.level else []) + (
+                node.module.split(".") if node.module else [])
+            if parts[:1] != ["satcirc"]:
+                continue
+            mod = parts[1] if parts[1:] else "__init__"
+            for alias in node.names:
+                binds[alias.asname or alias.name] = (
+                    ("mod", alias.name) if mod == "__init__"
+                    and alias.name in subs else ("def", mod, alias.name))
+    return binds
+
+
+def _reference(node, names, own, subs):
+    """What a Name or an Attribute refers to, read through the file's
+    satcirc imports (names): a bare name not imported is own's; None for
+    an attribute of anything but a satcirc module."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id, ("def", own, node.id))
+    if isinstance(node, ast.Attribute):
+        base = _reference(node.value, names, own, subs)
+        if base and base[0] == "mod":
+            return (("mod", node.attr) if base[1] == "__init__"
+                    and node.attr in subs else ("def", base[1], node.attr))
+    return None
+
+
 def test_no_public_name_under_src_exists_only_for_tests():
-    # a public module-level function or class is named outside its own
-    # body somewhere under src/, scripts/ or perfbench/ (its tests aside),
-    # or exported from satcirc/__init__.py; a name found here is dead, and
-    # so is what only dead code names
+    # a public module-level function or class is used somewhere under src/,
+    # scripts/ or perfbench/ (its tests aside) outside its own body, or
+    # exported from satcirc/__init__.py; a name found here is dead, and so
+    # is what only dead code uses. A use is a bare name in the def's own
+    # module or imported from it, or mod.name where mod is the satcirc
+    # module that defines name; an attribute of anything else (a method
+    # of the same name) is not one
     root = Path(SRC).parent
     mods = sorted(Path(SRC, "satcirc").glob("*.py"))
     users = mods + sorted(path for d in ("scripts", "perfbench")
                           for path in Path(root, d).rglob("*.py")
                           if not path.name.startswith("test_"))
+    subs = {path.stem for path in mods}
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in users}
+    binds = {path.stem: _satcirc_bindings(trees[path], subs) for path in mods}
+
+    def origin(ref):  # follow re-exports to the module that defines it
+        while ref and ref[0] == "def" and ref[2] in binds.get(ref[1], {}):
+            ref = binds[ref[1]][ref[2]]
+        return ref
+
     refs, defs = {}, []
-    for path in users:
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in trees.items():
+        own = path.stem if path in mods else None
+        names = _satcirc_bindings(tree, subs)
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name) else node.attr
-                    if isinstance(node, ast.Attribute) else node.name
-                    if isinstance(node, ast.alias) else None)
-            refs.setdefault(name, []).append(node)
+            ref = origin(_reference(node, names, own, subs))
+            if ref and ref[0] == "def":
+                refs.setdefault(ref[1:], []).append(node)
+        if path.name == "__init__.py":
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        ref = origin(("def", node.module, alias.name))
+                        refs.setdefault(ref[1:], []).append(alias)
         if path in mods:
-            defs += [(path.name, d) for d in tree.body
+            defs += [(own, d) for d in tree.body
                      if isinstance(d, (ast.FunctionDef, ast.ClassDef))
                      and not d.name.startswith("_")]
     found, dead = {}, set()
     while True:
-        more = {f"{mod}:{d.name}": d for mod, d in defs
-                if f"{mod}:{d.name}" not in found
-                and {id(node) for node in refs.get(d.name, ())}
+        more = {f"{mod}.py:{d.name}": d for mod, d in defs
+                if f"{mod}.py:{d.name}" not in found
+                and {id(node) for node in refs.get((mod, d.name), ())}
                 <= dead | {id(node) for node in ast.walk(d)}}
         if not more:
             break

@@ -420,11 +420,9 @@ def test_encode_word_rejects_unknown_tokens():
 
 def test_column_masks_equal_encode_word_word_by_word():
     rng = random.Random(0xC01)
-    # a symbol longer than one character is never a token of any word
-    for spec in (MAJ, types.SimpleNamespace(alphabet=("c", "a", "b", "ab"))):
-        chars = [a for a in spec.alphabet if len(a) == 1]
+    for spec in (MAJ, types.SimpleNamespace(alphabet=("c", "a", "b"))):
         for n, count in ((1, 1), (5, 70), (9, 3)):
-            words = ["".join(rng.choice(chars) for _ in range(n))
+            words = ["".join(rng.choice(spec.alphabet) for _ in range(n))
                      for _ in range(count)]
             masks = C.encode_words(spec, words)
             assert len(masks) == n * len(spec.alphabet)

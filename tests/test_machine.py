@@ -629,6 +629,19 @@ def _narrow_activation_spec():
                            ((1, 1), (0, 1)), (0, 1), {}, "narrow")
 
 
+@pytest.mark.parametrize("alphabet, msg", [
+    (("", "1"), "alphabet symbols must be one character each, got ''"),
+    (("ab", "c"), "alphabet symbols must be one character each, got 'ab'"),
+    (("0", "0"), "alphabet must be nonempty and duplicate-free"),
+])
+def test_spec_refuses_a_bad_alphabet(alphabet, msg):
+    # a word is read one character per token, so a longer symbol (or an
+    # empty one) could never be a token
+    with pytest.raises(MachineError) as exc:
+        dataclasses.replace(mean_majority_spec("F"), alphabet=alphabet)
+    assert str(exc.value) == msg
+
+
 @pytest.mark.parametrize("make, w, msg", [
     (lambda: mean_majority_spec("F"), "",
      "empty input (languages here are over nonempty strings)"),
@@ -738,7 +751,6 @@ def test_instrument_sizes_envelope_and_head_bounds():
     rep = instrument_sizes(spec, inputs)
     assert rep.ok
     assert rep.b >= 0
-    assert all(m >= 0 for m in rep.margins)
     assert [r.n for r in rep.rows] == [4, 8, 16, 32]
     for hb in rep.head_bounds:
         assert hb.measured <= hb.bound

@@ -191,9 +191,9 @@ def test_itadd_single_summand():
 def test_itadd_rejects_bad_shapes():
     b = Builder(1)
     with pytest.raises(SynthError, match="at least one"):
-        S._itadd(b, [])
+        S._itadd(b, [], 1)
     with pytest.raises(SynthError, match="at most"):
-        S._itadd(b, [[b.input(0)]] * (S.ITADD_MAX_N + 1))
+        S._itadd(b, [[b.input(0)]] * (S.ITADD_MAX_N + 1), 16)
 
 
 # ---------------------------------------------------------------------------
