@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Machine-side value-size growth: trace sample inputs across n and fit
-the a + b*log2(n) envelope. No circuits are built, so n can go far past
-what compilation handles.
+"""Machine-side value-size growth: trace sample inputs across n, fit
+a + b*log2(n) on the smaller half of the n values and print how far each
+larger n rises above that line. Exits 1 if one rises more than 1 bit or
+a head-sum bound fails. No circuits are built, so n can go far past what
+compilation handles.
 
 PYTHONPATH=src python3 scripts/size_growth.py --builtin maj --n-list 8,16,64,256,512
 """
@@ -41,8 +43,20 @@ def report(a) -> int:
     rep = instrument_sizes(spec, inputs)
     for r in rep.rows:
         print(f"n={r.n} max_bits={r.overall} per_layer={r.per_layer}")
-    print(f"envelope: {rep.a:.2f} + {rep.b:.2f}*log2(n)  "
-          f"head-sum bounds {'hold' if rep.ok else 'VIOLATED'}")
+    fitted = rep.rows[:len(rep.rows) - len(rep.excess)]
+    print(f"fit on n={fitted[0].n}..{fitted[-1].n}: "
+          f"{rep.a:.2f} + {rep.b:.2f}*log2(n)")
+    for r, e in zip(rep.rows[len(fitted):], rep.excess):
+        print(f"n={r.n} excess={e:+.2f} bits "
+              f"[{'ok' if e <= 1 else 'OVER 1 BIT'}]")
+    if not rep.excess:
+        print("growth not judged: fewer than two n in the smaller half")
+    bad = [hb for hb in rep.head_bounds if hb.measured > hb.bound]
+    for hb in bad:
+        print(f"head-sum bound VIOLATED: L{hb.layer}.h{hb.head} n={hb.n} "
+              f"z={hb.z} measured={hb.measured} bound={hb.bound:.2f}")
+    if not bad:
+        print("head-sum bounds hold")
     _write_csv(os.path.join(_out_dir(a), "size_growth.csv"),
                ["n", "max_value_bits"] +
                [f"layer{t}_bits" for t in range(len(rep.rows[0].per_layer))],

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence, Union
+from typing import Sequence
 
 
 class BitNumError(ValueError):
@@ -317,20 +317,6 @@ def flt_cmp(x: Flt, y: Flt) -> int:
 
 def flt_neg(x: Flt) -> Flt:
     return flt(-x.signed_num, x.e)
-
-
-Value = Union[UNat, Rat, Flt]
-
-
-def relu(v: Value) -> Value:
-    """max(v, 0) in v's own kind."""
-    if isinstance(v, UNat):
-        return v
-    if isinstance(v, Rat):
-        return v if rat_cmp(v, rat(0)) > 0 else rat(0)
-    if isinstance(v, Flt):
-        return v if flt_cmp(v, flt(0)) > 0 else flt(0)
-    raise BitNumError(f"relu undefined for {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Ready-made transformer constructions.
 
-Five specs, each exercising one corner of the machine:
+Six specs, each exercising one corner of the machine:
 
   maj               counting via a saturated head that ties everywhere
+  maj-q             the same majority head over Q
   maj-ln            the same language routed through layer normalization
   prime-universal   rational-denominator encoding of the whole input, so
                     an arbitrary host predicate can decide the language
@@ -14,15 +15,15 @@ Five specs, each exercising one corner of the machine:
 The last three accept host callbacks standing in for an arbitrary
 size-preserving decision function; such specs run on the machine but are
 deliberately outside what the circuit compiler accepts.
+``primes(k)`` is the prime-universal construction's table: the first k
+primes as a tuple of ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
-from .bitnum import Rat, UNat
+from .bitnum import Rat
 from .machine import (
     Add, Affine, Arg, AttentionKind, Const, Div, Gt, HeadSpec, Host,
     LayerSpec, MachineError, Mul, Neg, Pow2, Proj, Select, Sqrt,
@@ -40,26 +41,7 @@ def _require(ok: bool, text: str):
 # primes
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    entries: tuple[UNat, ...]
-
-    def __post_init__(self):
-        vals = self.values
-        if not vals or vals[0] != 2:
-            raise MachineError("prime table must start at 2")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise MachineError("prime table must be strictly increasing")
-
-    @cached_property
-    def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def primes(k: int) -> PrimeTable:
+def primes(k: int) -> tuple[int, ...]:
     """First k primes, by sieve (the bound grows until the sieve is full)."""
     if k < 1:
         raise MachineError("need k >= 1")
@@ -73,7 +55,7 @@ def primes(k: int) -> PrimeTable:
             if sieve[p]:
                 sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
         found = [i for i in range(limit + 1) if sieve[i]]
-    return PrimeTable(tuple(UNat.from_int(p) for p in found[:k]))
+    return tuple(found[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +109,7 @@ def build_majority_layernorm() -> TransformerSpec:
 # prime-encoding universality over Q
 
 
-def pu_reconstruct(s: Rat, table: PrimeTable, n: int) -> str:
+def pu_reconstruct(s: Rat, table: tuple[int, ...], n: int) -> str:
     """Read the input back out of the sum of reciprocal primes.
 
     s = sum of 1/p_i over the 1-positions; distinct primes make the
@@ -135,7 +117,7 @@ def pu_reconstruct(s: Rat, table: PrimeTable, n: int) -> str:
     membership is plain divisibility.
     """
     q = s.q.value
-    return "".join("1" if q % p == 0 else "0" for p in table.values[:n])
+    return "".join("1" if q % p == 0 else "0" for p in table[:n])
 
 
 def build_prime_universal(g: Callable[[str], bool],
@@ -156,7 +138,7 @@ def build_prime_universal(g: Callable[[str], bool],
         _require(den == 1, "den == 1")
         if num > n_max:
             raise MachineError(f"input length exceeds n_max={n_max}")
-        return domain.from_pair(1, table.values[num - 1])
+        return domain.from_pair(1, table[num - 1])
 
     def decide(domain, s, nval):
         num, den = nval.as_pair()
@@ -259,7 +241,7 @@ def build_hard_demo() -> TransformerSpec:
 
 
 BUILTIN_NAMES = ("maj", "maj-ln", "prime-universal", "resource-bounded",
-                 "hard-demo")
+                 "hard-demo", "maj-q")
 PRED_BUILTINS = ("prime-universal", "resource-bounded")  # take a predicate
 
 

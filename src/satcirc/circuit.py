@@ -231,11 +231,6 @@ class FamilyReport:
     rows: tuple[FamilyRow, ...]
     slope: float
     depth_constant: bool
-    theta_free: bool
-
-    @property
-    def depths(self):
-        return tuple(r.depth for r in self.rows)
 
 
 def _family_row(family: Callable[[int], Circuit], n: int) -> tuple:
@@ -269,8 +264,7 @@ def family_analyze(family: Callable[[int], Circuit],
     xs = [math.log2(r.n) for r in rows]
     ys = [math.log2(max(r.size, 1)) for r in rows]
     return FamilyReport(tuple(rows), ols(xs, ys)[1],
-                        len({r.depth for r in rows}) == 1,
-                        all(r.theta_count == 0 for r in rows))
+                        len({r.depth for r in rows}) == 1)
 
 
 # ---------------------------------------------------------------------------

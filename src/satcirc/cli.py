@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_n=True):
         sp.add_argument("--spec", help="s-expression spec file")
-        sp.add_argument("--builtin", choices=BUILTIN_NAMES + ("maj-q",),
+        sp.add_argument("--builtin", choices=BUILTIN_NAMES,
                         help="built-in construction")
         sp.add_argument("--pred", choices=("parity", "bigram11"),
                         help="predicate for host-backed builtins")

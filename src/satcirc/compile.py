@@ -171,9 +171,11 @@ class _Measure(Domain):
 # expression values: WirePack or nested tuples of packs
 
 
-def _flatten_packs(val, out: list):
-    """Append val's packs to out in order."""
+def _packs(val) -> list:
+    """val's packs in order."""
+    out: list = []
     _map_packs(val, out.append)
+    return out
 
 
 def _pack_const(b: Builder, pack: WirePack):
@@ -374,9 +376,8 @@ class _Compiler:
         """One row per assignment of the read live wires; every other
         live wire is tied to 0, which the expression never sees."""
         b = self.b
-        packs: list = []
-        _flatten_packs(args, packs)
-        consts = [(w, b.const_value(w)) for pk in packs for w in pk.wires]
+        consts = [(w, b.const_value(w)) for pk in _packs(args)
+                  for w in pk.wires]
         rows = []
         for m in range(1 << len(read)):
             asn = {w: (m >> t) & 1 for t, w in enumerate(read)}
@@ -403,9 +404,7 @@ class _Compiler:
             return replace(pack, wires=tuple(ws))
 
         ref2 = eval_expr(e, _map_packs(args, clone), _Wires(b2))
-        packs2: list = []
-        _flatten_packs(ref2, packs2)
-        outs2 = [w for pk in packs2 for w in pk.wires]
+        outs2 = [w for pk in _packs(ref2) for w in pk.wires]
         c2 = b2.build(outs2)
         xs = [[(m >> t) & 1 for t in range(len(read))]
               for m in range(len(rows))]
@@ -450,9 +449,8 @@ class _Compiler:
 
 def _live_uses(b: Builder, val) -> list[int]:
     """The non-constant wires of a value, one entry per use."""
-    packs: list = []
-    _flatten_packs(val, packs)
-    return [w for pk in packs for w in pk.wires if b.const_value(w) is None]
+    return [w for pk in _packs(val) for w in pk.wires
+            if b.const_value(w) is None]
 
 
 def _read_paths(e: FuncExpr, out: set) -> set:
@@ -548,21 +546,19 @@ def compile_planned(spec: TransformerSpec, n: int, *,
     return c, comp.wires.roles
 
 
-def compile_saturated(spec: TransformerSpec, n: int, *,
-                      include_values: bool = False) -> Circuit:
+def compile_saturated(spec: TransformerSpec, n: int) -> Circuit:
     """Compile for saturated/uniform (and mux-style hard) attention."""
-    return compile_planned(spec, n, include_values=include_values)[0]
+    return compile_planned(spec, n)[0]
 
 
-def compile_hard(spec: TransformerSpec, n: int, *,
-                 include_values: bool = False) -> Circuit:
+def compile_hard(spec: TransformerSpec, n: int) -> Circuit:
     """All-hard compilation; the result must be threshold-free."""
     for layer in spec.layers:
         for head in layer.heads:
             if head.attention is not AttentionKind.HARD:
                 raise CompileError("compile_hard wants hard heads only; "
                                    f"found {head.attention.value}")
-    return compile_planned(spec, n, include_values=include_values)[0]
+    return compile_planned(spec, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +576,6 @@ class EquivRow:
 
 @dataclass(frozen=True)
 class EquivReport:
-    name: str
     rows: tuple[EquivRow, ...]
 
     @property
@@ -629,21 +624,20 @@ def _machine_chunk(spec, words, bounds) -> list:
 
 
 def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
-    """(mismatches, first counterexample) of the circuit's accept bit
-    against the machine on words, in word order.
+    """(mismatches, first counterexample) of the accept bit of the
+    Circuit that circuit() returns against the machine on words, in word
+    order.
 
-    circuit is a Circuit or a callable that returns one. The machine's
-    verdicts come from workers.forked_map, which calls the module-level
-    recognize on contiguous chunks of words, each chunk in one
-    machine.shared_tables scope; spec and words are inherited, never
-    pickled. Getting the circuit (the compile, when circuit is a
-    callable) is the parent's own work, so the parent counts as one
-    CPU: it compiles while at most CPUs - 1 forked workers judge
-    chunks, then judges the chunks still waiting itself. The circuit
-    runs on blocks of EVAL_BLOCK words, each encoded as column masks
-    (encode_words); the XOR of its accept mask with the block's verdict
-    mask has one bit per mismatch, and the lowest is the first
-    counterexample. Where no workers start, the same chunks run
+    The machine's verdicts come from workers.forked_map, which calls the
+    module-level recognize on contiguous chunks of words, each chunk in
+    one machine.shared_tables scope; spec and words are inherited, never
+    pickled. Calling circuit (the compile) is the parent's own work, so
+    the parent counts as one CPU: it compiles while at most CPUs - 1
+    forked workers judge chunks, then judges the chunks still waiting
+    itself. The circuit runs on blocks of EVAL_BLOCK words, each encoded
+    as column masks (encode_words); the XOR of its accept mask with the
+    block's verdict mask has one bit per mismatch, and the lowest is the
+    first counterexample. Where no workers start, the same chunks run
     in-process after the circuit. Either way the result does not depend
     on the chunking or the CPU count: a circuit error wins over a
     machine error, and a machine error is the one from the first
@@ -653,9 +647,8 @@ def check_circuit(spec: TransformerSpec, circuit, words: Sequence[str]):
                                              * CHUNKS_PER_WORKER)))
     bounds = [(lo, min(lo + size, len(words)))
               for lo in range(0, len(words), size)]
-    get = circuit if callable(circuit) else lambda: circuit
     with workers.forked_map(lambda b: _machine_chunk(spec, words, b),
-                            bounds, own=get) as (c, chunks):
+                            bounds, own=circuit) as (c, chunks):
         verdicts = itertools.chain.from_iterable(chunks)
         bad, first = 0, None
         for lo in range(0, len(words), EVAL_BLOCK):
@@ -692,4 +685,4 @@ def verify_equivalence(spec: TransformerSpec, ns: Sequence[int],
         words = _word_batch(spec, n, mode, samples, seed)
         bad, first = check_circuit(spec, lambda: builder(spec, n), words)
         rows.append(EquivRow(n, mode, len(words), bad, first))
-    return EquivReport(spec.name or "spec", tuple(rows))
+    return EquivReport(tuple(rows))

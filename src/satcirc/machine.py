@@ -45,7 +45,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 from .bitnum import (
     BitNumError, Flt, Rat, flt, flt_add, flt_cmp, flt_div, flt_mul,
     flt_neg, flt_sqrt, flt_sum, ols, rat, rat_add, rat_cmp, rat_mul,
-    rat_neg, rat_sum, relu as bitnum_relu, size,
+    rat_neg, rat_sum, size,
 )
 
 
@@ -171,7 +171,7 @@ class Domain:
         return flt_neg(x) if self.name == "F" else rat_neg(x)
 
     def relu(self, x: Scalar) -> Scalar:
-        return bitnum_relu(x)
+        return x if self.cmp(x, self.zero) > 0 else self.zero
 
     def cmp(self, x: Scalar, y: Scalar) -> int:
         return flt_cmp(x, y) if self.name == "F" else rat_cmp(x, y)
@@ -772,10 +772,6 @@ class HeadSumBound:
     measured: int
     bound: float
 
-    @property
-    def margin(self) -> float:
-        return self.bound - self.measured
-
 
 @dataclass(frozen=True)
 class SizeRow:
@@ -786,30 +782,35 @@ class SizeRow:
 
 @dataclass(frozen=True)
 class SizeGrowthReport:
-    """Measured value sizes against an a + b*log2(n) envelope, and the
-    head-sum bounds.
+    """Measured value sizes against the line a + b*log2(n) fitted (OLS)
+    on the smaller half of the n values, and the head-sum bounds.
 
-    ``b`` is the OLS slope (clamped at 0); ``a`` is lifted so the line
-    dominates every measurement, so the envelope describes the rows and
-    cannot fail. ``ok`` is whether every head-sum bound holds.
+    ``excess`` holds, for each larger n in order, the bits its max value
+    size rises above the line. With fewer than two n in the smaller half
+    the line is fitted on every row and ``excess`` is empty: a one-point
+    fit has no slope, so growth is not judged. ``ok`` is whether every
+    excess is at most 1 bit and every head-sum bound holds.
     """
 
     rows: tuple[SizeRow, ...]
     a: float
     b: float
+    excess: tuple[float, ...]
     head_bounds: tuple[HeadSumBound, ...]
 
     @property
     def ok(self) -> bool:
-        return all(hb.margin >= 0 for hb in self.head_bounds)
+        return (all(e <= 1 for e in self.excess) and
+                all(hb.measured <= hb.bound for hb in self.head_bounds))
 
 
 def instrument_sizes(spec: TransformerSpec,
                      inputs_by_n: Mapping[int, Sequence[str]]
                      ) -> SizeGrowthReport:
     """Trace the given inputs and report per-layer max value sizes, the
-    fitted log envelope, and the head-sum bound 4cz + 2 log2 n + 1 where
-    c is HEAD_SUM_C and z the largest summand size feeding that head."""
+    smaller-half log fit and each larger n's excess over it, and the
+    head-sum bound 4cz + 2 log2 n + 1 where c is HEAD_SUM_C and z the
+    largest summand size feeding that head."""
     if not inputs_by_n:
         raise MachineError("size instrumentation needs at least one n")
     domain = spec.domain
@@ -851,10 +852,12 @@ def instrument_sizes(spec: TransformerSpec,
             head_bounds.append(HeadSumBound(n, li, h, z,
                                             measured_by_head[(li, h)], bound))
     xs = [math.log2(r.n) for r in rows]
-    ys = [float(r.overall) for r in rows]
-    b = max(ols(xs, ys)[1], 0.0)
-    a = max(y - b * x for x, y in zip(xs, ys))
-    return SizeGrowthReport(tuple(rows), a, b, tuple(head_bounds))
+    ys = [r.overall for r in rows]
+    half = len(rows) // 2
+    fit = half if half >= 2 else len(rows)
+    a, b = ols(xs[:fit], ys[:fit])
+    excess = tuple(y - (a + b * x) for x, y in zip(xs[fit:], ys[fit:]))
+    return SizeGrowthReport(tuple(rows), a, b, excess, tuple(head_bounds))
 
 
 # ---------------------------------------------------------------------------

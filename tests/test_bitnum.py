@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from satcirc.bitnum import (
     BitNumError, Flt, Rat, UNat, flt, flt_add, flt_cmp, flt_div, flt_mul,
-    flt_neg, flt_sqrt, rat, rat_add, rat_mul, rat_neg, relu, size,
+    flt_neg, flt_sqrt, rat, rat_add, rat_mul, rat_neg, size,
 )
 
 import oracles
@@ -318,13 +318,6 @@ def test_size_worked_examples():
     assert size(flt(3, 2)) == 7   # p=3 (2 bits), denominator 100 (3 bits)
     assert size(rat(0)) == 3      # +0/1: numerator empty, q one bit
     assert size(UNat.from_int(0)) == 0
-
-
-def test_relu():
-    assert relu(rat(-3, 4)) == rat(0)
-    assert relu(rat(3, 4)) == rat(3, 4)
-    assert relu(flt(-5, 2)) == flt(0)
-    assert relu(flt(5, 2)) == flt(5, 2)
 
 
 # ---------------------------------------------------------------------------

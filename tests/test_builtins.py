@@ -36,16 +36,16 @@ def as_fraction(x):
 
 
 def test_primes_small():
-    assert primes(3).values == (2, 3, 5)
-    assert primes(10).values[-1] == 29
+    assert primes(3) == (2, 3, 5)
+    assert primes(10)[-1] == 29
 
 
 def test_primes_hundred_against_trial_division():
     t = primes(100)
     assert len(t) == 100
-    assert all(is_prime(p) for p in t.values)
-    assert all(a < b for a, b in zip(t.values, t.values[1:]))
-    assert t.values[0] == 2
+    assert all(is_prime(p) for p in t)
+    assert all(a < b for a, b in zip(t, t[1:]))
+    assert t[0] == 2
 
 
 def test_primes_rejects_zero():
@@ -249,7 +249,10 @@ def test_builtin_factory_names():
         builtin_spec("nope")
     with pytest.raises(MachineError, match="--pred"):
         builtin_spec("prime-universal")
-    assert len(BUILTIN_NAMES) == 5
+    assert builtin_spec("maj-q").datatype == "Q"
+    with pytest.raises(MachineError, match=r"have maj, .*, maj-q\)"):
+        builtin_spec("bogus")
+    assert len(BUILTIN_NAMES) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,8 @@ def bigram_family(n):
 
 def test_family_analyze_bigram():
     rep = family_analyze(bigram_family, [4, 8, 16, 32, 64])
-    assert rep.depth_constant and rep.theta_free
+    assert rep.depth_constant
+    assert all(r.theta_count == 0 for r in rep.rows)
     assert 0.8 < rep.slope < 1.2
     assert [r.size for r in rep.rows] == [4, 8, 16, 32, 64]
 

@@ -555,6 +555,28 @@ def test_size_growth_script(tmp_path):
     rows = (tmp_path / "size_growth.csv").read_text().splitlines()
     assert rows[0] == "n,max_value_bits,layer0_bits,layer1_bits"
     assert [row.split(",")[0] for row in rows[1:]] == ["4", "8", "16"]
+    assert "growth not judged" in r.stdout
+    # the line is fitted on the smaller half; linear growth rises above it
+    for args, code, lines in (
+            (["--builtin", "resource-bounded", "--pred", "bigram11",
+              "--n-list", "4,8,16,32"], 1,
+             ["n=16 excess=+8.00 bits [OVER 1 BIT]",
+              "n=32 excess=+32.00 bits [OVER 1 BIT]"]),
+            (["--builtin", "maj", "--n-list", "8,16,64,256"], 0,
+             ["n=64 excess=+0.00 bits [ok]",
+              "n=256 excess=+0.00 bits [ok]"])):
+        r = _satcirc([script, *args, "--out-dir", str(tmp_path)], 60)
+        assert r.returncode == code, r.stderr
+        assert all(line in r.stdout.splitlines() for line in lines), r.stdout
+    # a failed head-sum bound is named; c = 0 leaves only 2 log2 n + 1
+    probe = ("import runpy, sys; import satcirc.machine as M; "
+             "M.HEAD_SUM_C = 0; sys.argv = sys.argv[1:]; "
+             "runpy.run_path(sys.argv[0], run_name='__main__')")
+    r = _satcirc(["-c", probe, script, "--builtin", "maj", "--n-list",
+                  "4,8", "--out-dir", str(tmp_path)], 60)
+    assert r.returncode == 1, r.stderr
+    assert ("head-sum bound VIOLATED: L0.h0 n=8 z=9 measured=9 bound=7.00"
+            in r.stdout.splitlines()), r.stdout
 
 
 THETA_PROBE = """
@@ -584,10 +606,13 @@ def test_theta_free_check_survives_python_O(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+SCRIPTS = sorted(Path(SRC).parent.joinpath("scripts").glob("*.py"))
+
+
 def test_no_assert_statements_under_src():
     # checks that guard results must still run under python -O
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(SRC, "satcirc").glob("*.py"))
+             for path in sorted(Path(SRC, "satcirc").glob("*.py")) + SCRIPTS
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
@@ -612,9 +637,9 @@ def _unused_imports(paths) -> list:
 
 def test_no_unused_imports_under_src():
     # __init__.py imports to re-export
-    assert _unused_imports(
-        path for path in sorted(Path(SRC, "satcirc").glob("*.py"))
-        if path.name != "__init__.py") == []
+    assert SCRIPTS and _unused_imports(
+        [path for path in sorted(Path(SRC, "satcirc").glob("*.py"))
+         if path.name != "__init__.py"] + SCRIPTS) == []
 
 
 def test_no_unused_imports_under_tests():
@@ -738,6 +763,41 @@ def test_no_public_name_under_src_exists_only_for_tests():
         found.update(more)
         dead |= {id(node) for d in more.values() for node in ast.walk(d)}
     assert sorted(found) == []
+
+
+def test_no_field_or_property_under_src_is_read_only_by_tests():
+    # a dataclass field or a property of a class under src/ is read as
+    # .name somewhere under src/, scripts/ or perfbench/ (tests aside);
+    # one read nowhere else is carried for the tests alone
+    root = Path(SRC).parent
+    users = sorted(Path(SRC, "satcirc").glob("*.py")) + sorted(
+        path for d in ("scripts", "perfbench")
+        for path in Path(root, d).rglob("*.py")
+        if not path.name.startswith("test_"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in users}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+    def decorators(node):  # @name, @mod.name and @name(...) alike
+        calls = (d.func if isinstance(d, ast.Call) else d
+                 for d in node.decorator_list)
+        return {d.id if isinstance(d, ast.Name) else d.attr for d in calls}
+
+    members = []
+    for path, tree in trees.items():
+        if path.parent.name != "satcirc":
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if "dataclass" in decorators(cls):
+                members += [(cls.name, st.target.id) for st in cls.body
+                            if isinstance(st, ast.AnnAssign)]
+            members += [(cls.name, fn.name) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef) and decorators(fn)
+                        & {"property", "cached_property"}]
+    assert sorted(f"{c}.{m}" for c, m in members if m not in read) == []
 
 
 def test_no_nested_function_under_src_names_itself():

@@ -145,7 +145,7 @@ def test_compile_hard_wants_hard_heads():
 
 def test_final_values_emitted_and_correct():
     w = "0110"
-    c = compile_saturated(MAJ, 4, include_values=True)
+    c, _ = compile_planned(MAJ, 4, include_values=True)
     out = eval_batch(c, [encode_word(MAJ, w)])[0]
     by_label = {c.labels[o]: bit for o, bit in zip(c.outputs, out)
                 if o in c.labels}
@@ -304,9 +304,7 @@ def test_read_view_hides_only_unreachable_components():
 def _full_table(spec, e, args, const_value, ref):
     """Tabulate e over every live wire of args, independently of the
     compiler's read set: (live wires, one row per assignment)."""
-    packs = []
-    C._flatten_packs(args, packs)
-    live = list(dict.fromkeys(w for pk in packs for w in pk.wires
+    live = list(dict.fromkeys(w for pk in C._packs(args) for w in pk.wires
                               if const_value(w) is None))
     rows = []
     for m in range(1 << len(live)):
@@ -349,10 +347,8 @@ def _emitted_tables(monkeypatch):
     def auto(self, e, args):
         before = len(dnf_calls)
         val = real_auto(self, e, args)
-        packs = []
-        C._flatten_packs(val, packs)
         if len(dnf_calls) > before and dnf_calls[-1][2] == [
-                w for pk in packs for w in pk.wires]:
+                w for pk in C._packs(val) for w in pk.wires]:
             seen.append((e, args, self.b.const_value, *dnf_calls[-1][:2],
                          val))
         return val
@@ -549,9 +545,9 @@ def test_the_sample_traces_measure_every_recorded_role(name):
 
 
 def test_compile_planned_is_compile_under_the_analytic_plan():
-    c, roles = compile_planned(MAJ, 5, include_values=True)
-    assert roles == compile_planned(MAJ, 5)[1] == MAJ_ROLES
-    assert c == compile_saturated(MAJ, 5, include_values=True)
+    c, roles = compile_planned(MAJ, 5)
+    assert roles == compile_planned(MAJ, 5, include_values=True)[1]
+    assert roles == MAJ_ROLES and c == compile_saturated(MAJ, 5)
     c, plan = compile_planned(build_hard_demo(), 4)
     assert c == compile_hard(build_hard_demo(), 4)
 
@@ -720,7 +716,8 @@ def test_pool_equals_the_in_process_reference(spec, ns, pool, monkeypatch):
         for c, words in cases]
 
     def answers():
-        return ([C.check_circuit(spec, c, words) for c, words in cases],
+        return ([C.check_circuit(spec, lambda: c, words)
+                 for c, words in cases],
                 verify_equivalence(spec, ns, compile_fn=compile_fn),
                 verify_equivalence(spec, ns, mode="random", samples=90,
                                    seed=4, compile_fn=compile_fn))
@@ -846,7 +843,7 @@ def _alarm(seconds):
 
 def test_no_worker_outlives_the_call(pool, monkeypatch):
     c, words = compile_saturated(MAJ, 6), all_words(MAJ, 6)
-    assert C.check_circuit(MAJ, c, words) == (0, None)
+    assert C.check_circuit(MAJ, lambda: c, words) == (0, None)
     assert _reaped()
 
     def refuse():
@@ -876,7 +873,7 @@ def test_no_worker_outlives_the_call(pool, monkeypatch):
     # would need 6.4 s for all of them
     t = time.monotonic()
     with pytest.raises(_Alarm), _alarm(0.2) as rang:
-        C.check_circuit(MAJ, c, words)
+        C.check_circuit(MAJ, lambda: c, words)
     assert rang == ["judge"]
     assert 0 < len(judged) <= 16  # part of one chunk
     assert time.monotonic() - t < 3
@@ -889,7 +886,8 @@ def test_a_short_verdict_stream_is_refused_not_padded(monkeypatch):
     monkeypatch.setattr(C, "_machine_chunk",
                         lambda spec, words, b: chunk(spec, words, b)[:-1])
     with pytest.raises(ValueError, match="^63 machine verdicts for 64 words$"):
-        C.check_circuit(MAJ, compile_saturated(MAJ, 6), all_words(MAJ, 6))
+        C.check_circuit(MAJ, lambda: compile_saturated(MAJ, 6),
+                        all_words(MAJ, 6))
 
 
 def test_workers_ignore_sigint(pool, monkeypatch):
@@ -902,7 +900,7 @@ def test_workers_ignore_sigint(pool, monkeypatch):
 
     monkeypatch.setattr(C, "recognize", judge)
     c, words = compile_saturated(MAJ, 4), all_words(MAJ, 4)
-    assert C.check_circuit(MAJ, c, words) == (0, None)
+    assert C.check_circuit(MAJ, lambda: c, words) == (0, None)
 
 
 def test_a_killed_worker_raises_instead_of_hanging(pool, monkeypatch,
@@ -931,12 +929,16 @@ def test_the_circuit_is_evaluated_in_bounded_blocks(pool, monkeypatch):
     c, words = compile_saturated(MAJ, 8), all_words(MAJ, 8)
     wrong = dataclasses.replace(c, outputs=(next(
         g.id for g in c.gates if g.kind == "INPUT"),))
-    whole = [C.check_circuit(MAJ, x, words) for x in (c, wrong)]
+
+    def both():
+        return [C.check_circuit(MAJ, lambda: x, words) for x in (c, wrong)]
+
+    whole = both()
     assert whole[0] == (0, None) and whole[1][0] > 0
     monkeypatch.setattr(C, "EVAL_BLOCK", 7)
-    assert [C.check_circuit(MAJ, x, words) for x in (c, wrong)] == whole
+    assert both() == whole
     _in_process(monkeypatch)
-    assert [C.check_circuit(MAJ, x, words) for x in (c, wrong)] == whole
+    assert both() == whole
 
 
 def test_exhaustive_verify_evaluates_at_most_4096_words_per_call(
@@ -1000,7 +1002,7 @@ def test_sweep_forks_a_worker_per_cpu_and_compiles_nothing_in_the_parent(
         return compile_saturated(MAJ, n)
 
     pool(3)
-    assert family_analyze(family, [2, 3, 4, 5]).depths
+    assert family_analyze(family, [2, 3, 4, 5]).rows
     pids = log.read_text().split()
     assert len(pids) == 4 and str(parent) not in pids
     assert len(set(pids[:3])) == 3

@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 from satcirc import machine
 from satcirc.bitnum import Flt, flt, rat, size
 from satcirc.builtins import builtin_spec
+from satcirc.compile import default_samples
 from satcirc.machine import (
     MAX_POW2_EXPONENT, Add, Affine, Arg, AttentionKind, Const, Div, Eq,
     FuncExpr, Gt, HeadSpec, Host, LayerSpec, MachineError, Mul, Neg, Pow2,
@@ -471,6 +472,13 @@ def test_domain_sum_is_a_left_fold_of_add(dt, terms):
     assert as_fraction(got) == sum(map(as_fraction, xs), Fraction(0))
 
 
+def test_relu():
+    assert Q.relu(rat(-3, 4)) == rat(0) == Q.relu(rat(0))
+    assert Q.relu(rat(3, 4)) == rat(3, 4)
+    assert F.relu(flt(-5, 2)) == flt(0) == F.relu(flt(0))
+    assert F.relu(flt(5, 2)) == flt(5, 2)
+
+
 def two_layer_spec():
     """Layer 0 averages (token, position); layer 1's hard head scores a
     key by (mean token) * position, which depends on the whole word."""
@@ -749,12 +757,20 @@ def test_instrument_sizes_envelope_and_head_bounds():
                   for _ in range(4)]
               for n in (4, 8, 16, 32)}
     rep = instrument_sizes(spec, inputs)
-    assert rep.ok
-    assert rep.b >= 0
     assert [r.n for r in rep.rows] == [4, 8, 16, 32]
     for hb in rep.head_bounds:
         assert hb.measured <= hb.bound
         assert hb.bound == 4 * 2 * hb.z + 2 * math.log2(hb.n) + 1
+    # the line is fitted on n = 4, 8 and judges n = 16, 32; growth is
+    # judged on the words given: these four miss the widest value at
+    # n = 8 (5 bits, not 9), so the fit falls and both larger n are over
+    assert [r.overall for r in rep.rows] == [7, 5, 11, 13]
+    assert (rep.a, rep.b) == (11, -2) and rep.excess == (8, 12)
+    assert not rep.ok
+    wide = {n: default_samples(spec, n) for n in (4, 8, 16, 32)}
+    rep = instrument_sizes(spec, wide)
+    assert [r.overall for r in rep.rows] == [7, 9, 11, 13]
+    assert (rep.a, rep.b) == (3, 2) and rep.excess == (0, 0) and rep.ok
 
 
 def test_instrument_rejects_length_mismatch():

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from satcirc import synth as S
 from satcirc.bitnum import (
-    Flt, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg, relu,
+    Flt, flt, flt_add, flt_cmp, flt_div, flt_mul, flt_neg,
 )
 from satcirc.circuit import depth_map, eval_batch, metrics, to_json
 from satcirc.compile import _Wires, _dnf_wires
-from satcirc.machine import AttentionKind
+from satcirc.machine import DOMAIN_F, AttentionKind
 from satcirc.synth import (
     Builder, SynthError, WirePack, clog2, decode_flt,
     decode_uint, encode_flt, encode_uint,
@@ -468,7 +468,7 @@ def test_float_wire_ops_against_arithmetic():
         assert _run_float_op(lambda b, p: S.f_neg(b, p[0]),
                              [x])[0] == flt_neg(x)
         assert _run_float_op(lambda b, p: S.f_relu(b, p[0]),
-                             [x])[0] == relu(x)
+                             [x])[0] == DOMAIN_F.relu(x)
         assert _run_float_op(lambda b, p: S.f_ge(b, p[0], p[1]),
                              [x, y])[0] == int(flt_cmp(x, y) >= 0)
         assert _run_float_op(lambda b, p: S.f_gt(b, p[0], p[1]),
