@@ -11,7 +11,8 @@ so the machine and the circuit share one reading of the network and of
 the expression language, shape errors included. Each size-preserving
 primitive becomes one constant-depth subcircuit. _Wires.attend expands
 one query position's attention: scores are compiled expressions, the
-maximizer set comes from pairwise comparators, tie counts from the
+maximizer set comes from pairwise comparators (each unordered pair is
+built once, and its reverse reuses the parts), tie counts from the
 exact-count gadget, pooling from the counting float adder, and the
 1/|M| weighting from the per-divisor reciprocal shifts. Hard heads mux
 the first maximizer's value directly and never spend threshold gates;

@@ -866,10 +866,13 @@ def instrument_sizes(spec: TransformerSpec,
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s;]+|;[^\n]*")
 # the deepest a spec file may nest: (...) forms, and expression levels
-# with (add ...) and (mul ...) counted at the depth of the chain they parse
-# to; it keeps the reader, the parser and every walk over an expression
-# well inside the interpreter's recursion limit
+# with (mul ...) and a binary (add ...) counted at the depth of the chain
+# they parse to; it keeps the reader, the parser and every walk over an
+# expression well inside the interpreter's recursion limit
 MAX_NESTING = 100
+# the most operands one (add ...) may have: it parses to one n-ary sum,
+# and the cap bounds the adder tree a compile builds for it
+MAX_ADD_OPERANDS = 256
 
 
 def _read_sexp(text: str):
@@ -931,7 +934,7 @@ def _is_number(atom) -> bool:
 # operand count per expression op: (least, most), most None = unbounded
 _ARITY = {"const": (1, 1), "arg": (1, 1), "proj": (2, 2), "tok": (1, 1),
           "q": (1, 1), "v": (1, 1), "pos": (0, 0), "key": (1, 1),
-          "head": (2, 2), "tup": (0, None), "add": (2, None),
+          "head": (2, 2), "tup": (0, None), "add": (2, MAX_ADD_OPERANDS),
           "mul": (2, None), "div": (2, 2), "sqrt": (1, 1), "neg": (1, 1),
           "relu": (1, 1), "gt": (2, 2), "eq": (2, 2), "select": (3, 3),
           "affine": (2, None), "pow2": (1, 1), "host": (1, None)}
@@ -940,7 +943,8 @@ _ARITY = {"const": (1, 1), "arg": (1, 1), "proj": (2, 2), "tok": (1, 1),
 def _want(what: str, rest, least: int, most: int = None):
     """Refuse a form with fewer than least or more than most operands."""
     if len(rest) < least or (most is not None and len(rest) > most):
-        count = least if least == most else f"at least {least}"
+        count = (least if least == most else f"at least {least}"
+                 if len(rest) < least else f"at most {most}")
         raise MachineError(f"({what} ...) wants {count} operand"
                            f"{'s' * (least != 1)}, got {len(rest)}")
 
@@ -970,8 +974,9 @@ def _parse_expr(f, n_heads: int, block_width: int,
     sugar: (tok K) (pos) (q K) (key K) (v K) (head H K)
 
     Every expression is evaluated on two arguments, so J is 1 or 2, and
-    (head H K) names one of the n_heads heads. f sits depth levels deep
-    in the expression, at most MAX_NESTING.
+    (head H K) names one of the n_heads heads. An add of three or more
+    operands is one affine sum with unit weights and zero bias. f sits
+    depth levels deep in the expression, at most MAX_NESTING.
     """
     if depth > MAX_NESTING:
         raise MachineError(f"expression nests deeper than {MAX_NESTING} "
@@ -1016,6 +1021,8 @@ def _parse_expr(f, n_heads: int, block_width: int,
         return Proj(h * block_width + k, Arg(1))
     if op == "tup":
         return Tup(*[rec(x) for x in rest])
+    if op == "add" and len(rest) > 2:  # one n-ary sum, one level
+        return Affine([(1, 1)] * len(rest), (0, 1), *[rec(x) for x in rest])
     if op in ("add", "mul"):  # a left-deep chain, len(rest) - 1 levels
         rec = partial(rec, depth=depth + len(rest) - 1)
         acc = rec(rest[0])

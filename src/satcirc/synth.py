@@ -27,8 +27,9 @@ popcount _count_bits (over _exact_count's "exactly m ones" indicators) are
 all calls of it.
 
 Attention's argmax is f_maximizers (a flag on every tied maximum, from
-pairwise f_ge), first_hot (keep the first flag) and f_onehot (the pack
-whose hot wire is set).
+pairwise comparisons: each unordered pair's f_ge is built once, and its
+reverse reuses that comparator's sign and magnitude tests), first_hot
+(keep the first flag) and f_onehot (the pack whose hot wire is set).
 
 The other rules are each written once too. Builder.and_ and Builder.or_
 are one folding rule (_fold) with the absorbing constant as a parameter.
@@ -758,13 +759,25 @@ def _cross_mags(b: Builder, x: WirePack, y: WirePack):
             _enum_shift(b, y.p, _e_sels(b, x), y.p_width + x.e_max))
 
 
+def _ge_parts(b: Builder, A, B_, sx: int, sy: int,
+              strict=False) -> tuple[int, int, int]:
+    """(x >= y, |x| >= |y|, |y| >= |x|), or > if strict, from x's and
+    y's cross magnitudes A, B_ and sign tests sx, sy (1 = nonnegative):
+    or(and(sx, -sy), and(sx, sy, |x| >= |y|), and(-sx, -sy, |y| >= |x|)),
+    each gate requested in the order that expression reads."""
+    high = b.and_(sx, b.not_(sy))
+    ab = _geq_u(b, A, B_, strict)
+    both_pos = b.and_(sx, sy, ab)
+    nsx, nsy = b.not_(sx), b.not_(sy)
+    ba = _geq_u(b, B_, A, strict)
+    return b.or_(high, both_pos, b.and_(nsx, nsy, ba)), ab, ba
+
+
 def f_ge(b: Builder, x: WirePack, y: WirePack, strict=False) -> int:
     """x >= y, or x > y if strict."""
     A, B_ = _cross_mags(b, x, y)
-    sx, sy = f_pos_or_zero(b, x), f_pos_or_zero(b, y)
-    return b.or_(b.and_(sx, b.not_(sy)),
-                 b.and_(sx, sy, _geq_u(b, A, B_, strict)),
-                 b.and_(b.not_(sx), b.not_(sy), _geq_u(b, B_, A, strict)))
+    return _ge_parts(b, A, B_, f_pos_or_zero(b, x), f_pos_or_zero(b, y),
+                     strict)[0]
 
 
 def f_gt(b: Builder, x: WirePack, y: WirePack) -> int:
@@ -798,9 +811,34 @@ def f_select(b: Builder, cond: int, x: WirePack, y: WirePack) -> WirePack:
 
 def f_maximizers(b: Builder, packs) -> list[int]:
     """flags[j] = 1 iff packs[j] is maximal: every tied maximum is
-    flagged. Theta-free, one f_ge per ordered pair."""
-    return [b.and_(*[f_ge(b, x, y) for k, y in enumerate(packs) if k != j])
-            for j, x in enumerate(packs)]
+    flagged. Theta-free. Each unordered pair of positions j < k is built
+    once: row j builds packs[j] >= packs[k] as f_ge does and keeps both
+    magnitude tests, and row k's packs[k] >= packs[j] reuses them and
+    the sign tests, adding four gates. Each pack's sign test is built
+    once. The gates come in the order one f_ge per ordered pair would
+    create them, so the circuit is that one."""
+    signs = {}  # j -> packs[j]'s sign test
+    mags = {}  # (j, k) -> (|packs[j]| >= |packs[k]|, |packs[k]| >= |packs[j]|)
+
+    def sign(j):
+        if j not in signs:
+            signs[j] = f_pos_or_zero(b, packs[j])
+        return signs[j]
+
+    def ge(j, k):
+        if k < j:  # y >= x of the pair (k, j) row k built
+            sj, sk = signs[j], signs[k]
+            kj, jk = mags[k, j]
+            return b.or_(b.and_(sj, b.not_(sk)), b.and_(sj, sk, jk),
+                         b.and_(b.not_(sj), b.not_(sk), kj))
+        A, B_ = _cross_mags(b, packs[j], packs[k])
+        out, jk, kj = _ge_parts(b, A, B_, sign(j), sign(k))
+        mags[j, k] = jk, kj
+        return out
+
+    m = len(packs)
+    return [b.and_(*[ge(j, k) for k in range(m) if k != j])
+            for j in range(m)]
 
 
 def first_hot(b: Builder, flags) -> list[int]:

@@ -265,14 +265,19 @@ def test_spec_nesting_is_bounded_at_100_levels_chains_included(tmp_path,
     # (transformer (embedding (tup (tok 2)))): the token is 4 levels deep
     # in the file and 2 in the embedding expression
     spec = tmp_path / "deep.sexp"
+    cap = satcirc.machine.MAX_ADD_OPERANDS
     cases = [(_nested("neg", 96), None),
              (_nested("neg", 97), "spec file nests deeper than 100 levels"),
-             # (add ...) of k operands parses to a chain k - 1 levels deep
-             ("(add" + " (tok 2)" * 99 + ")", None),
-             ("(add" + " (tok 2)" * 100 + ")",
+             # (mul ...) of k operands parses to a chain k - 1 levels deep
+             ("(mul" + " (tok 2)" * 99 + ")", None),
+             ("(mul" + " (tok 2)" * 100 + ")",
               "expression nests deeper than 100 levels"),
+             # (add ...) of k >= 3 operands is one n-ary sum, one level
+             ("(add" + " (tok 2)" * cap + ")", None),
+             ("(add" + " (tok 2)" * (cap + 1) + ")",
+              f"(add ...) wants at most {cap} operands, got {cap + 1}"),
              ("(add" + " (tok 2)" * 3000 + ")",
-              "expression nests deeper than 100 levels")]
+              f"(add ...) wants at most {cap} operands, got 3000")]
     for expr, why in cases:
         spec.write_text(MAJ_TEXT.replace("(tok 2)", expr))
         code = main(["run", "--spec", str(spec), "--input", "01",
@@ -280,6 +285,20 @@ def test_spec_nesting_is_bounded_at_100_levels_chains_included(tmp_path,
         err = out(capsys).err
         assert (code, err) == ((0, "") if why is None
                                else (2, f"error: {why}\n")), expr[:12]
+
+
+def test_a_long_add_compiles_as_one_sum(tmp_path, capsys):
+    # a 98-operand chain of binary adds did not compile in 120 s at n=3
+    spec = tmp_path / "long.sexp"
+    spec.write_text(MAJ_TEXT.replace("(tok 2)",
+                                     "(add" + " (tok 2)" * 98 + ")"))
+    start = time.perf_counter()
+    assert main(["compile", "--spec", str(spec), "--n", "16",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 2
+    assert main(["verify", "--spec", str(spec), "--n", "3",
+                 "--mode", "exhaustive", "--out-dir", str(tmp_path)]) == 0
+    assert "n=3 exhaustive tested=8 mismatches=0 [ok]" in out(capsys).out
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
@@ -448,6 +467,13 @@ PINNED = {
     ("hard-demo", 16, True): (
         "b999c58cc7f8bb02b73396224935a406580c26e25dc567f4185502b7c867cc4e",
         "26dc89e73be780e1bb185dacb1d108daafa3b0eca4e968ad4e26f0dd3f8f1a1e"),
+    # the argmax's share of the circuit grows as n^3
+    ("maj", 32, False): (
+        "02f7324a07251436370ffebee40640cec3a146bd6b14a3eb6b9d1e9a387ae48a",
+        "3b12bc0a44f83ef973104a3daa3b9874eb290b05698cc792c820ea84185adaa9"),
+    ("hard-demo", 32, False): (
+        "60493baf978e57c8a2aa181e0d0e944e4bd66746ba7560a7a8f50d44828f2533",
+        "95a6c7cf5dc844ef667b06c8ae608d839c175ef7b114d8aa719fa4a0afddf59d"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -864,11 +865,38 @@ def test_parse_expr_sugar_and_numbers():
     """
     spec = parse_spec(text)
     scorer = spec.layers[0].heads[0].scorer
-    # (q 1) -> proj 0 of arg 0; (key 2) -> proj 1 of arg 1
-    assert scorer.op == "add"
+    # (q 1) -> proj 0 of arg 0; (key 2) -> proj 1 of arg 1; an add of
+    # three or more operands is one sum, an affine form with unit weights
+    assert scorer.op == "affine" and len(scorer.args) == 3
+    assert scorer.data == (((1, 1),) * 3, (0, 1))
     assert spec.classifier_w == ((1, 1), (-1, 3))
     assert spec.classifier_b == (-2, 1)
     run(spec, "ab")  # evaluates without error
+
+
+@pytest.mark.parametrize("dtype", ["F", "Q"])
+def test_nary_add_runs_as_its_chain(dtype):
+    """An (add ...) of k >= 3 operands gives the values of the chain of
+    binary adds it stood for, on every word up to n = 6."""
+    terms = ["(tok 2)", "(pos)", "-3/4", "(neg (tok 1))", "(mul (pos) 1/2)",
+             "5/2^3", "(tok 2)"]
+    scores = ["(q 1)", "(key 1)", "(neg (key 2))"]
+
+    def spec(add):
+        return parse_spec(f"""
+        (transformer (alphabet a b) (datatype {dtype}) (width 2)
+          (embedding (tup {add(terms)} (pos)))
+          (layer (head saturated {add(scores)}) (activation (arg 1)))
+          (classifier (w 1 -1) (b 0)))""")
+
+    flat = spec(lambda xs: f"(add {' '.join(xs)})")
+    chain = spec(lambda xs: functools.reduce(
+        lambda acc, x: f"(add {acc} {x})", xs))
+    assert [spec.embedding.args[0].op for spec in (flat, chain)] == [
+        "affine", "add"]
+    for n in range(1, 7):
+        for w in map("".join, itertools.product("ab", repeat=n)):
+            assert run(flat, w) == run(chain, w), w
 
 
 @pytest.mark.parametrize("bad, msg", [

@@ -245,6 +245,26 @@ def test_max_select_random_wide():
         check_argmax(vals, out, 4, 3)
 
 
+def test_argmax_work_is_pinned(monkeypatch):
+    """A row of m packs builds each unordered pair's two magnitude tests
+    once and each pack's sign test once: m(m-1) _geq_u and m
+    f_pos_or_zero calls, where one f_ge per ordered pair makes 2m(m-1)
+    of each."""
+    calls = []
+    for name in ("_geq_u", "f_pos_or_zero"):
+        def counted(*args, _fn=getattr(S, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(S, name, counted)
+    m, w = 5, fwidth(2, 1)
+    b = Builder(m * w)
+    wires = [b.input(i) for i in range(m * w)]
+    S.f_maximizers(b, [fpack(wires[j * w:(j + 1) * w], 2, 1)
+                       for j in range(m)])
+    assert calls.count("_geq_u") == m * (m - 1)
+    assert calls.count("f_pos_or_zero") == m
+
+
 # ---------------------------------------------------------------------------
 # multiplier and shifter
 
@@ -629,9 +649,26 @@ def _by_consts(op, *cs):
     return lambda b, g: [op(b, fpack(g, 3, 2), c) for c in cs]
 
 
+def _argmax_rows(*rows, no_fold=False):
+    """f_maximizers and first_hot on each row, a row naming the group
+    (a pack of 2 p bits, e <= 1) at each position, built inside
+    no_fold() if asked."""
+    def fn(b, *groups):
+        outs = []
+        with b.no_fold() if no_fold else contextlib.nullcontext():
+            for row in rows:
+                flags = S.f_maximizers(b, [fpack(groups[i], 2, 1)
+                                           for i in row])
+                outs += flags + S.first_hot(b, flags)
+        return outs
+    return fn
+
+
 PACK = fwidth(3, 2)
+ARGMAX = (fwidth(2, 1),) * 4
 # name: (build, input widths, sha256 of the build's to_json), each pin
-# taken at b846a6b, before these gadgets shared their code
+# taken at b846a6b, before these gadgets shared their code; the argmax
+# pins at 30263d0, before a comparator pair shared its parts
 STRUCTURE_PINS = {
     "fold": (
         _folds, (3,),
@@ -667,6 +704,15 @@ STRUCTURE_PINS = {
     "saturated_gating": (
         _saturated_head, (fwidth(2, 1),) * 4,
         "bd35b9fa273d4ace0f960690cd0b4681caf132807e1c191332bd969766f7d9a5"),
+    "argmax": (
+        _argmax_rows((0, 1, 2, 3)), ARGMAX,
+        "e59e81898dbaed23eb602366bc465a62cc9dc9fa5c203612f43c44f46ae82516"),
+    "argmax_pack_twice": (
+        _argmax_rows((0, 1, 0, 2)), ARGMAX,
+        "3c9cd60e0905fc5f4149fc338620d85f2988791fbadbe7336c43ff86222ef36a"),
+    "argmax_no_fold": (
+        _argmax_rows((0, 1, 2, 3), (0, 1, 0, 2), no_fold=True), ARGMAX,
+        "9cd639051dfc7470a51e2af78a63b45b88da1a7152ad9e747dd7b3c6ead478ab"),
 }
 
 
