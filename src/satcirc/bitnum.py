@@ -16,7 +16,9 @@ Three value kinds share one size accounting:
 
 ``Rat`` and ``Flt`` are slotted and immutable: they have no ``__dict__``,
 assigning a field raises ``AttributeError``, and two values are equal
-when they are of one class with equal fields. Build them canonical
+when they are of one class with equal fields. Their shared base writes
+equality, hashing, pickling, the signed numerator ``signed_num`` and
+``repr`` once for both. Build them canonical
 through ``rat(num, den)`` and ``flt(num, e)``; the positional
 constructors ``Rat(sign, p, q)`` and ``Flt(sign, p, e)`` store the
 fields as given. ``UNat`` is immutable too. Every operation is pure,
@@ -96,11 +98,18 @@ class UNat:
 
 
 class _Record:
-    """Base of Rat and Flt: three slotted fields stored once by the
-    constructor, then read-only. Equality and hash go by class and
-    field tuple."""
+    """Base of Rat and Flt: three slotted fields, the first two sign and
+    p, stored once by the constructor, then read-only. Equality and hash
+    go by class and field tuple; repr is the class name around str."""
 
     __slots__ = ()
+
+    @property
+    def signed_num(self) -> int:
+        return self.p._value if self.sign else -self.p._value
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({str(self)!r})"
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -156,19 +165,12 @@ class Rat(_Record):
         return Rat(sign, UNat.from_int(abs(num) // g),
                    UNat.from_int(abs(den) // g))
 
-    @property
-    def signed_num(self) -> int:
-        return self.p._value if self.sign else -self.p._value
-
     def as_pair(self) -> tuple[int, int]:
         """(signed numerator, denominator)."""
         return self.signed_num, self.q.value
 
     def __str__(self) -> str:
         return f"{'+' if self.sign else '-'}{self.p.value}/{self.q.value}"
-
-    def __repr__(self) -> str:
-        return f"Rat({str(self)!r})"
 
 
 _rat_sign, _rat_p, _rat_q = _setters(Rat)
@@ -236,10 +238,6 @@ class Flt(_Record):
         k = min((p & -p).bit_length() - 1, e)
         return Flt(sign, UNat.from_int(p >> k), e - k)
 
-    @property
-    def signed_num(self) -> int:
-        return self.p._value if self.sign else -self.p._value
-
     def as_pair(self) -> tuple[int, int]:
         """(signed numerator, denominator) with the denominator expanded."""
         return self.signed_num, 1 << self.e
@@ -249,9 +247,6 @@ class Flt(_Record):
 
     def __str__(self) -> str:
         return f"{'+' if self.sign else '-'}{self.p.value}/2^{self.e}"
-
-    def __repr__(self) -> str:
-        return f"Flt({str(self)!r})"
 
 
 _flt_sign, _flt_p, _flt_e = _setters(Flt)

@@ -16,7 +16,9 @@ The last three accept host callbacks standing in for an arbitrary
 size-preserving decision function; such specs run on the machine but are
 deliberately outside what the circuit compiler accepts.
 ``primes(k)`` is the prime-universal construction's table: the first k
-primes as a tuple of ints.
+primes as a tuple of ints. prime-universal reads inputs of up to
+PU_N_MAX = 64 symbols and resource-bounded up to RB_N_MAX = 32; their
+host callbacks refuse a longer one by name.
 """
 
 from __future__ import annotations
@@ -30,11 +32,24 @@ from .machine import (
     TransformerSpec, Tup,
 )
 
+PU_N_MAX = 64
+RB_N_MAX = 32
+
 
 def _require(ok: bool, text: str):
     """A host callback's invariant; unlike ``assert`` it holds under -O."""
     if not ok:
         raise MachineError(text)
+
+
+def _length(v, n_max: int) -> int:
+    """The integer value v a host callback reads as a position or the
+    input length, refused past n_max."""
+    num, den = v.as_pair()
+    _require(den == 1, "den == 1")
+    if num > n_max:
+        raise MachineError(f"input length exceeds n_max={n_max}")
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +135,7 @@ def pu_reconstruct(s: Rat, table: tuple[int, ...], n: int) -> str:
     return "".join("1" if q % p == 0 else "0" for p in table[:n])
 
 
-def build_prime_universal(g: Callable[[str], bool],
-                          n_max: int = 64) -> TransformerSpec:
+def build_prime_universal(g: Callable[[str], bool]) -> TransformerSpec:
     """Any predicate g over bit strings, decided by one uniform head.
 
     Embedding (1/p_i if w_i = 1 else 0, i); the uniform head returns
@@ -129,23 +143,13 @@ def build_prime_universal(g: Callable[[str], bool],
     The activation recovers n = 2*mean(position) - 1, rescales to S,
     reconstructs w by divisibility, and hands it to g.
     """
-    if not 1 <= n_max <= 64:
-        raise MachineError("n_max must be in 1..64")
-    table = primes(n_max)
+    table = primes(PU_N_MAX)
 
     def inv_prime(domain, pos):
-        num, den = pos.as_pair()
-        _require(den == 1, "den == 1")
-        if num > n_max:
-            raise MachineError(f"input length exceeds n_max={n_max}")
-        return domain.from_pair(1, table[num - 1])
+        return domain.from_pair(1, table[_length(pos, PU_N_MAX) - 1])
 
     def decide(domain, s, nval):
-        num, den = nval.as_pair()
-        _require(den == 1, "den == 1")
-        if num > n_max:
-            raise MachineError(f"input length exceeds n_max={n_max}")
-        return bool(g(pu_reconstruct(s, table, num)))
+        return bool(g(pu_reconstruct(s, table, _length(nval, PU_N_MAX))))
 
     embed = Tup(Mul(Proj(1, Arg(0)), Host("inv_prime", Arg(1))), Arg(1))
     head = HeadSpec(AttentionKind.UNIFORM, Const(1))
@@ -168,8 +172,8 @@ def rb_reconstruct(weight_sum: int, n: int) -> str:
     return "".join("1" if (weight_sum >> i) & 1 else "0" for i in range(n))
 
 
-def build_resource_bounded(delta: Callable[[str], bool], datatype: str,
-                           n_max: int = 32) -> TransformerSpec:
+def build_resource_bounded(delta: Callable[[str], bool],
+                           datatype: str) -> TransformerSpec:
     """Three heads recover (W, n, 2^|n|); W's bits are the input.
 
     Head 1 attends uniformly over embeddings 2^(i-1)*[w_i=1]; head 2 is
@@ -179,21 +183,11 @@ def build_resource_bounded(delta: Callable[[str], bool], datatype: str,
     floor(2^|n|/n)*W/2^|n|, and b1*b3 = floor(2^|n|/n)*W, which the host
     divides exactly. The host then reads W's bits and applies delta.
     """
-    if not 1 <= n_max <= 32:
-        raise MachineError("n_max must be in 1..32")
-
     def pow2len(domain, pos):
-        num, den = pos.as_pair()
-        _require(den == 1, "den == 1")
-        if num > n_max:
-            raise MachineError(f"input length exceeds n_max={n_max}")
-        return domain.from_int(1 << num.bit_length())
+        return domain.from_int(1 << _length(pos, RB_N_MAX).bit_length())
 
     def decide(domain, wval, nval):
-        n_num, n_den = nval.as_pair()
-        _require(n_den == 1, "n_den == 1")
-        if n_num > n_max:
-            raise MachineError(f"input length exceeds n_max={n_max}")
+        n_num = _length(nval, RB_N_MAX)
         num, den = wval.as_pair()
         if datatype == "Q":
             w, rem = divmod(num, den)

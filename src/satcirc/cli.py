@@ -75,7 +75,7 @@ def _ns(args: argparse.Namespace) -> tuple:
         raise MachineError("give --n or --n-list, not both")
     ns = args.n_list or ((args.n,) if args.n is not None else ())
     if not ns:
-        raise MachineError("need --n or --n-list")
+        raise MachineError(f"need {args.n_flags}")
     if min(ns) < 1:
         raise MachineError("need n >= 1")
     return ns
@@ -123,9 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     spec = _load(args)
-    if len(_ns(args)) != 1:
-        raise MachineError("compile takes a single --n")
-    n = _ns(args)[0]
+    (n,) = _ns(args)
     c, roles = compile_planned(spec, n, include_values=args.values)
     name = spec.name or "spec"
     base = os.path.join(_out_dir(args), f"{name}_n{n}")
@@ -230,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "arithmetic, and their threshold-circuit compilations")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_n=True):
+    def command(name, text, *n_flags):
+        """A subcommand with the spec flags and the given n flags. No
+        flag may be abbreviated, so a command without --n does not read
+        it as --n-list."""
+        sp = sub.add_parser(name, help=text, allow_abbrev=False)
         sp.add_argument("--spec", help="s-expression spec file")
         sp.add_argument("--builtin", choices=BUILTIN_NAMES,
                         help="built-in construction")
@@ -239,26 +241,27 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", dest="out_dir",
                         help=f"artifact directory (default ${OUT_DIR_ENV} "
                              "or ./out)")
-        if with_n:
+        if "--n" in n_flags:
             sp.add_argument("--n", type=int)
+        if "--n-list" in n_flags:
             sp.add_argument("--n-list", dest="n_list", type=_int_list,
-                            default=(), help="comma list, e.g. 4,8,16")
+                            help="comma list, e.g. 4,8,16")
+        sp.set_defaults(n=None, n_list=(), n_flags=" or ".join(n_flags))
+        return sp
 
-    sp = sub.add_parser("run", help="evaluate the machine on one word")
-    common(sp, with_n=False)
+    sp = command("run", "evaluate the machine on one word")
     sp.add_argument("--input", help="token string")
     sp.add_argument("--trace", action="store_true",
                     help="also write the full value trace as JSON")
 
-    sp = sub.add_parser("compile", help="emit the circuit for one n")
-    common(sp)
+    sp = command("compile", "emit the circuit for one n", "--n")
     sp.add_argument("--format", choices=("json", "dot"), default="json",
                     help="dot additionally writes a graphviz file")
     sp.add_argument("--values", action="store_true",
                     help="also expose final-layer value wires as outputs")
 
-    sp = sub.add_parser("verify", help="circuit vs machine, word by word")
-    common(sp)
+    sp = command("verify", "circuit vs machine, word by word", "--n",
+                 "--n-list")
     sp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="exhaustive")
     sp.add_argument("--samples", type=int,
@@ -268,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--circuit", help="recheck this circuit JSON "
                                       "instead of compiling")
 
-    sp = sub.add_parser("complexity",
-                        help="size/depth/theta growth across n")
-    common(sp)
+    sp = command("complexity", "size/depth/theta growth across n",
+                 "--n-list")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed of the sampled words whose value sizes "
                          "are measured")

@@ -437,10 +437,12 @@ def _stage(e: FuncExpr) -> Callable:
         return ev_arith
     if op == "affine":
         coeffs, bias = data
+        # an n-ary (add ...) parses to the unit-weight, zero-bias form
+        what = "add" if set(coeffs) == {(1, 1)} and bias == (0, 1) else op
 
         def ev_affine(args, domain, hosts):
             return domain.affine(coeffs, bias,
-                                 _operands(subs, op, args, domain, hosts))
+                                 _operands(subs, what, args, domain, hosts))
         return ev_affine
     if op == "pow2":
         def ev_pow2(args, domain, hosts):

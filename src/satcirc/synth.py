@@ -35,9 +35,14 @@ The other rules are each written once too. Builder.and_ and Builder.or_
 are one folding rule (_fold) with the absorbing constant as a parameter.
 _adder2 and _sub are one lookahead DNF (_lookahead) over their own
 carry or borrow literals, and _padded brings two numbers to a common
-width for them, _geq_u and _eq_u. f_div_const is f_mul_const by the
-reciprocal constant of bitnum.flt_div. f_gate zeroes a pack where a
-wire is 0; f_relu and the saturated pooling's flag gating call it.
+width for them, _geq_u and _eq_u. _ge_parts is the one sign rule of
+x >= y over the two magnitude tests, which f_ge builds and the reverse
+comparator in f_maximizers reuses. _tree_usum is the one adder tree: a
+constant count of rows, and _itadd's last four. _eq_bits is the one
+XNOR: _sub's equal bits, _geq_u's and _eq_u's, f_mul's sign and
+f_eq's same-sign test. f_div_const is f_mul_const by the reciprocal
+constant of bitnum.flt_div. f_gate zeroes a pack where a wire is 0;
+f_relu and the saturated pooling's flag gating call it.
 """
 
 from __future__ import annotations
@@ -422,11 +427,25 @@ ITADD_MAX_N = 32767  # two reduction rounds always reach <= 4 summands
 ITADD_TREE = 4
 
 
+def _tree_usum(b: Builder, rows, out_width: int) -> list[int]:
+    """Sum of unsigned rows by a balanced tree of two-number adders;
+    theta-free, depth grows with log of the row count, so this is for
+    sums whose summand count is a compile-time constant."""
+    rows = [list(r) for r in rows]
+    while len(rows) > 1:
+        nxt = [_adder2(b, rows[i], rows[i + 1])
+               for i in range(0, len(rows) - 1, 2)]
+        if len(rows) % 2:
+            nxt.append(rows[-1])
+        rows = nxt
+    return _pad(b, rows[0], out_width)[:out_width]
+
+
 def _itadd(b: Builder, summands, out_width: int) -> list[int]:
     """Sum of unsigned rows (may be ragged) as out_width bits;
     fixed-shape construction: exactly two column-count reduction rounds,
-    then a 4-leaf adder tree, so the depth added is identical for every
-    summand count up to ITADD_MAX_N. Built fold-free throughout."""
+    then _tree_usum over four rows, so the depth added is identical for
+    every summand count up to ITADD_MAX_N. Built fold-free throughout."""
     rows = [list(r) for r in summands]
     if not rows:
         raise SynthError("need at least one summand")
@@ -468,10 +487,7 @@ def _itadd(b: Builder, summands, out_width: int) -> list[int]:
             raise SynthError("itadd: reduction did not reach the tree")
         while len(rows) < ITADD_TREE:
             rows.append([zero])
-        t1 = _adder2(b, rows[0], rows[1])
-        t2 = _adder2(b, rows[2], rows[3])
-        total = _adder2(b, t1, t2)
-        return _pad(b, total, out_width)[:out_width]
+        return _tree_usum(b, rows, out_width)
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +576,6 @@ def _const_e_wires(b: Builder, value: int, e_max: int) -> list[int]:
     return [b.const(bit) for bit in encode_uint(value, width)]
 
 
-def _tree_usum(b: Builder, rows, out_width: int) -> list[int]:
-    """Sum of unsigned rows by a balanced tree of two-number adders;
-    theta-free, depth grows with log of the row count, so this is for
-    sums whose summand count is a compile-time constant."""
-    rows = [list(r) for r in rows]
-    while len(rows) > 1:
-        nxt = [_adder2(b, rows[i], rows[i + 1])
-               for i in range(0, len(rows) - 1, 2)]
-        if len(rows) % 2:
-            nxt.append(rows[-1])
-        rows = nxt
-    return _pad(b, rows[0], out_width)[:out_width]
-
-
 def _banked_sum(b: Builder, packs, usum) -> WirePack:
     """Exact sum of float packs; raw result over denominator 2^ecap.
 
@@ -591,12 +593,8 @@ def _banked_sum(b: Builder, packs, usum) -> WirePack:
     out_w = max(len(m) for m in mags) + clog2(len(packs) + 1) + 1
     one, zero = b.const(1), b.const(0)
     signs = [pk.sign for pk in packs]
-    if all(s == one for s in signs):
-        mag = usum(mags, out_w)
-        sign = one
-    elif all(s == zero for s in signs):
-        mag = usum(mags, out_w)
-        sign = zero
+    if set(signs) in ({one}, {zero}):
+        mag, sign = usum(mags, out_w), signs[0]
     else:
         pos = [[b.and_(s, w) for w in m] for s, m in zip(signs, mags)]
         neg = [[b.and_(b.not_(s), w) for w in m] for s, m in zip(signs, mags)]
@@ -659,8 +657,7 @@ def _enum_value(b: Builder, pairs, width: int) -> list[int]:
 
 def f_mul(b: Builder, x: WirePack, y: WirePack) -> WirePack:
     p = _mul_u(b, x.p, y.p)
-    sign = b.or_(b.and_(x.sign, y.sign),
-                 b.and_(b.not_(x.sign), b.not_(y.sign)))
+    sign = _eq_bits(b, [x.sign], [y.sign])[0]
     emax = x.e_max + y.e_max
     if not x.e:
         e = list(y.e)
@@ -759,25 +756,25 @@ def _cross_mags(b: Builder, x: WirePack, y: WirePack):
             _enum_shift(b, y.p, _e_sels(b, x), y.p_width + x.e_max))
 
 
-def _ge_parts(b: Builder, A, B_, sx: int, sy: int,
-              strict=False) -> tuple[int, int, int]:
-    """(x >= y, |x| >= |y|, |y| >= |x|), or > if strict, from x's and
-    y's cross magnitudes A, B_ and sign tests sx, sy (1 = nonnegative):
-    or(and(sx, -sy), and(sx, sy, |x| >= |y|), and(-sx, -sy, |y| >= |x|)),
-    each gate requested in the order that expression reads."""
+def _ge_parts(b: Builder, sx: int, sy: int, ab, ba) -> tuple[int, int, int]:
+    """(x >= y, |x| >= |y|, |y| >= |x|) from x's and y's sign tests sx,
+    sy (1 = nonnegative) and thunks ab, ba giving the two magnitude
+    tests: or(and(sx, -sy), and(sx, sy, ab), and(-sx, -sy, ba)), each
+    gate requested in the order that expression reads."""
     high = b.and_(sx, b.not_(sy))
-    ab = _geq_u(b, A, B_, strict)
+    ab = ab()
     both_pos = b.and_(sx, sy, ab)
     nsx, nsy = b.not_(sx), b.not_(sy)
-    ba = _geq_u(b, B_, A, strict)
+    ba = ba()
     return b.or_(high, both_pos, b.and_(nsx, nsy, ba)), ab, ba
 
 
 def f_ge(b: Builder, x: WirePack, y: WirePack, strict=False) -> int:
     """x >= y, or x > y if strict."""
     A, B_ = _cross_mags(b, x, y)
-    return _ge_parts(b, A, B_, f_pos_or_zero(b, x), f_pos_or_zero(b, y),
-                     strict)[0]
+    return _ge_parts(b, f_pos_or_zero(b, x), f_pos_or_zero(b, y),
+                     lambda: _geq_u(b, A, B_, strict),
+                     lambda: _geq_u(b, B_, A, strict))[0]
 
 
 def f_gt(b: Builder, x: WirePack, y: WirePack) -> int:
@@ -787,8 +784,7 @@ def f_gt(b: Builder, x: WirePack, y: WirePack) -> int:
 def f_eq(b: Builder, x: WirePack, y: WirePack) -> int:
     A, B_ = _cross_mags(b, x, y)
     sx, sy = f_pos_or_zero(b, x), f_pos_or_zero(b, y)
-    same_sign = b.or_(b.and_(sx, sy), b.and_(b.not_(sx), b.not_(sy)))
-    return b.and_(same_sign, _eq_u(b, A, B_))
+    return b.and_(_eq_bits(b, [sx], [sy])[0], _eq_u(b, A, B_))
 
 
 def f_onehot(b: Builder, hots, packs, canonical=False) -> WirePack:
@@ -827,13 +823,13 @@ def f_maximizers(b: Builder, packs) -> list[int]:
 
     def ge(j, k):
         if k < j:  # y >= x of the pair (k, j) row k built
-            sj, sk = signs[j], signs[k]
             kj, jk = mags[k, j]
-            return b.or_(b.and_(sj, b.not_(sk)), b.and_(sj, sk, jk),
-                         b.and_(b.not_(sj), b.not_(sk), kj))
+            return _ge_parts(b, signs[j], signs[k], lambda: jk,
+                             lambda: kj)[0]
         A, B_ = _cross_mags(b, packs[j], packs[k])
-        out, jk, kj = _ge_parts(b, A, B_, sign(j), sign(k))
-        mags[j, k] = jk, kj
+        out, *mags[j, k] = _ge_parts(b, sign(j), sign(k),
+                                     lambda: _geq_u(b, A, B_),
+                                     lambda: _geq_u(b, B_, A))
         return out
 
     m = len(packs)

@@ -106,7 +106,7 @@ def test_layernorm_order_invariant():
 
 
 def test_prime_universal_head_sum_and_decode():
-    spec = build_prime_universal(parity, n_max=8)
+    spec = build_prime_universal(parity)
     t = run(spec, "101")
     b = t.head_out[0][0][0]
     assert as_fraction(b[0]) == Fraction(7, 10) / 3  # (1/2 + 1/5)/n
@@ -122,7 +122,7 @@ def test_prime_universal_head_sum_and_decode():
 
 def test_prime_universal_zero_word():
     table = primes(4)
-    spec = build_prime_universal(lambda w: True, n_max=4)
+    spec = build_prime_universal(lambda w: True)
     t = run(spec, "000")
     from satcirc.bitnum import rat, rat_mul
     s = rat_mul(t.head_out[0][0][0][0], rat(3, 1))
@@ -131,14 +131,14 @@ def test_prime_universal_zero_word():
 
 
 def test_prime_universal_parity_small():
-    spec = build_prime_universal(parity, n_max=8)
+    spec = build_prime_universal(parity)
     for n in range(1, 8):
         for w in all_words(n):
             assert recognize(spec, w) == parity(w), w
 
 
 def test_prime_universal_reconstruction_random():
-    spec = build_prime_universal(lambda w: True, n_max=64)
+    spec = build_prime_universal(lambda w: True)
     table = primes(64)
     rng = random.Random(9)
     from satcirc.bitnum import rat, rat_mul
@@ -151,7 +151,7 @@ def test_prime_universal_reconstruction_random():
 
 
 def test_prime_universal_embedding_size_logarithmic():
-    spec = build_prime_universal(lambda w: True, n_max=64)
+    spec = build_prime_universal(lambda w: True)
     t = run(spec, "1" * 64)
     c = 0.0
     for i in range(2, 65):
@@ -160,9 +160,9 @@ def test_prime_universal_embedding_size_logarithmic():
 
 
 def test_prime_universal_rejects_long_input():
-    spec = build_prime_universal(parity, n_max=4)
-    with pytest.raises(MachineError, match="n_max"):
-        recognize(spec, "10101")
+    spec = build_prime_universal(parity)
+    with pytest.raises(MachineError, match="n_max=64"):
+        recognize(spec, "10" * 32 + "1")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_prime_universal_rejects_long_input():
 
 
 def test_resource_bounded_weight_sum_q():
-    spec = build_resource_bounded(contains_bigram11, "Q", n_max=8)
+    spec = build_resource_bounded(contains_bigram11, "Q")
     t = run(spec, "1101")
     w = rb_weight_sum(t, "Q")
     assert w == 0b1011  # 1 + 2 + 8: positions 1, 2, 4
@@ -178,34 +178,35 @@ def test_resource_bounded_weight_sum_q():
 
 
 def test_resource_bounded_weight_sum_f():
-    spec = build_resource_bounded(contains_bigram11, "F", n_max=8)
+    spec = build_resource_bounded(contains_bigram11, "F")
     for w in ("1101", "00000", "1", "101001"):
         t = run(spec, w)
         assert rb_reconstruct(rb_weight_sum(t, "F"), len(w)) == w
 
 
 def test_resource_bounded_zero_word():
-    spec = build_resource_bounded(lambda w: True, "Q", n_max=8)
+    spec = build_resource_bounded(lambda w: True, "Q")
     t = run(spec, "0000")
     assert rb_weight_sum(t, "Q") == 0
 
 
 @pytest.mark.parametrize("datatype", ["F", "Q"])
 def test_resource_bounded_bigram_exhaustive(datatype):
-    spec = build_resource_bounded(contains_bigram11, datatype, n_max=8)
+    spec = build_resource_bounded(contains_bigram11, datatype)
     for n in range(1, 9):
         for w in all_words(n):
             assert recognize(spec, w) == contains_bigram11(w), (datatype, w)
 
 
 def test_resource_bounded_rejects_long_input():
-    spec = build_resource_bounded(contains_bigram11, "F", n_max=4)
-    with pytest.raises(MachineError, match="n_max"):
-        recognize(spec, "110011")
+    spec = build_resource_bounded(contains_bigram11, "F")
+    assert recognize(spec, "110011" * 5 + "10")
+    with pytest.raises(MachineError, match="n_max=32"):
+        recognize(spec, "110011" * 5 + "101")
 
 
 def test_resource_bounded_head_values():
-    spec = build_resource_bounded(lambda w: True, "F", n_max=8)
+    spec = build_resource_bounded(lambda w: True, "F")
     t = run(spec, "10110")
     assert as_fraction(t.head_out[0][1][0][0]) == 5  # head 2: n
     assert as_fraction(t.head_out[0][2][0][0]) == 8  # head 3: 2^|5|

@@ -124,8 +124,6 @@ def test_verify_refuses_every_bad_n_before_compiling(n_list, err, tmp_path,
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["compile", "--builtin", "maj", "--n", "2", "--n-list", "3"],
-     "give --n or --n-list, not both"),
     (["verify", "--builtin", "maj", "--n", "2", "--n-list", "3"],
      "give --n or --n-list, not both"),
     (["compile", "--builtin", "maj", "--pred", "parity", "--n", "2"],
@@ -160,12 +158,31 @@ def test_flags_that_would_be_ignored_are_refused(argv, err, tmp_path, capsys,
 ])
 def test_commands_that_draw_no_words_refuse_seed_and_samples(
         argv, tmp_path, capsys, compiles):
+    _refused_by_argparse(argv, argv[-2:], tmp_path, capsys, compiles)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["compile", "--builtin", "maj", "--n-list", "3"], ["--n-list", "3"]),
+    (["compile", "--builtin", "maj", "--n", "2", "--n-list", "3"],
+     ["--n-list", "3"]),
+    (["complexity", "--builtin", "maj", "--n", "8"], ["--n", "8"]),
+    (["complexity", "--builtin", "maj", "--n", "4,8,16"], ["--n", "4,8,16"]),
+    (["compile", "--builtin", "maj", "--n", "2", "--val"], ["--val"]),
+])
+def test_compile_takes_one_n_and_complexity_a_list(argv, flags, tmp_path,
+                                                   capsys, compiles):
+    """compile has no --n-list and complexity no --n, and no flag is
+    taken by a prefix, so --n never stands for --n-list."""
+    _refused_by_argparse(argv, flags, tmp_path, capsys, compiles)
+
+
+def _refused_by_argparse(argv, flags, tmp_path, capsys, compiles):
     with pytest.raises(SystemExit) as exc:  # argparse exits by itself
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert compiles == []
     assert out(capsys).err.endswith(
-        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        f"error: unrecognized arguments: {' '.join(flags)}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -351,6 +368,12 @@ def test_every_command_refuses_a_zero_width_spec(tmp_path, capsys):
     ("(const 1)", "(proj 1 (pos))", "proj applied to a scalar", None),
     ("(const 1)", "(arg 1)", "tup component: expected a scalar, got a 2-tuple",
      None),
+    ("(tok 2)", "(add (tup 1 2) (tok 2) 3)",
+     "add: expected a scalar, got a 2-tuple", None),
+    ("(tok 2)", "(add (tup 1 2) 3)", "add: expected a scalar, got a 2-tuple",
+     None),
+    ("(tok 2)", "(affine (w 1 1 1) (b 1) (tup 1 2) (tok 2) 3)",
+     "affine: expected a scalar, got a 2-tuple", None),
     ("(const 1)", "1/3", "1/3 is not representable over F", None),
     ("(const 1)", "(div 1 0)", "division by zero", None),
     ("(tup (tok 2) (const 1))", "(tup (tok 2))",
@@ -384,9 +407,13 @@ def test_usage_errors(tmp_path, capsys):
     # neither or both spec sources, missing input, missing n
     assert main(["run", "--input", "01"]) == 2
     assert main(["run", "--builtin", "maj"]) == 2
-    assert main(["compile", "--builtin", "maj",
-                 "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a missing n names the flags the command has
+    for cmd, flags in (("compile", "--n"), ("verify", "--n or --n-list"),
+                       ("complexity", "--n-list")):
+        assert main([cmd, "--builtin", "maj",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert out(capsys).err == f"error: need {flags}\n"
     # n below 1 is named, for compile and for verify
     for cmd in ("compile", "verify"):
         for n in ("0", "-3"):

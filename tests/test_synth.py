@@ -664,6 +664,38 @@ def _argmax_rows(*rows, no_fold=False):
     return fn
 
 
+def _pairs(op):
+    """op on two packs (3 p bits, e <= 2 and 2 p bits, e <= 1) in both
+    orders, built with folding and then again without."""
+    def both(b, x, y):
+        x, y = fpack(x, 3, 2), fpack(y, 2, 1)
+        return [op(b, x, y), op(b, y, x)]
+    return _folded_and_verbatim(both)
+
+
+# (p width, e_max) of each pack a sum pin reads
+RAGGED = ((2, 1), (3, 2), (1, 0), (2, 3), (3, 1))
+
+
+def _sums(op, count, signs=None):
+    """op over the first count RAGGED packs; signs gives each pack a
+    constant sign wire in place of its input's first wire."""
+    def fn(b, *groups):
+        packs = [fpack(g, p, e) for g, (p, e) in zip(groups, RAGGED)]
+        if signs is not None:
+            packs = [S.float_pack(b.const(s), pk.p, pk.e, pk.e_max)
+                     for s, pk in zip(signs, packs)]
+        return [op(b, packs)]
+    return fn, tuple(fwidth(p, e) for p, e in RAGGED[:count])
+
+
+def _canon(b, x, y):
+    """f_canon of two raw packs, one with a live exponent and one
+    static."""
+    return [S.f_canon(b, S.float_pack(x[0], x[1:4], x[4:], 2)),
+            S.f_canon(b, S.float_pack(y[0], y[1:], (), 0))]
+
+
 PACK = fwidth(3, 2)
 ARGMAX = (fwidth(2, 1),) * 4
 # name: (build, input widths, sha256 of the build's to_json), each pin
@@ -713,6 +745,35 @@ STRUCTURE_PINS = {
     "argmax_no_fold": (
         _argmax_rows((0, 1, 2, 3), (0, 1, 0, 2), no_fold=True), ARGMAX,
         "9cd639051dfc7470a51e2af78a63b45b88da1a7152ad9e747dd7b3c6ead478ab"),
+    # taken at 2685e6b, before the sign rule, the adder tree and the
+    # XNOR were each written once
+    "f_mul": (
+        _pairs(S.f_mul), (PACK, fwidth(2, 1)),
+        "bf10effc18b0b22e555f19eba0c0a3f47b78637b06f884d50a7af102980f93ae"),
+    "f_ge": (
+        _pairs(S.f_ge), (PACK, fwidth(2, 1)),
+        "2e6ef54e57d683ce4f9259b879826037f93f4436426aabae86902428065d8aea"),
+    "f_gt": (
+        _pairs(S.f_gt), (PACK, fwidth(2, 1)),
+        "0a3055d27f907a1968e167705b3bfbd0f2224949007d86be5eebabfd53e10af5"),
+    "f_eq": (
+        _pairs(S.f_eq), (PACK, fwidth(2, 1)),
+        "8cc75807c01b670482f7bb14792494e4fffb44fd4b0f8bdd4ae09385941568f3"),
+    "f_canon": (
+        _folded_and_verbatim(_canon), (PACK, 3),
+        "c86fbb1a3dad823bc8d2b23ffa141bb8df9b7a0bc0e5653ae71b5c0ca0a65fc2"),
+    "f_sum_1": (*_sums(S.f_sum, 1),
+        "ab8a6fcb83bd48d1c219609a8cbb369d73c56d55fd67b978bf3d2a286cff1c98"),
+    "f_sum_3": (*_sums(S.f_sum, 3),
+        "47280f91a90ff41a007a6b92830ddbc846f7a5548d8567b03b1d8831afed96b5"),
+    "f_sum_5": (*_sums(S.f_sum, 5),
+        "bcda732b5c3740bd28d3aa8fd69e49f7a6785b5282bccd8c72b3a8fc1d6e1484"),
+    "f_sum_tree_pos": (*_sums(S.f_sum_tree, 3, (1, 1, 1)),
+        "fd0f1beeafb2ca6b4e8b3e839ef91e3b6ea36ffade38eb63d7118a25fbc52f33"),
+    "f_sum_tree_neg": (*_sums(S.f_sum_tree, 3, (0, 0, 0)),
+        "2be6bbffd16f7dddb50e4b449a696580dd4e97f253a7c4bb8d6c4533ef4285f9"),
+    "f_sum_tree_mixed": (*_sums(S.f_sum_tree, 3, (1, 0, 1)),
+        "880819d02a40848d40440b8907e71873f243f2ffa562348c7bf507e72a182911"),
 }
 
 
