@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Byte-identity digests of what the compiler and the machine emit, one
+sha256 line per case, so that two checkouts can be compared with diff.
+
+A circuit line hashes to_json(circuit, indent=2), the bytes
+`satcirc compile` writes to NAME_nN.json, and the width plan that
+compile_planned returns with it. A trace line hashes the fields of
+run's ValueTrace on one seeded word, the way
+tests/test_builtins.py:trace_sha256 does, so a spec's name never moves a
+line.
+
+PYTHONPATH=src python3 scripts/identity.py > identity.txt
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+from satcirc.builtins import builtin_spec
+from satcirc.circuit import to_json
+from satcirc.compile import compile_planned
+from satcirc.machine import load_spec, run
+
+SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
+TRACE_BUILTINS = (("maj", None), ("maj-q", None), ("maj-ln", None),
+                  ("hard-demo", None), ("prime-universal", "parity"),
+                  ("resource-bounded", "bigram11"))
+TRACE_WORDS = 16
+TRACE_MAX_N = 12
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def circuit_sha256(spec, n: int, include_values: bool) -> tuple[str, str]:
+    """(sha256 of the circuit JSON, sha256 of the width plan)."""
+    c, roles = compile_planned(spec, n, include_values=include_values)
+    return sha256(to_json(c, indent=2)), sha256(repr(sorted(roles.items())))
+
+
+def trace_sha256(spec, w: str) -> str:
+    t = run(spec, w)
+    return sha256(repr((t.input, t.n, t.values, t.scores, t.ties,
+                        t.head_out, t.layer_max_size)))
+
+
+def circuit_cases():
+    """(label, spec, n, include_values) of every circuit line."""
+    for name in ("maj", "hard-demo"):
+        spec = builtin_spec(name)
+        for n in range(1, 13):
+            yield name, spec, n, False
+            if n <= 6:
+                yield name, spec, n, True
+    spec = load_spec(str(SPEC_FILE))
+    for n in (2, 4, 6):
+        yield SPEC_FILE.name, spec, n, False
+
+
+def trace_cases():
+    """(label, spec, word) of every trace line: TRACE_WORDS words of
+    1..TRACE_MAX_N tokens per spec, seeded by the label."""
+    specs = [(name if pred is None else f"{name}:{pred}",
+              builtin_spec(name, pred)) for name, pred in TRACE_BUILTINS]
+    specs.append((SPEC_FILE.name, load_spec(str(SPEC_FILE))))
+    for label, spec in specs:
+        rng = random.Random(label)
+        for _ in range(TRACE_WORDS):
+            n = rng.randint(1, TRACE_MAX_N)
+            yield label, spec, "".join(rng.choice(spec.alphabet)
+                                       for _ in range(n))
+
+
+def main():
+    for label, spec, n, values in circuit_cases():
+        json_sha, plan_sha = circuit_sha256(spec, n, values)
+        print(f"circuit {label} n={n}{' values' * values} "
+              f"json={json_sha} plan={plan_sha}")
+    for label, spec, w in trace_cases():
+        print(f"trace {label} {w} {trace_sha256(spec, w)}")
+
+
+if __name__ == "__main__":
+    main()

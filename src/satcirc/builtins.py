@@ -90,7 +90,8 @@ def build_majority(datatype: str) -> TransformerSpec:
     act = Tup(Gt(Proj(1, Arg(1)), Proj(0, Arg(1))), Const(0))
     return TransformerSpec(("0", "1"), datatype, 2, embed,
                            (LayerSpec((head,), act),),
-                           ((1, 1), (0, 1)), (-1, 2), {}, "maj")
+                           ((1, 1), (0, 1)), (-1, 2), {},
+                           "maj" if datatype == "F" else "maj-q")
 
 
 def build_majority_layernorm() -> TransformerSpec:

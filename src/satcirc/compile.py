@@ -8,8 +8,10 @@ The compiler runs the machine's own walk, machine.forward, over _Wires:
 an arithmetic with machine.Domain's protocol whose every op emits that
 op's gadget (f_add, f_mul_const, the sqrt table, f_gt, f_select, ...),
 so the machine and the circuit share one reading of the network and of
-the expression language, shape errors included. Each size-preserving
-primitive becomes one constant-depth subcircuit. _Wires.attend expands
+the expression language, shape errors included. One _Wires holds all
+the state of one compile: the builder, the role widths the walk records
+and the memo of expression tables. Each size-preserving primitive
+becomes one constant-depth subcircuit. _Wires.attend expands
 one query position's attention: scores are compiled expressions, the
 maximizer set comes from pairwise comparators (each unordered pair is
 built once, and its reverse reuses the parts), tie counts from the
@@ -24,8 +26,8 @@ one truth table.
 The structural form is still built on every call, because it fixes the
 order in which gates are created, and then discarded. The table ranges
 over the r live wires the expression reads: the argument components its
-arg/proj chains reach (any other op reads what its operands read). A
-compiler tabulates each table once, keyed by the expression, the shapes
+arg/proj chains reach (any other op reads what its operands read). One
+compile tabulates each table once, keyed by the expression, the shapes
 and constant bits of the read components, the alias pattern over the
 read live wires (so the i = j scorer, which reads one position twice, is
 a different table from i != j) and the result shape, and cross-checks
@@ -205,11 +207,13 @@ def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
 
 class _Wires:
     """The circuit arithmetic: Domain's protocol (see machine.Domain)
-    over WirePacks on the builder b, one gadget per op."""
+    over WirePacks on the builder b, one gadget per op, with the role
+    widths and expression tables of one compile."""
 
     def __init__(self, b: Builder):
         self.b = b
         self.roles: dict = {}  # role name -> (p bits, exponent bound)
+        self._tables: dict = {}  # _expr_auto key -> table rows or None
 
     def const(self, num: int, den: int) -> WirePack:
         return S.f_const(self.b, DOMAIN_F.from_pair(num, den))
@@ -321,20 +325,7 @@ class _Wires:
             outs.append(S.f_div_by_indicators(b, S.f_sum(b, gated), counts))
         return scores, flags, tuple(outs)
 
-
-# ---------------------------------------------------------------------------
-# the compiler
-
-
-class _Compiler:
-    def __init__(self, spec: TransformerSpec, n: int):
-        self.spec = spec
-        self.n = n
-        self.b = Builder(n * len(spec.alphabet))
-        self.wires = _Wires(self.b)
-        self._tables: dict = {}  # _expr_auto key -> table rows or None
-
-    # expression compilation -------------------------------------------
+    # whole-expression tables ------------------------------------------
 
     def _expr_auto(self, e: FuncExpr, args):
         """Structural by default; whole-expression truth table when all
@@ -343,7 +334,7 @@ class _Compiler:
         then expanded to every live wire."""
         b = self.b
         live = list(dict.fromkeys(_live_uses(b, args)))
-        ref = eval_expr(e, args, self.wires)  # always built: gate order
+        ref = eval_expr(e, args, self)  # always built: gate order
         if not (1 <= len(live) <= EXPR_LOOKUP_BITS) or e.op == "arg":
             return ref
         view = _read_view(args, _read_paths(e, set()))
@@ -375,7 +366,8 @@ class _Compiler:
 
     def _table_rows(self, e, args, ref, read):
         """One row per assignment of the read live wires; every other
-        live wire is tied to 0, which the expression never sees."""
+        live wire is tied to 0, which the expression never sees. Only F
+        with no hosts compiles, so the rows are DOMAIN_F's values."""
         b = self.b
         consts = [(w, b.const_value(w)) for pk in _packs(args)
                   for w in pk.wires]
@@ -385,7 +377,7 @@ class _Compiler:
             try:
                 vals = _split([asn.get(w, 0) if v is None else v
                                for w, v in consts], args)
-                out = eval_expr(e, vals, self.spec.domain, self.spec.hosts)
+                out = eval_expr(e, vals, DOMAIN_F)
                 rows.append(_encode_result(out, ref))
             except (MachineError, SynthError):
                 return None  # not tabulable; keep the structural form
@@ -414,34 +406,6 @@ class _Compiler:
                 raise CompileError(
                     f"structural/lookup cross-check failed for {e.op!r} "
                     f"on assignment {m}")
-
-    # whole-network build -------------------------------------------------
-
-    def build(self, include_values: bool = False) -> Circuit:
-        """machine.forward over _Wires, which records the role widths."""
-        spec, n, b = self.spec, self.n, self.b
-        nsym = len(spec.alphabet)
-        labels = {}
-
-        def onehot(i):
-            hot = []
-            for a in range(nsym):
-                wire = b.input(i * nsym + a)
-                labels[wire] = f"w{i + 1}={spec.alphabet[a]}"
-                hot.append(S.f_from_bit(b, wire))
-            return tuple(hot)
-
-        cls, (values, _, _, _) = forward(
-            spec, (None,) * n, self.wires, self._expr_auto, onehot, ({}, {}))
-        accept = b.and_(cls.sign, S.f_nonzero(b, cls))
-        outputs = [accept]
-        labels[accept] = "accept"
-        if include_values:
-            for i in range(n):
-                for c, comp in enumerate(values[-1][i]):
-                    pk = S.f_canon(b, comp)
-                    S._emit_float(outputs, labels, pk, f"v{i + 1}[{c}]")
-        return b.build(outputs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +482,36 @@ def _split(flat, ref, make=None):
 # entry points
 
 
+def _build(spec: TransformerSpec, n: int,
+           include_values: bool) -> tuple[Circuit, dict]:
+    """machine.forward over _Wires: the circuit and the role widths the
+    walk recorded."""
+    nsym = len(spec.alphabet)
+    b = Builder(n * nsym)
+    wires = _Wires(b)
+    labels = {}
+
+    def onehot(i):
+        hot = []
+        for a in range(nsym):
+            wire = b.input(i * nsym + a)
+            labels[wire] = f"w{i + 1}={spec.alphabet[a]}"
+            hot.append(S.f_from_bit(b, wire))
+        return tuple(hot)
+
+    cls, (values, _, _, _) = forward(
+        spec, (None,) * n, wires, wires._expr_auto, onehot, ({}, {}))
+    accept = b.and_(cls.sign, S.f_nonzero(b, cls))
+    outputs = [accept]
+    labels[accept] = "accept"
+    if include_values:
+        for i in range(n):
+            for c, comp in enumerate(values[-1][i]):
+                pk = S.f_canon(b, comp)
+                S._emit_float(outputs, labels, pk, f"v{i + 1}[{c}]")
+    return b.build(outputs, labels), wires.roles
+
+
 def compile_planned(spec: TransformerSpec, n: int, *,
                     include_values: bool = False) -> tuple[Circuit, dict]:
     """The one build behind every entry point: the circuit and the
@@ -527,9 +521,8 @@ def compile_planned(spec: TransformerSpec, n: int, *,
     _check_compilable(spec)
     if n < 1:
         raise CompileError("need n >= 1")
-    comp = _Compiler(spec, n)
     try:
-        c = comp.build(include_values)
+        c, roles = _build(spec, n, include_values)
     except MachineError as exc:  # an ill-formed expression, as run says it
         raise CompileError(str(exc)) from exc
     if {h.attention for l in spec.layers for h in l.heads} == {
@@ -539,12 +532,12 @@ def compile_planned(spec: TransformerSpec, n: int, *,
             raise CompileError(
                 f"hard compilation emitted {theta} threshold gates")
     for role, need in _Measure(spec, default_samples(spec, n)).roles.items():
-        have = comp.wires.roles[role]
+        have = roles[role]
         if have[0] < need[0] or have[1] < need[1]:
             raise CompileError(
                 f"analytic width for {role} is p{have[0]}/e{have[1]} but a "
                 f"sample trace reached p{need[0]}/e{need[1]}")
-    return c, comp.wires.roles
+    return c, roles
 
 
 def compile_saturated(spec: TransformerSpec, n: int) -> Circuit:

@@ -463,14 +463,10 @@ def _itadd(b: Builder, summands, out_width: int) -> list[int]:
             R = max(len(h).bit_length() for h in cols)
             new = [dict() for _ in range(R)]
             for cpos, col in enumerate(cols):
-                if not col:
-                    continue
+                # columns sharing a row are R apart and write <= R bits
                 bits = _count_bits(b, col)
                 tgt = new[cpos % R]
                 for off, wire in enumerate(bits):
-                    if cpos + off in tgt:
-                        raise SynthError(f"itadd: two bits at column "
-                                         f"{cpos + off} in one row")
                     tgt[cpos + off] = wire
             out = []
             for tgt in new:
@@ -483,8 +479,6 @@ def _itadd(b: Builder, summands, out_width: int) -> list[int]:
 
         rows = reduce_round(rows)
         rows = reduce_round(rows)
-        if len(rows) > ITADD_TREE:
-            raise SynthError("itadd: reduction did not reach the tree")
         while len(rows) < ITADD_TREE:
             rows.append([zero])
         return _tree_usum(b, rows, out_width)

@@ -251,6 +251,7 @@ def test_builtin_factory_names():
     with pytest.raises(MachineError, match="--pred"):
         builtin_spec("prime-universal")
     assert builtin_spec("maj-q").datatype == "Q"
+    assert builtin_spec("maj-q").name == "maj-q"
     with pytest.raises(MachineError, match=r"have maj, .*, maj-q\)"):
         builtin_spec("bogus")
     assert len(BUILTIN_NAMES) == 6

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -81,6 +82,9 @@ RUN_TRACE_SHA256 = {
     ("hard-demo", "10110"): (
         "accept",
         "c74de1e792f378456ecd4b9a8bb190971283e26f25d5bcad9385dff7043edc3c"),
+    ("maj-q", "0101"): (
+        "reject",
+        "019d70188c157a72447d3b2723b3bf4e92cb0908e2f96e5707474688a5869d1d"),
 }
 
 
@@ -521,6 +525,17 @@ def test_compile_artifacts_are_pinned(builtin, n, values, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_identity_script_hashes_the_compile_artifacts():
+    # scripts/identity.py's circuit lines are the sha256 of the JSON that
+    # `satcirc compile` writes
+    ident = runpy.run_path(str(Path(SRC).parent / "scripts" / "identity.py"))
+    specs = {(label, n, values): spec
+             for label, spec, n, values in ident["circuit_cases"]()}
+    for key in (("maj", 4, False), ("maj_f.sexp", 2, False)):
+        json_sha, _ = ident["circuit_sha256"](specs[key], *key[1:])
+        assert json_sha == PINNED[key][0]
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ".."])
 def test_spec_name_cannot_leave_the_out_dir(name, tmp_path, capsys):
     spec = tmp_path / "spec.sexp"
@@ -548,13 +563,13 @@ def test_dot_labels_with_quote_and_backslash_stay_closed(tmp_path, capsys):
 
 def test_compile_builds_the_circuit_once(tmp_path, capsys, monkeypatch):
     calls = []
-    build = satcirc.compile._Compiler.build
+    build = satcirc.compile._build
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.n)
-        return build(self, *args, **kwargs)
+    def counted(spec, n, *args, **kwargs):
+        calls.append(n)
+        return build(spec, n, *args, **kwargs)
 
-    monkeypatch.setattr(satcirc.compile._Compiler, "build", counted)
+    monkeypatch.setattr(satcirc.compile, "_build", counted)
     assert main(["compile", "--builtin", "maj", "--n", "6",
                  "--out-dir", str(tmp_path)]) == 0
     assert calls == [6]

@@ -33,7 +33,7 @@ from satcirc.builtins import (build_hard_demo, build_majority,
 from satcirc.circuit import (_eval_masks, eval_batch, family_analyze,
                              metrics)
 from satcirc.cli import main as cli_main
-from satcirc.compile import (CompileError, _Compiler, _Measure,
+from satcirc.compile import (CompileError, _Measure, _Wires,
                              _read_paths, _read_view, compile_hard,
                              compile_planned, compile_saturated,
                              default_samples, encode_word,
@@ -207,7 +207,7 @@ def test_division_by_live_value_is_refused():
 
 def _corrupting(monkeypatch, which):
     """Flip every bit of row 0 of each table whose call matches."""
-    real = _Compiler._table_rows
+    real = _Wires._table_rows
 
     def corrupt(self, e, args, ref, read):
         rows = real(self, e, args, ref, read)
@@ -215,18 +215,18 @@ def _corrupting(monkeypatch, which):
             rows[0] = tuple(1 - bit for bit in rows[0])
         return rows
 
-    monkeypatch.setattr(_Compiler, "_table_rows", corrupt)
+    monkeypatch.setattr(_Wires, "_table_rows", corrupt)
 
 
 def _counting(monkeypatch):
     calls = []
-    real = _Compiler._table_rows
+    real = _Wires._table_rows
 
     def counted(self, e, args, ref, read):
         calls.append((e, args[0] is args[1], len(read)))
         return real(self, e, args, ref, read)
 
-    monkeypatch.setattr(_Compiler, "_table_rows", counted)
+    monkeypatch.setattr(_Wires, "_table_rows", counted)
     return calls
 
 
@@ -337,7 +337,7 @@ def _emitted_tables(monkeypatch):
     """Every expression emitted as a table: (e, args, const_value,
     table inputs, table rows, emitted value)."""
     seen, dnf_calls = [], []
-    real_dnf, real_auto = C._dnf_wires, _Compiler._expr_auto
+    real_dnf, real_auto = C._dnf_wires, _Wires._expr_auto
 
     def dnf(b, in_wires, rows):
         outs = real_dnf(b, in_wires, rows)
@@ -354,7 +354,7 @@ def _emitted_tables(monkeypatch):
         return val
 
     monkeypatch.setattr(C, "_dnf_wires", dnf)
-    monkeypatch.setattr(_Compiler, "_expr_auto", auto)
+    monkeypatch.setattr(_Wires, "_expr_auto", auto)
     return seen
 
 
@@ -445,10 +445,9 @@ def test_encode_words_refuses_a_foreign_token_and_a_stray_length():
 
 
 def test_analytic_plan_changes_nothing():
-    comp = _Compiler(MAJ, 5)
-    plain = comp.build()
+    plain, plain_roles = C._build(MAJ, 5, False)
     c, roles = compile_planned(MAJ, 5)
-    assert c == plain and roles == comp.wires.roles
+    assert c == plain and roles == plain_roles
 
 
 def test_analytic_plan_covers_every_measured_role():
