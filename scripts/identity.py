@@ -7,7 +7,9 @@ A circuit line hashes to_json(circuit, indent=2), the bytes
 compile_planned returns with it. A trace line hashes the fields of
 run's ValueTrace on one seeded word, the way
 tests/test_builtins.py:trace_sha256 does, so a spec's name never moves a
-line.
+line. A verdicts line hashes recognize's verdicts on VERDICT_WORDS
+seeded words of VERDICT_N tokens, the lazy walk that evaluates the
+last layer at position 1 only, which run's traces never take.
 
 PYTHONPATH=src python3 scripts/identity.py > identity.txt
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 from satcirc.builtins import builtin_spec
 from satcirc.circuit import to_json
 from satcirc.compile import compile_planned
-from satcirc.machine import load_spec, run
+from satcirc.machine import load_spec, recognize, run
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
 TRACE_BUILTINS = (("maj", None), ("maj-q", None), ("maj-ln", None),
@@ -27,6 +29,8 @@ TRACE_BUILTINS = (("maj", None), ("maj-q", None), ("maj-ln", None),
                   ("resource-bounded", "bigram11"))
 TRACE_WORDS = 16
 TRACE_MAX_N = 12
+VERDICT_WORDS = 200
+VERDICT_N = 32
 
 
 def sha256(text: str) -> str:
@@ -58,11 +62,25 @@ def circuit_cases():
         yield SPEC_FILE.name, spec, n, False
 
 
+def trace_specs():
+    """(label, spec) of each of TRACE_BUILTINS."""
+    return [(name if pred is None else f"{name}:{pred}",
+             builtin_spec(name, pred)) for name, pred in TRACE_BUILTINS]
+
+
+def verdicts_sha256(spec, label: str) -> str:
+    """sha256 of recognize's verdicts, one 0/1 per word, on VERDICT_WORDS
+    words of VERDICT_N tokens seeded by the label."""
+    rng = random.Random(f"verdicts:{label}")
+    words = ["".join(rng.choice(spec.alphabet) for _ in range(VERDICT_N))
+             for _ in range(VERDICT_WORDS)]
+    return sha256("".join("01"[recognize(spec, w)] for w in words))
+
+
 def trace_cases():
     """(label, spec, word) of every trace line: TRACE_WORDS words of
     1..TRACE_MAX_N tokens per spec, seeded by the label."""
-    specs = [(name if pred is None else f"{name}:{pred}",
-              builtin_spec(name, pred)) for name, pred in TRACE_BUILTINS]
+    specs = trace_specs()
     specs.append((SPEC_FILE.name, load_spec(str(SPEC_FILE))))
     for label, spec in specs:
         rng = random.Random(label)
@@ -79,6 +97,8 @@ def main():
               f"json={json_sha} plan={plan_sha}")
     for label, spec, w in trace_cases():
         print(f"trace {label} {w} {trace_sha256(spec, w)}")
+    for label, spec in trace_specs():
+        print(f"verdicts {label} n={VERDICT_N} {verdicts_sha256(spec, label)}")
 
 
 if __name__ == "__main__":

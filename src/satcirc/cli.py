@@ -71,9 +71,12 @@ def _load(args: argparse.Namespace):
 
 
 def _ns(args: argparse.Namespace) -> tuple:
+    """The n values asked for, each distinct n once, in the order first
+    given."""
     if args.n is not None and args.n_list:
         raise MachineError("give --n or --n-list, not both")
-    ns = args.n_list or ((args.n,) if args.n is not None else ())
+    ns = tuple(dict.fromkeys(args.n_list)) or (
+        (args.n,) if args.n is not None else ())
     if not ns:
         raise MachineError(f"need {args.n_flags}")
     if min(ns) < 1:
@@ -193,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_complexity(args: argparse.Namespace) -> int:
     spec = _load(args)
     ns = _ns(args)
-    if len(set(ns)) < 3:
+    if len(ns) < 3:
         raise MachineError("complexity wants --n-list with at least three "
                            "distinct n")
     fam = family_analyze(lambda n: compile_saturated(spec, n), ns)

@@ -500,7 +500,7 @@ def _build(spec: TransformerSpec, n: int,
         return tuple(hot)
 
     cls, (values, _, _, _) = forward(
-        spec, (None,) * n, wires, wires._expr_auto, onehot, ({}, {}))
+        spec, (None,) * n, wires, wires._expr_auto, onehot)
     accept = b.and_(cls.sign, S.f_nonzero(b, cls))
     outputs = [accept]
     labels[accept] = "accept"

@@ -492,15 +492,20 @@ class AttentionKind(enum.Enum):
 
 
 def max_set(scores: Sequence[Scalar], domain: Domain) -> tuple[int, ...]:
-    """Indices of the score maximizers, by exact comparison."""
+    """Indices of the score maximizers, in ascending order, by exact
+    comparison: one pass with one cmp per score after the first, which
+    starts the tie list over at each new maximum. An empty row raises."""
     if not scores:
         raise MachineError("empty score sequence")
-    best = 0
+    cmp = domain.cmp
+    best, ties = scores[0], [0]
     for j in range(1, len(scores)):
-        if domain.cmp(scores[j], scores[best]) > 0:
-            best = j
-    return tuple(j for j in range(len(scores))
-                 if domain.cmp(scores[j], scores[best]) == 0)
+        c = cmp(scores[j], best)
+        if c > 0:
+            best, ties = scores[j], [j]
+        elif c == 0:
+            ties.append(j)
+    return tuple(ties)
 
 
 def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
@@ -618,11 +623,12 @@ def shared_tables(spec: TransformerSpec):
     vector once per (token, position) and each layer-0 score once per
     (head, token_i, i, token_j, j), and shares them across the words it
     runs. Both depend on nothing else, so every trace is the one ``run``
-    gives outside the scope; host callbacks must be pure. Other specs
-    and later layers are computed as usual, and the tables are dropped
-    when the scope exits. It is a scope rather than an argument because
-    callers such as verify's workers reach the machine only through
-    ``recognize(spec, w)``."""
+    gives outside the scope; host callbacks must be pure. Only here
+    does the walk hand forward its two tables: other specs, later layers
+    and every walk outside a scope build no table and no key. The
+    tables are dropped when the scope exits. It is a scope rather than
+    an argument because callers such as verify's workers reach the
+    machine only through ``recognize(spec, w)``."""
     token = _SHARED.set((spec, {}, {}))
     try:
         yield
@@ -631,26 +637,38 @@ def shared_tables(spec: TransformerSpec):
 
 
 def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
-            onehot: Callable, tables: tuple, final_positions=None) -> tuple:
+            onehot: Callable, tables: tuple = None,
+            final_positions=None) -> tuple:
     """(classifier sum, (values, scores, ties, head_out) as in
     ValueTrace) of word over domain, a Domain or any arithmetic with its
     protocol; a uniform head's scores play no role. evaluate(e, args)
     evaluates an expression; onehot(i) is position i's token vector,
-    asked for just before its embedding. tables = (embeddings, layer-0
-    scores) are keyed by word[i] and i; the compiler's tokens are None.
-    final_positions, which holds 0, limits the last layer's."""
+    asked for just before its embedding. final_positions, which holds 0,
+    limits the last layer's.
+
+    tables, if given, is a pair of dicts (embeddings, layer-0 scores)
+    that outlive the word: an embedding is looked up and kept under
+    (word[i], i), a layer-0 score under (h, word[i], i, word[j], j).
+    Without tables every value is computed afresh and no key is built;
+    later layers read the whole word, so they never use a table."""
     n = len(word)
-    embeds, scores0 = tables
+    embeds, scores0 = tables or (None, None)
     role = domain.role
     embed_roles = [f"embed[{c}]" for c in range(spec.width)]
+
+    def embedding(i):
+        return _check_vector(
+            evaluate(spec.embedding, (onehot(i), domain.const(i + 1, 1))),
+            spec.width, "embedding")
+
     v0 = []
     for i, tok in enumerate(word):
-        v = embeds.get((tok, i))
-        if v is None:
-            v = embeds[tok, i] = _check_vector(
-                evaluate(spec.embedding,
-                         (onehot(i), domain.const(i + 1, 1))),
-                spec.width, "embedding")
+        if embeds is None:
+            v = embedding(i)
+        else:
+            v = embeds.get((tok, i))
+            if v is None:
+                v = embeds[tok, i] = embedding(i)
         v0.append(tuple(map(role, embed_roles, v)))
     values, layers = [tuple(v0)], []
     bw = spec.block_width
@@ -659,17 +677,21 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
         columns = list(zip(*prev))  # component c over the positions
         live = (range(n) if final_positions is None
                 or li < len(spec.layers) - 1 else final_positions)
-        # later layers read the whole word, so their table is this word's
-        table = scores0 if li == 0 else {}
+        table = scores0 if li == 0 else None
+
+        def score(scorer, i, j):
+            return _scalar(evaluate(scorer, (prev[i], prev[j])), "scorer")
 
         def row(h, scorer, i, name):
             out = []
             for j in range(n):
-                key = (h, word[i], i, word[j], j)
-                s = table.get(key)
-                if s is None:
-                    s = table[key] = _scalar(
-                        evaluate(scorer, (prev[i], prev[j])), "scorer")
+                if table is None:
+                    s = score(scorer, i, j)
+                else:
+                    key = (h, word[i], i, word[j], j)
+                    s = table.get(key)
+                    if s is None:
+                        s = table[key] = score(scorer, i, j)
                 out.append(s if name is None else role(name, s))
             return tuple(out)
 
@@ -703,25 +725,23 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
 
 def _walk(spec: TransformerSpec, w: str, domain, final_positions) -> tuple:
     """forward over domain (of spec's datatype) on token string w, after
-    the input checks, with the tables of a shared_tables scope for spec."""
+    the input checks. Each symbol's one-hot vector is built once, and
+    each expression runs through its staged function. forward gets the
+    tables of a shared_tables scope for spec, and none outside one."""
     if len(w) == 0:
         raise MachineError("empty input (languages here are over nonempty strings)")
-    alpha_index = {a: k for k, a in enumerate(spec.alphabet)}
+    hot = {a: tuple(domain.one if b == a else domain.zero
+                    for b in spec.alphabet) for a in spec.alphabet}
     for ch in w:
-        if ch not in alpha_index:
+        if ch not in hot:
             raise MachineError(f"token {ch!r} not in alphabet {spec.alphabet}")
     shared = _SHARED.get()
-    tables = (shared[1:] if shared is not None and shared[0] is spec
-              else ({}, {}))
-
-    def onehot(i):
-        return tuple(domain.one if alpha_index[w[i]] == k else domain.zero
-                     for k in range(len(spec.alphabet)))
-
+    hosts = spec.hosts
     return forward(
-        spec, w, domain, lambda e, args: eval_expr(e, args, domain,
-                                                   spec.hosts),
-        onehot, tables, final_positions)
+        spec, w, domain, lambda e, args: stage(e)(args, domain, hosts),
+        lambda i: hot[w[i]],
+        shared[1:] if shared is not None and shared[0] is spec else None,
+        final_positions)
 
 
 def run(spec: TransformerSpec, w: str) -> ValueTrace:

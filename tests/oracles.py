@@ -229,6 +229,20 @@ def ref_eval(node, args, domain, hosts=None):
     raise MachineError(f"unknown op {op!r}")
 
 
+def two_pass_max_set(scores, domain):
+    """machine.max_set's rule before it went to one pass: find the first
+    strict maximum, then scan again for every score equal to it."""
+    from satcirc.machine import MachineError
+    if not scores:
+        raise MachineError("empty score sequence")
+    best = 0
+    for j in range(1, len(scores)):
+        if domain.cmp(scores[j], scores[best]) > 0:
+            best = j
+    return tuple(j for j in range(len(scores))
+                 if domain.cmp(scores[j], scores[best]) == 0)
+
+
 # ---------------------------------------------------------------------------
 # combinatorial predicates
 

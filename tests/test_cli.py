@@ -960,6 +960,24 @@ def test_verify_clean_and_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_handles_a_repeated_n_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    real = satcirc.compile._build
+
+    def counted(spec, n, include_values):
+        builds.append(n)
+        return real(spec, n, include_values)
+
+    monkeypatch.setattr(satcirc.compile, "_build", counted)
+    assert main(["verify", "--builtin", "hard-demo", "--n-list", "3,3",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert builds == [3]
+    assert out(capsys).out.startswith("n=3 exhaustive tested=8 mismatches=0 "
+                                      "[ok]\nreport -> ")
+    rows = (tmp_path / "verify.csv").read_text().splitlines()
+    assert rows[1:] == ["3,exhaustive,8,0,"]
+
+
 def test_verify_random_seeded_reruns_are_identical(tmp_path, capsys):
     args = ["verify", "--builtin", "maj", "--n", "9", "--mode", "random",
             "--samples", "40", "--seed", "7", "--out-dir", str(tmp_path)]
@@ -1150,6 +1168,18 @@ def test_complexity_csv_and_slopes(tmp_path, capsys):
     assert main(["complexity", "--builtin", "maj", "--n-list", "4,6",
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_complexity_counts_a_repeated_n_once(tmp_path, capsys):
+    reports = []
+    for n_list in ("2,2,2,3,4", "2,3,4"):
+        assert main(["complexity", "--builtin", "hard-demo", "--n-list",
+                     n_list, "--out-dir", str(tmp_path)]) == 0
+        reports.append((out(capsys).out,
+                        (tmp_path / "complexity.csv").read_text()))
+    assert reports[0] == reports[1]
+    assert "size slope 1.189 " in reports[0][0]
+    assert len(reports[0][1].splitlines()) == 4
 
 
 def test_complexity_refuses_fewer_than_three_distinct_n(tmp_path, capsys):

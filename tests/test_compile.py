@@ -983,7 +983,7 @@ def test_sweep_csv_does_not_depend_on_the_workers(pool, monkeypatch,
     capsys.readouterr()
     assert got == {1: want, 2: want, 4: want}
     assert [r.split(b",")[0] for r in want.splitlines()] == \
-        [b"n", b"4", b"2", b"8", b"3", b"3"]
+        [b"n", b"4", b"2", b"8", b"3"]  # the repeated 3 is one row
 
 
 def test_sweep_forks_a_worker_per_cpu_and_compiles_nothing_in_the_parent(

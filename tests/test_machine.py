@@ -24,7 +24,7 @@ from satcirc.machine import (
     parse_spec, recognize, run, shared_tables,
 )
 
-from oracles import majority01, ref_eval, size_factor
+from oracles import majority01, ref_eval, size_factor, two_pass_max_set
 
 F = domain_of("F")
 Q = domain_of("Q")
@@ -52,6 +52,33 @@ def test_attend_hard_least_maximizer():
     w = attend(AttentionKind.HARD, scores, F)
     assert [as_fraction(x) for x in w] == [0, 1, 0]
     assert max_set(scores, F) == (1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtname=st.sampled_from(["F", "Q"]),
+       nums=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+                     min_size=1, max_size=12),
+       copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12)),
+                       max_size=4))
+@example(dtname="F", nums=[(5, 0)], copies=[])
+@example(dtname="Q", nums=[(1, 1), (2, 2), (4, 2)], copies=[])
+def test_max_set_one_pass_matches_the_two_pass_rule(dtname, nums, copies):
+    # values num/2^k, so F and Q both hold them and 1/2 = 2/4 ties; each
+    # copy repeats a score at another place, forcing ties on any score
+    dom = domain_of(dtname)
+    scores = [dom.from_pair(num, 1 << k) for num, k in nums]
+    for src, dst in copies:
+        scores.insert(dst, scores[src % len(scores)])
+    got = max_set(tuple(scores), dom)
+    assert got == two_pass_max_set(scores, dom)
+    assert list(got) == sorted(set(got))
+
+
+@pytest.mark.parametrize("dtname", ["F", "Q"])
+def test_max_set_refuses_an_empty_row(dtname):
+    for rule in (max_set, two_pass_max_set):
+        with pytest.raises(MachineError, match="^empty score sequence$"):
+            rule((), domain_of(dtname))
 
 
 def test_attend_saturated_splits_ties():
