@@ -9,7 +9,10 @@ run's ValueTrace on one seeded word, the way
 tests/test_builtins.py:trace_sha256 does, so a spec's name never moves a
 line. A verdicts line hashes recognize's verdicts on VERDICT_WORDS
 seeded words of VERDICT_N tokens, the lazy walk that evaluates the
-last layer at position 1 only, which run's traces never take.
+last layer at position 1 only, which run's traces never take. A sizes
+line hashes instrument_sizes's report on compile's default sample
+words at each n of SIZE_NS, so it covers how bitnum.size counts every
+value, where a trace line holds only each layer's largest size.
 
 PYTHONPATH=src python3 scripts/identity.py > identity.txt
 """
@@ -20,8 +23,8 @@ from pathlib import Path
 
 from satcirc.builtins import builtin_spec
 from satcirc.circuit import to_json
-from satcirc.compile import compile_planned
-from satcirc.machine import load_spec, recognize, run
+from satcirc.compile import compile_planned, default_samples
+from satcirc.machine import instrument_sizes, load_spec, recognize, run
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
 TRACE_BUILTINS = (("maj", None), ("maj-q", None), ("maj-ln", None),
@@ -31,6 +34,7 @@ TRACE_WORDS = 16
 TRACE_MAX_N = 12
 VERDICT_WORDS = 200
 VERDICT_N = 32
+SIZE_NS = (4, 8, 16, 32)
 
 
 def sha256(text: str) -> str:
@@ -77,6 +81,13 @@ def verdicts_sha256(spec, label: str) -> str:
     return sha256("".join("01"[recognize(spec, w)] for w in words))
 
 
+def sizes_sha256(spec) -> str:
+    """sha256 of instrument_sizes's report on default_samples at each n
+    of SIZE_NS."""
+    return sha256(repr(instrument_sizes(
+        spec, {n: default_samples(spec, n) for n in SIZE_NS})))
+
+
 def trace_cases():
     """(label, spec, word) of every trace line: TRACE_WORDS words of
     1..TRACE_MAX_N tokens per spec, seeded by the label."""
@@ -99,6 +110,8 @@ def main():
         print(f"trace {label} {w} {trace_sha256(spec, w)}")
     for label, spec in trace_specs():
         print(f"verdicts {label} n={VERDICT_N} {verdicts_sha256(spec, label)}")
+    for label, spec in trace_specs():
+        print(f"sizes {label} {sizes_sha256(spec)}")
 
 
 if __name__ == "__main__":

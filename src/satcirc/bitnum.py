@@ -2,11 +2,11 @@
 
 Three value kinds share one size accounting:
 
-* ``UNat``: an unsigned integer with bits x_1..x_k weighted 2^(i-1),
-  stored as the pair (value, k). Textual display is
+* ``UNat``: an unsigned integer, stored as its value; its k bits
+  x_1..x_k are weighted 2^(i-1) with no padding, so k is the value's
+  bit length and zero has no bits. Textual display is
   most-significant-first, so the string "101" means five. ``size`` is
-  k, and padding zeros count in k when a value is built from an
-  explicit bit sequence.
+  k.
 * ``Rat``: sign plus reduced numerator/denominator; numeric value is
   (2*sign - 1) * p/q and size is 2*max(|p|, |q|) + 1.
 * ``Flt``: a rational whose denominator is a power of two, stored as the
@@ -41,30 +41,19 @@ class BitNumError(ValueError):
 
 
 class UNat:
-    """Unsigned integer numeral, stored as its value and its bit length.
+    """Unsigned integer numeral: its value and nothing else. Build one
+    with ``UNat.from_int``; its length is the value's bit length."""
 
-    ``UNat(bits)`` takes the 0/1 sequence lowest bit first. The length
-    keeps padding zeros, so equality and size respect padding.
-    """
-
-    __slots__ = ("_value", "_len")
-
-    def __init__(self, bits: Sequence[int]):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise BitNumError("bits must be 0 or 1")
-        self._value = sum(b << i for i, b in enumerate(bits))
-        self._len = len(bits)
+    __slots__ = ("_value",)
 
     @classmethod
     def from_int(cls, value: int) -> "UNat":
-        """Minimal-length numeral (no padding); zero has no bits."""
+        """The numeral of value; zero has no bits."""
         value = operator.index(value)
         if value < 0:
             raise BitNumError("UNat cannot be negative")
         u = object.__new__(cls)
         u._value = value
-        u._len = value.bit_length()
         return u
 
     @property
@@ -72,19 +61,17 @@ class UNat:
         return self._value
 
     def __len__(self) -> int:
-        return self._len
+        return self._value.bit_length()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, UNat) and self._value == other._value
-                and self._len == other._len)
+        return isinstance(other, UNat) and self._value == other._value
 
     def __hash__(self) -> int:
-        return hash((self._value, self._len))
+        return hash(self._value)
 
     def display(self) -> str:
-        """Most-significant-bit-first text, padding included; the empty
-        numeral shows as 0."""
-        return format(self._value, f"0{self._len}b") if self._len else "0"
+        """Most-significant-bit-first text; zero shows as 0."""
+        return format(self._value, "b")
 
     def __str__(self) -> str:
         return str(self._value)
@@ -319,8 +306,9 @@ def flt_neg(x: Flt) -> Flt:
 
 
 def size(v) -> int:
-    """Bit size: UNat = bit length; Rat/Flt = 2*max(|p|, |q|) + 1 with the
-    float denominator charged e+1 bits; tuples charge 2*max(component)+1."""
+    """Bit size: UNat = the value's bit length (zero is 0); Rat/Flt =
+    2*max(|p|, |q|) + 1 with the float denominator charged e+1 bits;
+    tuples charge 2*max(component)+1."""
     if isinstance(v, UNat):
         return len(v)
     if isinstance(v, Rat):

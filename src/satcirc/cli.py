@@ -22,8 +22,8 @@ from .circuit import (CircuitError, family_analyze, from_json, to_dot,
                       to_json)
 from .compile import (CompileError, compile_planned, compile_saturated,
                       default_samples, verify_equivalence)
-from .machine import (MachineError, _run, instrument_sizes, load_spec,
-                      recognize)
+from .machine import (MachineError, instrument_sizes, load_spec,
+                      read_utf8, recognize, run)
 from .synth import SynthError, manifest
 
 OUT_DIR_ENV = "SATCIRC_OUT"
@@ -89,12 +89,12 @@ def _pair(v) -> list:
     return [num, den]
 
 
-def _trace_json(spec, t, accept: bool) -> dict:
+def _trace_json(spec, t) -> dict:
     return {
         "spec": spec.name or "spec",
         "input": t.input,
         "n": t.n,
-        "accept": accept,
+        "accept": t.accept,
         "values": [[[_pair(c) for c in vec] for vec in layer]
                    for layer in t.values],
         "scores": [[[[_pair(s) for s in row] for row in head]
@@ -111,15 +111,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args)
     if not args.input:
         raise MachineError("run needs --input WORD")
-    if args.trace:
-        accept, t = _run(spec, args.input)
-    else:
-        accept, t = recognize(spec, args.input), None
+    t = run(spec, args.input) if args.trace else None
+    accept = recognize(spec, args.input) if t is None else t.accept
     name = spec.name or "spec"
     print(f"{name} on {args.input!r}: {'accept' if accept else 'reject'}")
     if t is not None:
         path = os.path.join(_out_dir(args), f"{name}.trace.json")
-        _write(path, json.dumps(_trace_json(spec, t, accept), indent=2))
+        _write(path, json.dumps(_trace_json(spec, t), indent=2))
         print(f"trace -> {path}")
     return 0
 
@@ -152,13 +150,7 @@ def _circuit_file(path: str):
     compiling; a corrupted file shows up as plain mismatches, not a
     crash, and one with the wrong input count as a named error."""
     def read(spec, n):
-        with open(path, encoding="utf-8") as f:
-            try:
-                text = f.read()
-            except UnicodeDecodeError as e:
-                raise CircuitError(f"{path}: not UTF-8 text ({e.reason} at "
-                                   f"byte {e.start})") from None
-        c, k = from_json(text), len(spec.alphabet)
+        c, k = from_json(read_utf8(path, CircuitError)), len(spec.alphabet)
         if c.n != n * k:
             raise CircuitError(
                 f"{path} has {c.n} inputs; {spec.name or 'spec'} at n={n} "

@@ -262,8 +262,7 @@ class _Wires:
         e_mx = max(r.e for r in results)
         e_w = clog2(e_mx + 1)
         rows = [tuple(S.encode_flt(r, p_w, e_w)[1:]) for r in results]
-        outs = _dnf_wires(b, live, rows) if live else [
-            b.const(v) for v in rows[0]]
+        outs = _dnf_wires(b, live, rows)
         return S.float_pack(b.const(1), outs[:p_w], outs[p_w:], e_mx,
                             canonical=True)
 

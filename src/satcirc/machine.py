@@ -595,7 +595,8 @@ class ValueTrace:
     ``values[l][i]`` is the m-tuple after layer l (layer 0 = embeddings);
     ``scores[l][h][i][j]``, ``ties[l][h][i]``, and ``head_out[l][h][i]``
     cover the attention internals, at every position. ``layer_max_size[l]``
-    is the largest component size among ``values[l]``.
+    is the largest component size among ``values[l]``. ``accept`` is
+    the verdict ``recognize`` gives on ``input``.
     """
 
     input: str
@@ -605,6 +606,7 @@ class ValueTrace:
     ties: tuple
     head_out: tuple
     layer_max_size: tuple[int, ...]
+    accept: bool
 
 
 def _check_vector(v, width, what):
@@ -746,19 +748,14 @@ def _walk(spec: TransformerSpec, w: str, domain, final_positions) -> tuple:
 
 def run(spec: TransformerSpec, w: str) -> ValueTrace:
     """Full evaluation of ``spec`` on token string ``w``: every layer at
-    every position, for ``run --trace`` and the size instrumentation.
-    ``recognize`` is the lazy path that evaluates the last layer at
-    position 1 only."""
-    return _run(spec, w)[1]
-
-
-def _run(spec: TransformerSpec, w: str) -> tuple[bool, ValueTrace]:
-    """(recognize's verdict, run's trace) of w, from one full walk."""
+    every position, with the verdict, for ``run --trace`` and the size
+    instrumentation. ``recognize`` is the lazy path that evaluates the
+    last layer at position 1 only."""
     cls, (values, scores, ties, head_out) = _walk(spec, w, spec.domain, None)
     max_sizes = tuple(max((size(c) for v in layer_vals for c in v),
                           default=0) for layer_vals in values)
-    return _accepts(spec, cls), ValueTrace(w, len(w), values, scores, ties,
-                                           head_out, max_sizes)
+    return ValueTrace(w, len(w), values, scores, ties, head_out, max_sizes,
+                      _accepts(spec, cls))
 
 
 def classifier_value(spec: TransformerSpec, w: str) -> Scalar:
@@ -1152,11 +1149,16 @@ def parse_spec(text: str) -> TransformerSpec:
                            tuple(layers), tuple(wf), bf, {}, name)
 
 
-def load_spec(path: str) -> TransformerSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+def read_utf8(path: str, error: type) -> str:
+    """The text of the user's file at path, refused as error when it is
+    not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as e:
-            raise MachineError(f"{path}: not UTF-8 text ({e.reason} at "
-                               f"byte {e.start})") from None
-    return parse_spec(text)
+            raise error(f"{path}: not UTF-8 text ({e.reason} at "
+                        f"byte {e.start})") from None
+
+
+def load_spec(path: str) -> TransformerSpec:
+    return parse_spec(read_utf8(path, MachineError))

@@ -305,7 +305,7 @@ def test_c11_primitives_are_size_preserving():
     assert c <= 8, (c, worst)
 
     def unary_blowup(k: UNat):
-        return UNat((1,) * (k.value + 1))
+        return UNat.from_int((1 << (k.value + 1)) - 1)
     control, _ = factor(
         unary_blowup, [(UNat.from_int(v),) for v in (3, 17, 120, 900, 4000)])
     assert control > 8

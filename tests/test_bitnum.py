@@ -24,17 +24,9 @@ from oracles import size_factor
 
 def test_display_example_five_plus_one():
     # display is most-significant-first: 101 + 1 = 110 reads as 5 + 1 = 6
-    five, one = UNat((1, 0, 1)), UNat((1,))
+    five, one = UNat.from_int(5), UNat.from_int(1)
     assert (five.display(), one.display()) == ("101", "1")
     assert UNat.from_int(five.value + one.value).display() == "110"
-
-
-def test_display_example_padded_five():
-    # bits are given lowest first and shown most-significant-first; the
-    # padding zero counts in size, not in value or ordering
-    x = UNat((1, 0, 1, 0))
-    assert (x.display(), x.value, size(x)) == ("0101", 5, 4)
-    assert x != UNat((1, 0, 1)) and x.value == UNat((1, 0, 1)).value
 
 
 def test_rat_reduces():
@@ -51,42 +43,33 @@ def test_rat_reduces():
         assert p * b == a * q  # cross-multiply equal
 
 
-# UNat stores (value, length); these pin it to the bit-tuple semantics:
-# value, size and display from the bits, equality on the padded bit tuple.
-
-bit_lists = st.lists(st.integers(0, 1), max_size=80)
-
+# UNat is its value: every view of it follows from the int alone.
 
 def ref_display(bits):
     return "".join(str(b) for b in reversed(bits)) or "0"
-
-
-@given(bit_lists)
-def test_unat_from_bits_keeps_padding(bits):
-    x = UNat(bits)
-    assert x.value == sum(b << i for i, b in enumerate(bits))
-    assert len(x) == size(x) == len(bits)
-    assert x.display() == ref_display(bits)
-    assert repr(x) == f"UNat({ref_display(bits)!r})"
-    assert UNat(iter(bits)) == x == UNat(tuple(bits))
 
 
 @given(st.integers(0, 1 << 300))
 def test_unat_from_int_is_minimal(v):
     x = UNat.from_int(v)
     bits = [(v >> i) & 1 for i in range(v.bit_length())]
-    assert (x.value, len(x), str(x)) == (v, v.bit_length(), str(v))
-    assert x == UNat(bits) and hash(x) == hash(UNat(bits))
+    assert (x.value, len(x), size(x), str(x)) == (
+        v, v.bit_length(), len(bits), str(v))
     assert x.display() == ref_display(bits)
+    assert repr(x) == f"UNat({ref_display(bits)!r})"
 
 
-@given(bit_lists, bit_lists)
-def test_unat_equality_is_padded_bit_equality(a, b):
-    x, y = UNat(a), UNat(b)
-    assert (x == y) == (a == b)
-    if x == y:
-        assert hash(x) == hash(y)
-    assert (x == UNat.from_int(x.value)) == (not a or a[-1] == 1)
+@given(st.integers(0, 1 << 300), st.integers(0, 1 << 300))
+def test_unat_views_depend_only_on_the_value(a, b):
+    def views(u):
+        return len(u), u.display(), str(u), hash(u)
+
+    x, y = UNat.from_int(a), UNat.from_int(b)
+    again = UNat.from_int(int(str(a)))  # the same value, a new int
+    assert x == again and views(x) == views(again)
+    assert {x == y, x.display() == y.display(), str(x) == str(y)} == {a == b}
+    with pytest.raises(BitNumError):
+        UNat.from_int(-1 - b)
 
 
 def test_unat_from_int_rejects_negatives_and_non_integers():
@@ -95,8 +78,6 @@ def test_unat_from_int_rejects_negatives_and_non_integers():
     with pytest.raises(TypeError):
         UNat.from_int(2.0)
     assert str(UNat.from_int(True)) == "1"
-    with pytest.raises(BitNumError):
-        UNat((0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -351,5 +332,5 @@ def test_profile_flt_add_paired():
 
 def test_profile_unary_expansion_fails():
     ks = [UNat.from_int(v) for v in [3, 9, 40, 200, 1000, 5000]]
-    pairs = [(size(k), size(UNat((1,) * k.value))) for k in ks]
+    pairs = [(size(k), size(UNat.from_int((1 << k.value) - 1))) for k in ks]
     assert size_factor(pairs, 4)[0] > 8

@@ -309,14 +309,19 @@ TRACE_SHA256 = {
 @pytest.mark.parametrize("name, pred", list(TRACE_SHA256))
 def test_traces_are_pinned(name, pred):
     spec = builtin_spec(name, pred)
-    got = tuple(trace_sha256(run(spec, w)) for w in TRACE_WORDS)
-    assert got == TRACE_SHA256[name, pred]
+    traces = [run(spec, w) for w in TRACE_WORDS]
+    assert tuple(map(trace_sha256, traces)) == TRACE_SHA256[name, pred]
+    assert [t.accept for t in traces] == [recognize(spec, w)
+                                          for w in TRACE_WORDS]
 
 
 def test_trace_pin_hashes_every_field():
-    # a field added to ValueTrace must join the pinned tuple
+    # a field added to ValueTrace must join the pinned tuple; accept is
+    # the classifier's sign on the pinned values, checked against
+    # recognize above
     t = run(builtin_spec("maj"), TRACE_WORDS[2])
-    fields = tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+    fields = tuple(getattr(t, f.name) for f in dataclasses.fields(t)
+                   if f.name != "accept")
     assert trace_sha256(t) == hashlib.sha256(
         repr(fields).encode()).hexdigest()
 

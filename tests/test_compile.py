@@ -31,7 +31,7 @@ from satcirc.builtins import (build_hard_demo, build_majority,
                               build_prime_universal,
                               build_resource_bounded, builtin_spec)
 from satcirc.circuit import (_eval_masks, eval_batch, family_analyze,
-                             metrics)
+                             metrics, to_json)
 from satcirc.cli import main as cli_main
 from satcirc.compile import (CompileError, _Measure, _Wires,
                              _read_paths, _read_view, compile_hard,
@@ -192,6 +192,62 @@ def test_wide_sqrt_is_refused():
     for compile_fn in (compile_saturated, compile_planned):
         with pytest.raises(CompileError, match="lookup cap"):
             compile_fn(build_majority_layernorm(), 4)
+
+
+
+# a square root of a constant reads no live wire, so its table has the
+# one row the constant takes; (head 1 2) averages sqrt(9/4) = 3/2
+SQRT_CONST_TEXT = """
+(transformer
+  (name sqrt-const)
+  (alphabet 0 1)
+  (datatype F)
+  (width 2)
+  (embedding (tup (tok 2) (sqrt 9/4)))
+  (layer
+    (head saturated (sqrt (const 0)))
+    (activation (tup (head 1 1) (head 1 2))))
+  (classifier (w 2 -1) (b 0)))
+"""
+
+# sha256 of (to_json(c, indent=2), repr(sorted(width plan))) of
+# compile_planned(spec, n, include_values)
+SQRT_CONST_SHA256 = {
+    (1, False): (
+        "311e56e6d9bebadd3e093a39c785e1f52ce34e552d42f4efda077713e2559744",
+        "04cb4b1564089a22fc83d1d4dda456e2f987d432ee03dedd379218755b6420c5"),
+    (1, True): (
+        "8df39eb42045d294666e3f001b43022035a6be05f0fb5d6aa9949814284f26b5",
+        "04cb4b1564089a22fc83d1d4dda456e2f987d432ee03dedd379218755b6420c5"),
+    (2, False): (
+        "b053505eea55379326f416af1afe7cbde815f0ae2000949fc1191cb9de10330d",
+        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+    (2, True): (
+        "bb6fb0775ee32828615af5372a456e55bfd983a4f15967e68c96f60565f466ba",
+        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+    (3, False): (
+        "50673399713b9436477fa737d80fb98e6f6cacfbb7bc694ea35c0a6bb35a0a94",
+        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+    (3, True): (
+        "ea5e029a9a8058e94f9fe2b3ac59ef16acfd239f892a0ced4e387d826cda2ce3",
+        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+    (4, False): (
+        "1b8a23fd4957a137c32489b4fae8c9ce4adc5555722b5002f4dd71b31330e948",
+        "e94adcdc242332f285a78b790f2fe3d9f9ab47bfd0f13e1c66a3c9b994e2a97b"),
+    (4, True): (
+        "6c8d8146d4ba05264be731c332157dfe8eb596ad54717ebc86b8364509c100e2",
+        "e94adcdc242332f285a78b790f2fe3d9f9ab47bfd0f13e1c66a3c9b994e2a97b"),
+}
+
+
+@pytest.mark.parametrize("n,values", sorted(SQRT_CONST_SHA256))
+def test_constant_sqrt_operands_are_pinned(n, values):
+    spec = parse_spec(SQRT_CONST_TEXT)
+    c, roles = compile_planned(spec, n, include_values=values)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                (to_json(c, indent=2), repr(sorted(roles.items()))))
+    assert got == SQRT_CONST_SHA256[n, values]
+    assert_matches_machine(spec, c, all_words(spec, n))
 
 
 def test_division_by_live_value_is_refused():
