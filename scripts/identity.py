@@ -26,7 +26,11 @@ from satcirc.circuit import to_json
 from satcirc.compile import compile_planned, default_samples
 from satcirc.machine import instrument_sizes, load_spec, recognize, run
 
-SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+SPEC_FILE = SPECS / "maj_f.sexp"
+# every shipped spec file with a circuit line; more_a_than_b.sexp's
+# saturated head reads the key, so it builds the argmax and 1/|M| gadgets
+CIRCUIT_SPEC_FILES = (SPEC_FILE, SPECS / "more_a_than_b.sexp")
 TRACE_BUILTINS = (("maj", None), ("maj-q", None), ("maj-ln", None),
                   ("hard-demo", None), ("prime-universal", "parity"),
                   ("resource-bounded", "bigram11"))
@@ -61,9 +65,10 @@ def circuit_cases():
             yield name, spec, n, False
             if n <= 6:
                 yield name, spec, n, True
-    spec = load_spec(str(SPEC_FILE))
-    for n in (2, 4, 6):
-        yield SPEC_FILE.name, spec, n, False
+    for path in CIRCUIT_SPEC_FILES:
+        spec = load_spec(str(path))
+        for n in (2, 4, 6):
+            yield path.name, spec, n, False
 
 
 def trace_specs():

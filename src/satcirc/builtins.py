@@ -81,7 +81,8 @@ def build_majority(datatype: str) -> TransformerSpec:
     """Single head attending everywhere; accepts iff #1(w) > #0(w).
 
     The constant scorer ties every position, so the saturated weights
-    are 1/|M| with M = all n positions; the head output is then
+    are 1/|M| with M = all n positions, and the head pools as uniform
+    (HeadSpec.pooling); the head output is then
     (w(n)*#0, w(n)*#1) for the same per-position weight w(n) > 0, and
     the activation compares the two coordinates exactly.
     """

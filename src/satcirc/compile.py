@@ -18,23 +18,26 @@ built once, and its reverse reuses the parts), tie counts from the
 exact-count gadget, pooling from the counting float adder, and the
 1/|M| weighting from the per-divisor reciprocal shifts. Hard heads mux
 the first maximizer's value directly and never spend threshold gates;
-uniform heads never build their scorer.
+uniform heads never build their scorer, and neither does a saturated
+head whose scorer reads no key, which the walk pools as uniform
+(machine.HeadSpec.pooling).
 
 When every non-constant input wire of a whole embedding/scorer/
-activation fits the lookup budget, the expression is instead emitted as
-one truth table.
-The structural form is still built on every call, because it fixes the
-order in which gates are created, and then discarded. The table ranges
-over the r live wires the expression reads: the argument components its
-arg/proj chains reach (any other op reads what its operands read). One
-compile tabulates each table once, keyed by the expression, the shapes
-and constant bits of the read components, the alias pattern over the
-read live wires (so the i = j scorer, which reads one position twice, is
-a different table from i != j) and the result shape, and cross-checks
-its 2^r rows against the structural form with unread live wires tied to
-0. The emitted DNF ranges over all k live wires, each row expanded from
-the r-bit row at m's read bits, so the circuit is the one a 2^k
-tabulation gives.
+activation fits the lookup budget, the expression may instead be
+emitted as one truth table: a DNF over the r live wires it reads (the
+argument components its arg/proj chains reach; any other op reads what
+its operands read), and constants when r = 0. The structural form is
+built first on every call, because it fixes the order in which gates
+are created; the table is kept only when its gates between the
+arguments' wires and the result are fewer than the structural form's,
+and the loser is pruned with the rest of the unused gates. One compile
+tabulates each table once, keyed by the expression, the shapes and
+constant bits of the read components, the alias pattern over the read
+live wires (so the i = j scorer, which reads one position twice, is a
+different table from i != j) and the result shape, and cross-checks its
+2^r rows against the structural form with unread live wires tied to 0.
+A row whose read bits spell an argument exponent above its bound e_max
+is one no value reaches; it is left out of the check and emits 0.
 
 Every compile checks its widths. The walk names each value's role:
 _Wires.role records the structurally propagated (p bits, exponent
@@ -66,8 +69,8 @@ from .bitnum import Flt, flt, flt_sqrt
 from .circuit import Circuit, _eval_masks, eval_batch, metrics
 from .machine import (
     DOMAIN_F, AttentionKind, Domain, FuncExpr, MachineError,
-    TransformerSpec, _walk, eval_expr, forward, is_size_preserving,
-    recognize, shared_tables,
+    TransformerSpec, _read_paths, _walk, eval_expr, forward,
+    is_size_preserving, recognize, shared_tables,
 )
 from .synth import Builder, SynthError, WirePack, clog2
 
@@ -190,12 +193,17 @@ def _pack_const(b: Builder, pack: WirePack):
 
 
 def _dnf_wires(b: Builder, in_wires, rows) -> list[int]:
-    """Truth table over existing wires as two-level AND/OR."""
+    """Truth table over existing wires as two-level AND/OR. A row of
+    None is an assignment that never occurs; a column that is 1 on
+    every row that occurs is the constant 1."""
     outs, minterms = [], {}
-    for t in range(len(rows[0])):
+    for t in range(len(rows[0])):  # row 0, every wire 0, always occurs
+        if all(row is None or row[t] for row in rows):
+            outs.append(b.const(1))
+            continue
         terms = []
         for m, row in enumerate(rows):
-            if row[t]:
+            if row is not None and row[t]:
                 if m not in minterms:  # built on first use: same gate order
                     minterms[m] = b.and_(*[
                         w if (m >> i) & 1 else b.not_(w)
@@ -213,7 +221,7 @@ class _Wires:
     def __init__(self, b: Builder):
         self.b = b
         self.roles: dict = {}  # role name -> (p bits, exponent bound)
-        self._tables: dict = {}  # _expr_auto key -> table rows or None
+        self._tables: dict = {}  # _expr_auto key -> kept table rows or None
 
     def const(self, num: int, den: int) -> WirePack:
         return S.f_const(self.b, DOMAIN_F.from_pair(num, den))
@@ -327,10 +335,12 @@ class _Wires:
     # whole-expression tables ------------------------------------------
 
     def _expr_auto(self, e: FuncExpr, args):
-        """Structural by default; whole-expression truth table when all
-        live input wires fit the lookup budget (cross-checked). The table
-        is tabulated and keyed over only the wires the expression reads,
-        then expanded to every live wire."""
+        """The structural form, or the expression's truth table when all
+        live input wires fit the lookup budget and the table takes fewer
+        gates. Each form is counted from the arguments' wires up to the
+        result (Builder.cone). The table ranges over only the wires the
+        expression reads; it is tabulated, cross-checked and chosen or
+        not once per key."""
         b = self.b
         live = list(dict.fromkeys(_live_uses(b, args)))
         ref = eval_expr(e, args, self)  # always built: gate order
@@ -351,32 +361,42 @@ class _Wires:
             rows = self._table_rows(e, args, ref, read)
             if rows is not None:
                 self._cross_check(e, args, ref, read, rows)
+                # one key, one pair of forms: the choice holds for the key
+                stop = frozenset(_wires_of(args))
+                if (b.gate_count(b.cone(_dnf_wires(b, read, rows), stop))
+                        >= b.gate_count(b.cone(_wires_of(ref), stop))):
+                    rows = None
             self._tables[key] = rows
         rows = self._tables[key]
         if rows is None:
             return ref
-        sel = [0]  # sel[m]: the table row for live assignment m
-        for w in live:
-            bit = 1 << index[w] if w in index else 0
-            sel += [s | bit for s in sel]
-        outs = _dnf_wires(b, live, [rows[s] for s in sel])
-        return _split(outs, ref, lambda ws, r: replace(
+        return _split(_dnf_wires(b, read, rows), ref, lambda ws, r: replace(
             r, wires=tuple(ws), canonical=True))
 
     def _table_rows(self, e, args, ref, read):
         """One row per assignment of the read live wires; every other
-        live wire is tied to 0, which the expression never sees. Only F
-        with no hosts compiles, so the rows are DOMAIN_F's values."""
+        live wire is tied to 0, which the expression never sees. An
+        assignment that spells some argument's exponent above its bound
+        e_max is one no value reaches: its row is None. Only F with no
+        hosts compiles, so the rows are DOMAIN_F's values."""
         b = self.b
         consts = [(w, b.const_value(w)) for pk in _packs(args)
                   for w in pk.wires]
+        exps, at = [], 0  # (first, end, e_max) of each exponent's bits
+        for pk in _packs(args):
+            at += 1 + pk.p_width
+            exps.append((at, at + pk.e_width, pk.e_max))
+            at += pk.e_width
         rows = []
         for m in range(1 << len(read)):
             asn = {w: (m >> t) & 1 for t, w in enumerate(read)}
+            bits = [asn.get(w, 0) if v is None else v for w, v in consts]
+            if any(S.decode_uint(bits[lo:hi]) > e_max
+                   for lo, hi, e_max in exps):
+                rows.append(None)
+                continue
             try:
-                vals = _split([asn.get(w, 0) if v is None else v
-                               for w, v in consts], args)
-                out = eval_expr(e, vals, DOMAIN_F)
+                out = eval_expr(e, _split(bits, args), DOMAIN_F)
                 rows.append(_encode_result(out, ref))
             except (MachineError, SynthError):
                 return None  # not tabulable; keep the structural form
@@ -401,7 +421,7 @@ class _Wires:
         xs = [[(m >> t) & 1 for t in range(len(read))]
               for m in range(len(rows))]
         for m, (got_bits, row) in enumerate(zip(eval_batch(c2, xs), rows)):
-            if _split(got_bits, ref2) != _split(row, ref):
+            if row is not None and _split(got_bits, ref2) != _split(row, ref):
                 raise CompileError(
                     f"structural/lookup cross-check failed for {e.op!r} "
                     f"on assignment {m}")
@@ -417,19 +437,9 @@ def _live_uses(b: Builder, val) -> list[int]:
             if b.const_value(w) is None]
 
 
-def _read_paths(e: FuncExpr, out: set) -> set:
-    """Argument paths the expression can read: an arg/proj chain reads
-    the component it names (all of it), every other op what its
-    operands read."""
-    path, node = (), e
-    while node.op == "proj":
-        path, node = (node.data,) + path, node.args[0]
-    if node.op == "arg":
-        out.add((node.data,) + path)
-    else:
-        for a in e.args:
-            _read_paths(a, out)
-    return out
+def _wires_of(val) -> list[int]:
+    """Every wire of a value's packs, in order."""
+    return [w for pk in _packs(val) for w in pk.wires]
 
 
 def _read_view(val, paths, at=()):
@@ -522,6 +532,7 @@ def compile_planned(spec: TransformerSpec, n: int, *,
         raise CompileError("need n >= 1")
     try:
         c, roles = _build(spec, n, include_values)
+        measured = _Measure(spec, default_samples(spec, n)).roles
     except MachineError as exc:  # an ill-formed expression, as run says it
         raise CompileError(str(exc)) from exc
     if {h.attention for l in spec.layers for h in l.heads} == {
@@ -530,7 +541,7 @@ def compile_planned(spec: TransformerSpec, n: int, *,
         if theta:
             raise CompileError(
                 f"hard compilation emitted {theta} threshold gates")
-    for role, need in _Measure(spec, default_samples(spec, n)).roles.items():
+    for role, need in measured.items():
         have = roles[role]
         if have[0] < need[0] or have[1] < need[1]:
             raise CompileError(

@@ -39,7 +39,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping, Sequence, Union
 
 from .bitnum import (
@@ -512,7 +512,9 @@ def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
           domain: Domain) -> tuple[Scalar, Sequence[int]]:
     """(w, M) for a row of n scores whose maximizer set is ties (unused
     by uniform heads): the head weighs the positions in M by w and every
-    other position by 0."""
+    other position by 0. A saturated row whose scores are all equal has
+    ties = range(n), so saturated and uniform give the same (w, M); this
+    is why forward may pool a key-free saturated head as uniform."""
     if kind is AttentionKind.UNIFORM:
         return domain.reciprocal(n), range(n)
     if kind is AttentionKind.HARD:
@@ -524,10 +526,41 @@ def _pool(kind: AttentionKind, n: int, ties: tuple[int, ...] | None,
 # transformer specs
 
 
+def _read_paths(e: FuncExpr, out: set) -> set:
+    """Argument paths the expression can read: an arg/proj chain reads
+    the component it names (all of it), every other op what its
+    operands read. A scorer reads the key through paths that start
+    with 1."""
+    path, node = (), e
+    while node.op == "proj":
+        path, node = (node.data,) + path, node.args[0]
+    if node.op == "arg":
+        out.add((node.data,) + path)
+    else:
+        for a in e.args:
+            _read_paths(a, out)
+    return out
+
+
 @dataclass(frozen=True)
 class HeadSpec:
+    """One head: the attention kind the spec states and its scorer.
+
+    ``pooling`` is the kind forward pools with, worked out once per
+    head: a saturated head whose scorer never reads the key scores
+    every position of a row alike, so its maximizer set M is every
+    position and it is uniform attention, exactly. Any other head pools
+    as stated."""
+
     attention: AttentionKind
     scorer: FuncExpr
+
+    @cached_property
+    def pooling(self) -> AttentionKind:
+        if self.attention is AttentionKind.SATURATED and not any(
+                p[0] == 1 for p in _read_paths(self.scorer, set())):
+            return AttentionKind.UNIFORM
+        return self.attention
 
 
 @dataclass(frozen=True)
@@ -643,7 +676,10 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
             final_positions=None) -> tuple:
     """(classifier sum, (values, scores, ties, head_out) as in
     ValueTrace) of word over domain, a Domain or any arithmetic with its
-    protocol; a uniform head's scores play no role. evaluate(e, args)
+    protocol. Each head goes to attend as its HeadSpec.pooling kind: a
+    saturated head whose scorer never reads the key pools as uniform,
+    which is exact because its scores tie along every row (see _pool).
+    A uniform head's scores play no role. evaluate(e, args)
     evaluates an expression; onehot(i) is position i's token vector,
     asked for just before its embedding. final_positions, which holds 0,
     limits the last layer's.
@@ -699,14 +735,14 @@ def forward(spec: TransformerSpec, word: Sequence, domain, evaluate: Callable,
 
         heads = []  # (scores, ties, outputs) of each head
         for h, head in enumerate(layer.heads):
-            score_role = (None if head.attention is AttentionKind.UNIFORM
+            score_role = (None if head.pooling is AttentionKind.UNIFORM
                           else f"L{li}.h{h}.score")
             out_roles = [f"L{li}.h{h}.out[{c}]" for c in range(bw)]
             cols = columns[h * bw:(h + 1) * bw]
             rows, ties, outs = [None] * n, [None] * n, [None] * n
             for i in live:
                 rows[i], ties[i], out = domain.attend(
-                    head.attention,
+                    head.pooling,
                     lambda: row(h, head.scorer, i, score_role), cols)
                 outs[i] = tuple(map(role, out_roles, out))
             heads.append((tuple(rows), tuple(ties), tuple(outs)))
@@ -853,7 +889,7 @@ def instrument_sizes(spec: TransformerSpec,
                     key = (li, h)
                     for i in range(n):
                         wt, members = _pool(
-                            spec.layers[li].heads[h].attention, n,
+                            spec.layers[li].heads[h].pooling, n,
                             t.ties[li][h][i], domain)
                         block = range(h * spec.block_width,
                                       (h + 1) * spec.block_width)

@@ -53,8 +53,8 @@ from typing import Sequence
 
 from .bitnum import Flt, UNat
 from .circuit import (
-    AND, CONST, Circuit, Gate, INPUT, NEG_INPUT, NOT, OR, THRESHOLD_GE,
-    THRESHOLD_LE, metrics,
+    AND, CONST, Circuit, Gate, INPUT, LEAF_KINDS, NEG_INPUT, NOT, OR,
+    THRESHOLD_GE, THRESHOLD_LE, metrics,
 )
 
 
@@ -206,17 +206,26 @@ class Builder:
         """a if c else b."""
         return self.or_(self.and_(c, a), self.and_(self.not_(c), b))
 
-    def build(self, outputs: Sequence[int], labels=None) -> Circuit:
-        """Prune to the cone of the outputs and renumber densely."""
-        outputs = tuple(outputs)
+    def cone(self, outputs: Sequence[int], stop=frozenset()) -> set:
+        """The wires the outputs depend on, above the wires in stop."""
         keep = set()
         stack = list(outputs)
         while stack:
             w = stack.pop()
-            if w in keep:
+            if w in keep or w in stop:
                 continue
             keep.add(w)
             stack.extend(_fields(self._gates[w])[0])
+        return keep
+
+    def gate_count(self, wires) -> int:
+        """How many of wires are gates rather than inputs or constants."""
+        return sum(self._gates[w][0] not in LEAF_KINDS for w in wires)
+
+    def build(self, outputs: Sequence[int], labels=None) -> Circuit:
+        """Prune to the cone of the outputs and renumber densely."""
+        outputs = tuple(outputs)
+        keep = self.cone(outputs)
         rename = {}
         gates = []
         for old in sorted(keep):  # creation order is topological

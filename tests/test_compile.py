@@ -33,16 +33,15 @@ from satcirc.builtins import (build_hard_demo, build_majority,
 from satcirc.circuit import (_eval_masks, eval_batch, family_analyze,
                              metrics, to_json)
 from satcirc.cli import main as cli_main
-from satcirc.compile import (CompileError, _Measure, _Wires,
-                             _read_paths, _read_view, compile_hard,
-                             compile_planned, compile_saturated,
-                             default_samples, encode_word,
-                             verify_equivalence)
+from satcirc.compile import (CompileError, _Measure, _Wires, _read_view,
+                             compile_hard, compile_planned,
+                             compile_saturated, default_samples,
+                             encode_word, verify_equivalence)
 from satcirc.machine import (Add, Arg, AttentionKind, Const, Div, Eq,
-                             HeadSpec, LayerSpec, MachineError, Proj, Select,
-                             Sqrt, TransformerSpec, Tup, eval_expr,
-                             instrument_sizes, load_spec, parse_spec,
-                             recognize, run)
+                             HeadSpec, LayerSpec, MachineError, Mul, Proj,
+                             Select, Sqrt, TransformerSpec, Tup, _read_paths,
+                             eval_expr, instrument_sizes, load_spec,
+                             parse_spec, recognize, run)
 from test_builtins import TRACE_WORDS, trace_sha256
 
 
@@ -144,13 +143,21 @@ def test_compile_hard_wants_hard_heads():
 
 
 def test_final_values_emitted_and_correct():
+    # eq-scorer's head with an activation that keeps the pooled pair: a
+    # position's M is the positions holding its token, so the final
+    # values, and the packs that carry them, differ by position
+    spec = eq_scorer_spec()
+    layer = LayerSpec(spec.layers[0].heads,
+                      Tup(Proj(0, Arg(1)), Proj(1, Arg(1))))
+    spec = dataclasses.replace(spec, layers=(layer,))
     w = "0110"
-    c, _ = compile_planned(MAJ, 4, include_values=True)
-    out = eval_batch(c, [encode_word(MAJ, w)])[0]
+    c, _ = compile_planned(spec, 4, include_values=True)
+    out = eval_batch(c, [encode_word(spec, w)])[0]
     by_label = {c.labels[o]: bit for o, bit in zip(c.outputs, out)
                 if o in c.labels}
-    t = run(MAJ, w)
-    checked = 0
+    t = run(spec, w)
+    assert len({t.values[-1][i] for i in range(4)}) == 2
+    checked = set()
     for i in range(4):
         for k, v in enumerate(t.values[-1][i]):
             prefix = f"v{i + 1}[{k}]"
@@ -165,10 +172,59 @@ def test_final_values_emitted_and_correct():
                     src = v.p.value if part[0] == "p" else v.e
                     want = (src >> t_idx) & 1
                 assert bit == want, lab
-                checked += 1
-    # pooled values coincide across positions, so packs share wires and
-    # labels collapse; at least one full pack must survive
-    assert checked >= 4
+                checked.add((i, k))
+    assert checked == {(i, k) for i in range(4) for k in range(2)}
+
+
+# ---------------------------------------------------------------------------
+# key-free saturated heads pool as uniform
+
+
+def test_a_key_free_saturated_head_is_uniform_in_both_walks():
+    """Its scores tie along every row, so M is every position: run keeps
+    the scores and ties, and the pooled values are uniform's."""
+    spec = load_spec(str(SPEC_FILE))  # (head saturated (const 0))
+    head = spec.layers[0].heads[0]
+    assert head.attention is AttentionKind.SATURATED
+    assert head.pooling is AttentionKind.UNIFORM
+    uniform = dataclasses.replace(spec, layers=(LayerSpec(
+        (HeadSpec(AttentionKind.UNIFORM, head.scorer),),
+        spec.layers[0].activation),))
+    for w in ("0110", "111", "0"):
+        t = run(spec, w)
+        assert t.ties[0][0] == (tuple(range(len(w))),) * len(w)
+        assert t.values == run(uniform, w).values
+    for n in (1, 4):
+        assert compile_planned(spec, n) == compile_planned(uniform, n)
+
+
+def test_only_a_key_reading_saturated_head_builds_the_argmax(monkeypatch):
+    """maj and maj_f pool as uniform and build neither the maximizer
+    flags nor the 1/|M| divider; the shipped key-reading spec builds
+    both, once per query position."""
+    calls = []
+    for name in ("f_maximizers", "f_div_by_indicators"):
+        monkeypatch.setattr(S, name, lambda *a, real=getattr(S, name),
+                            name=name: calls.append(name) or real(*a))
+    for spec in (MAJ, load_spec(str(SPEC_FILE))):
+        compile_planned(spec, 4)
+    assert calls == []
+    compile_planned(load_spec(str(AB_FILE)), 4)
+    # one maximizer set per query, one divider per pooled component
+    assert sorted(calls) == ["f_div_by_indicators"] * 8 + ["f_maximizers"] * 4
+
+
+def test_the_key_reading_spec_decides_its_predicate():
+    """specs/more_a_than_b.sexp is #a > #b on every word of up to 8
+    tokens, in the machine and in its circuit. The 1/|M| weight F rounds
+    is shared by both pooled components, so it cannot flip a verdict."""
+    spec = load_spec(str(AB_FILE))
+    ns = range(1, 9)
+    for n in ns:
+        for w in all_words(spec, n):
+            assert recognize(spec, w) == (w.count("a") > w.count("b")), w
+    rep = verify_equivalence(spec, ns)
+    assert rep.ok and [r.tested for r in rep.rows] == [3 ** n for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +270,29 @@ SQRT_CONST_TEXT = """
 # compile_planned(spec, n, include_values)
 SQRT_CONST_SHA256 = {
     (1, False): (
-        "311e56e6d9bebadd3e093a39c785e1f52ce34e552d42f4efda077713e2559744",
-        "04cb4b1564089a22fc83d1d4dda456e2f987d432ee03dedd379218755b6420c5"),
+        "1303b049dd016f6b673e371fec89606fbb609a1037587a11780fd9173614b392",
+        "990646573b483c572252b87517fffd4b75a640ae2c4de3f150b3acc8fadf2885"),
     (1, True): (
-        "8df39eb42045d294666e3f001b43022035a6be05f0fb5d6aa9949814284f26b5",
-        "04cb4b1564089a22fc83d1d4dda456e2f987d432ee03dedd379218755b6420c5"),
+        "d699ed7c549b944921cd4e4e21aaf56213520f5e92ddbb5a586f8501cebfdb54",
+        "990646573b483c572252b87517fffd4b75a640ae2c4de3f150b3acc8fadf2885"),
     (2, False): (
-        "b053505eea55379326f416af1afe7cbde815f0ae2000949fc1191cb9de10330d",
-        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+        "e29d2b772f6e60f6b5bed64b3823ce7ce719ec7e267c2c8b0080f9a0281dc0d0",
+        "71ebdc58f535c18b274e68bb3aa07a4b8b5e2aaef9d2623ed01529f2822277dd"),
     (2, True): (
-        "bb6fb0775ee32828615af5372a456e55bfd983a4f15967e68c96f60565f466ba",
-        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+        "6cd1253dd05a9a6aa21233aacac1758729abf5c507a839bb2bffacdf5e525bae",
+        "71ebdc58f535c18b274e68bb3aa07a4b8b5e2aaef9d2623ed01529f2822277dd"),
     (3, False): (
-        "50673399713b9436477fa737d80fb98e6f6cacfbb7bc694ea35c0a6bb35a0a94",
-        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+        "ab7b353d20cfe2a1a4f5a1ee473a1dbc8ad5e1219406148925dc27358f6601d0",
+        "24c3bdfbeddf19762fd70a5d20b16886c71153b05898916d61e757d8a4755799"),
     (3, True): (
-        "ea5e029a9a8058e94f9fe2b3ac59ef16acfd239f892a0ced4e387d826cda2ce3",
-        "009dca964f22fcda16ea351a71350d294ea0e89f0cd5325b5ae6a4a409478db6"),
+        "4cc59fb9feebd301a8dd0698fb421aa03295550cf4f2b7f9695eef5caac89f29",
+        "24c3bdfbeddf19762fd70a5d20b16886c71153b05898916d61e757d8a4755799"),
     (4, False): (
-        "1b8a23fd4957a137c32489b4fae8c9ce4adc5555722b5002f4dd71b31330e948",
-        "e94adcdc242332f285a78b790f2fe3d9f9ab47bfd0f13e1c66a3c9b994e2a97b"),
+        "4df4dfcb8075b5af6876349ddf35e99d5ae261eb557478beba1b6f6dcb15abe9",
+        "dfa5e190e315c8a8357a53b8ce156880410d7a901346ce0048c1ed027d3336d0"),
     (4, True): (
-        "6c8d8146d4ba05264be731c332157dfe8eb596ad54717ebc86b8364509c100e2",
-        "e94adcdc242332f285a78b790f2fe3d9f9ab47bfd0f13e1c66a3c9b994e2a97b"),
+        "37294358dac6ac7579ebb4553e89ef2ff384c7f7013a3f68e1d0ccba844c09a2",
+        "dfa5e190e315c8a8357a53b8ce156880410d7a901346ce0048c1ed027d3336d0"),
 }
 
 
@@ -308,14 +364,26 @@ def test_a_scorer_reading_both_positions_gets_one_table_per_alias(
     assert_matches_machine(spec, c, all_words(spec, 4))
 
 
+def query_hard_spec():
+    """hard-demo whose hard head scores 3 times the query's token bit:
+    a scorer that reads no key is still compiled for a hard head, and
+    it reads one wire, so all n^2 calls share one table."""
+    spec = build_hard_demo()
+    layer = LayerSpec((HeadSpec(AttentionKind.HARD,
+                                Mul(Proj(0, Arg(0)), Const(3))),),
+                      spec.layers[0].activation)
+    return dataclasses.replace(spec, layers=(layer,), name="query-hard")
+
+
 def test_every_scorer_alias_pattern_is_cross_checked(monkeypatch):
-    """A wrong row is caught in any table maj's scorer gets (it reads
-    nothing, so all n^2 calls share one) and in either alias table of a
+    """A wrong row is caught in the table a compiled key-free scorer
+    gets (all n^2 calls share one) and in either alias table of a
     scorer that reads both positions."""
-    maj_scorer = MAJ.layers[0].heads[0].scorer
+    hard = query_hard_spec()
+    query_scorer = hard.layers[0].heads[0].scorer
     spec = eq_scorer_spec()
     eq_scorer = spec.layers[0].heads[0].scorer
-    cases = [(MAJ, lambda e, args: e is maj_scorer)] + [
+    cases = [(hard, lambda e, args: e is query_scorer)] + [
         (spec, lambda e, args, aliased=aliased:
             e is eq_scorer and (args[0] is args[1]) == aliased)
         for aliased in (True, False)]
@@ -327,11 +395,12 @@ def test_every_scorer_alias_pattern_is_cross_checked(monkeypatch):
 
 
 @pytest.mark.parametrize("builtin,n,tables", [("hard-demo", 16, 18),
-                                              ("maj", 16, 2)])
+                                              ("maj", 16, 1)])
 def test_table_count_is_pinned(monkeypatch, builtin, n, tables):
     """One table per distinct read key: hard-demo's embedding reads the
     position constant (n tables), its scorer and activation one each;
-    maj's constant scorer reads nothing, so all n^2 calls share one."""
+    maj's head pools as uniform and compiles no scorer, and only its
+    embedding fits the lookup budget."""
     calls = _counting(monkeypatch)
     compile_planned(builtin_spec(builtin), n)
     assert len(calls) == tables
@@ -359,20 +428,27 @@ def test_read_view_hides_only_unreachable_components():
 
 def _full_table(spec, e, args, const_value, ref):
     """Tabulate e over every live wire of args, independently of the
-    compiler's read set: (live wires, one row per assignment)."""
+    compiler's read set: (live wires, one row per assignment, None where
+    an argument's exponent bits spell more than its e_max)."""
     live = list(dict.fromkeys(w for pk in C._packs(args) for w in pk.wires
                               if const_value(w) is None))
     rows = []
     for m in range(1 << len(live)):
         bit = {w: (m >> t) & 1 for t, w in enumerate(live)}
 
+        def bits(v):
+            return [bit[w] if const_value(w) is None else const_value(w)
+                    for w in v.wires]
+
         def dec(v):
             if isinstance(v, tuple):
                 return tuple(dec(x) for x in v)
-            bits = [bit[w] if const_value(w) is None else const_value(w)
-                    for w in v.wires]
-            return S.decode_flt(bits, v.p_width, v.e_width)
+            return S.decode_flt(bits(v), v.p_width, v.e_width)
 
+        if any(S.decode_uint(bits(v)[1 + v.p_width:]) > v.e_max
+               for v in C._packs(args)):
+            rows.append(None)
+            continue
         row = []
 
         def enc(v, r):
@@ -389,28 +465,19 @@ def _full_table(spec, e, args, const_value, ref):
     return live, rows
 
 
-def _emitted_tables(monkeypatch):
-    """Every expression emitted as a table: (e, args, const_value,
-    table inputs, table rows, emitted value)."""
-    seen, dnf_calls = [], []
-    real_dnf, real_auto = C._dnf_wires, _Wires._expr_auto
+def _built_tables(monkeypatch):
+    """Every table the compiler tabulates, kept or not: (e, args,
+    const_value, read wires, rows, structural value)."""
+    seen = []
+    real = _Wires._table_rows
 
-    def dnf(b, in_wires, rows):
-        outs = real_dnf(b, in_wires, rows)
-        dnf_calls.append((list(in_wires), rows, outs))
-        return outs
+    def rows_of(self, e, args, ref, read):
+        rows = real(self, e, args, ref, read)
+        if rows is not None:
+            seen.append((e, args, self.b.const_value, list(read), rows, ref))
+        return rows
 
-    def auto(self, e, args):
-        before = len(dnf_calls)
-        val = real_auto(self, e, args)
-        if len(dnf_calls) > before and dnf_calls[-1][2] == [
-                w for pk in C._packs(val) for w in pk.wires]:
-            seen.append((e, args, self.b.const_value, *dnf_calls[-1][:2],
-                         val))
-        return val
-
-    monkeypatch.setattr(C, "_dnf_wires", dnf)
-    monkeypatch.setattr(_Wires, "_expr_auto", auto)
+    monkeypatch.setattr(_Wires, "_table_rows", rows_of)
     return seen
 
 
@@ -433,9 +500,11 @@ def test_read_constants_are_keyed():
 
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "specs" / "maj_f.sexp"
+AB_FILE = SPEC_FILE.with_name("more_a_than_b.sexp")
 TABLE_SPECS = {  # name -> (spec, largest n)
     "maj": (lambda: MAJ, 6), "hard-demo": (build_hard_demo, 6),
     "maj_f.sexp": (lambda: load_spec(str(SPEC_FILE)), 6),
+    "more_a_than_b.sexp": (lambda: load_spec(str(AB_FILE)), 4),
     "two-layer": (two_layer_spec, 4), "uniform": (uniform_spec, 4),
     "sqrt": (sqrt_spec, 4), "eq-scorer": (eq_scorer_spec, 4),
     "pos-eq": (pos_eq_spec, 4)}
@@ -443,8 +512,8 @@ TABLE_SPECS = {  # name -> (spec, largest n)
 
 @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
 def test_expanded_tables_equal_full_tabulation(monkeypatch, name):
-    """A table tabulated over the read wires and expanded to every live
-    wire has the rows a tabulation over every live wire gives."""
+    """A table tabulated over the read wires, expanded to every live
+    wire, has the rows a tabulation over every live wire gives."""
     build, n_max = TABLE_SPECS[name]
     spec = build()
 
@@ -453,16 +522,41 @@ def test_expanded_tables_equal_full_tabulation(monkeypatch, name):
             return tuple(sig(x) for x in v)
         return v.wires, v.p_width, v.e_width, v.e_max
 
+    tables = 0
     for n in range(1, n_max + 1):
-        seen = _emitted_tables(monkeypatch)
+        seen = _built_tables(monkeypatch)
         compile_saturated(spec, n)
-        assert seen
+        tables += len(seen)
         full = {}
-        for e, args, const_value, in_wires, rows, val in seen:
-            key = (e, sig(args), sig(val))
+        for e, args, const_value, read, rows, ref in seen:
+            key = (e, sig(args), sig(ref))
             if key not in full:
-                full[key] = _full_table(spec, e, args, const_value, val)
-            assert (in_wires, rows) == full[key], (n, e)
+                full[key] = _full_table(spec, e, args, const_value, ref)
+            live, full_rows = full[key]
+            at = [live.index(w) for w in read]
+            for m, row in enumerate(full_rows):
+                if row is not None:
+                    assert rows[sum(((m >> t) & 1) << i
+                                    for i, t in enumerate(at))] == row, (n, e)
+    assert tables
+
+
+def test_a_kept_table_never_makes_a_circuit_larger(monkeypatch):
+    """Each spec is no larger than its all-structural circuit (no table
+    budget), and some spec is smaller: a table is kept only where it
+    takes fewer gates than the structural form."""
+    smaller = set()
+    for name, (build, n_max) in sorted(TABLE_SPECS.items()):
+        spec = build()
+        for n in range(1, n_max + 1):
+            size = metrics(compile_saturated(spec, n)).size
+            with monkeypatch.context() as mp:
+                mp.setattr(C, "EXPR_LOOKUP_BITS", 0)
+                plain = metrics(compile_saturated(spec, n)).size
+            assert size <= plain, (name, n)
+            if size < plain:
+                smaller.add(name)
+    assert {"eq-scorer", "pos-eq"} <= smaller
 
 
 def test_encode_word_rejects_unknown_tokens():
@@ -514,13 +608,12 @@ def test_analytic_plan_covers_every_measured_role():
 
 
 MAJ_ROLES = {"L0.act[0]": (1, 0), "L0.act[1]": (1, 0),
-             "L0.h0.out[0]": (6, 3), "L0.h0.out[1]": (6, 3),
-             "L0.h0.score": (1, 0), "classifier": (5, 1),
-             "embed[0]": (1, 0), "embed[1]": (1, 0)}
+             "L0.h0.out[0]": (5, 3), "L0.h0.out[1]": (5, 3),
+             "classifier": (5, 1), "embed[0]": (1, 0), "embed[1]": (1, 0)}
 MAJ_MEASURED = {"L0.act[0]": (1, 0), "L0.act[1]": (0, 0),
                 "L0.h0.out[0]": (3, 3), "L0.h0.out[1]": (3, 3),
-                "L0.h0.score": (1, 0), "classifier": (1, 1),
-                "embed[0]": (1, 0), "embed[1]": (1, 0)}
+                "classifier": (1, 1), "embed[0]": (1, 0),
+                "embed[1]": (1, 0)}
 MAJ_PLANS = {  # n -> (samples, measured)
     5: (("00000", "01001", "01010", "11011", "11110", "11111"),
         MAJ_MEASURED),
@@ -546,26 +639,32 @@ SPEC_ROLES = {  # (name, n) -> compile_planned(...)[1]
         "L0.act[0]": (1, 0), "L0.act[1]": (3, 0), "L0.h0.out[0]": (1, 0),
         "L0.h0.out[1]": (3, 0), "L0.h0.score": (1, 0), "classifier": (8, 1),
         "embed[0]": (1, 0), "embed[1]": (3, 0)},
-    ("maj_f.sexp", 3): {
-        "L0.act[0]": (5, 2), "L0.act[1]": (5, 2), "L0.h0.out[0]": (5, 2),
-        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "classifier": (11, 2),
-        "embed[0]": (1, 0), "embed[1]": (1, 0)},
+    ("maj_f.sexp", 3): {  # a key-free saturated head: no score role
+        "L0.act[0]": (4, 2), "L0.act[1]": (4, 2), "L0.h0.out[0]": (4, 2),
+        "L0.h0.out[1]": (4, 2), "classifier": (10, 2), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
     ("maj_f.sexp", 4): {
         "L0.act[0]": (6, 3), "L0.act[1]": (6, 3), "L0.h0.out[0]": (6, 3),
-        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "classifier": (13, 3),
+        "L0.h0.out[1]": (6, 3), "classifier": (13, 3), "embed[0]": (1, 0),
+        "embed[1]": (1, 0)},
+    ("more_a_than_b.sexp", 3): {
+        "L0.act[0]": (5, 2), "L0.act[1]": (5, 2), "L0.h0.out[0]": (5, 2),
+        "L0.h0.out[1]": (5, 2), "L0.h0.score": (4, 0), "classifier": (10, 2),
+        "embed[0]": (1, 0), "embed[1]": (1, 0)},
+    ("more_a_than_b.sexp", 4): {
+        "L0.act[0]": (6, 3), "L0.act[1]": (6, 3), "L0.h0.out[0]": (6, 3),
+        "L0.h0.out[1]": (6, 3), "L0.h0.score": (4, 0), "classifier": (12, 3),
         "embed[0]": (1, 0), "embed[1]": (1, 0)},
     ("two-layer", 3): {
-        "L0.act[0]": (5, 2), "L0.act[1]": (1, 0), "L0.h0.out[0]": (5, 2),
-        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "L1.act[0]": (18, 4),
-        "L1.act[1]": (1, 0), "L1.h0.out[0]": (11, 4), "L1.h0.out[1]": (5, 2),
-        "L1.h0.score": (1, 0), "classifier": (25, 4), "embed[0]": (1, 0),
-        "embed[1]": (1, 0)},
+        "L0.act[0]": (4, 2), "L0.act[1]": (1, 0), "L0.h0.out[0]": (4, 2),
+        "L0.h0.out[1]": (4, 2), "L1.act[0]": (17, 4), "L1.act[1]": (1, 0),
+        "L1.h0.out[0]": (10, 4), "L1.h0.out[1]": (5, 2), "L1.h0.score": (1, 0),
+        "classifier": (24, 4), "embed[0]": (1, 0), "embed[1]": (1, 0)},
     ("two-layer", 4): {
         "L0.act[0]": (6, 3), "L0.act[1]": (1, 0), "L0.h0.out[0]": (6, 3),
-        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "L1.act[0]": (23, 6),
-        "L1.act[1]": (1, 0), "L1.h0.out[0]": (14, 6), "L1.h0.out[1]": (6, 3),
-        "L1.h0.score": (1, 0), "classifier": (32, 6), "embed[0]": (1, 0),
-        "embed[1]": (1, 0)},
+        "L0.h0.out[1]": (6, 3), "L1.act[0]": (23, 6), "L1.act[1]": (1, 0),
+        "L1.h0.out[0]": (14, 6), "L1.h0.out[1]": (6, 3), "L1.h0.score": (1, 0),
+        "classifier": (32, 6), "embed[0]": (1, 0), "embed[1]": (1, 0)},
     ("uniform", 3): {  # a uniform head's scores play no role
         "L0.act[0]": (4, 2), "L0.act[1]": (1, 0), "L0.h0.out[0]": (4, 2),
         "L0.h0.out[1]": (4, 2), "classifier": (9, 2), "embed[0]": (1, 0),
@@ -575,13 +674,13 @@ SPEC_ROLES = {  # (name, n) -> compile_planned(...)[1]
         "L0.h0.out[1]": (6, 3), "classifier": (12, 3), "embed[0]": (1, 0),
         "embed[1]": (1, 0)},
     ("sqrt", 3): {
-        "L0.act[0]": (2, 0), "L0.act[1]": (1, 0), "L0.h0.out[0]": (7, 2),
-        "L0.h0.out[1]": (5, 2), "L0.h0.score": (1, 0), "classifier": (6, 1),
-        "embed[0]": (3, 0), "embed[1]": (1, 0)},
+        "L0.act[0]": (2, 0), "L0.act[1]": (1, 0), "L0.h0.out[0]": (6, 2),
+        "L0.h0.out[1]": (4, 2), "classifier": (6, 1), "embed[0]": (3, 0),
+        "embed[1]": (1, 0)},
     ("sqrt", 4): {
         "L0.act[0]": (2, 0), "L0.act[1]": (1, 0), "L0.h0.out[0]": (8, 3),
-        "L0.h0.out[1]": (6, 3), "L0.h0.score": (1, 0), "classifier": (6, 1),
-        "embed[0]": (3, 0), "embed[1]": (1, 0)},
+        "L0.h0.out[1]": (6, 3), "classifier": (6, 1), "embed[0]": (3, 0),
+        "embed[1]": (1, 0)},
 }
 
 
@@ -591,7 +690,8 @@ def test_spec_width_plans_are_pinned(name, n):
 
 
 @pytest.mark.parametrize("name", ["maj", "hard-demo", "maj_f.sexp",
-                                  "two-layer", "uniform", "sqrt"])
+                                  "more_a_than_b.sexp", "two-layer",
+                                  "uniform", "sqrt"])
 def test_the_sample_traces_measure_every_recorded_role(name):
     spec = TABLE_SPECS[name][0]()
     for n in (1, 3, 4):
@@ -636,12 +736,12 @@ def test_a_trace_wider_than_its_analytic_width_is_refused(
     role = C._Measure.role
 
     def wider(self, name, x):
-        if name == "L0.h0.out[0]":  # the build records p6/e3
+        if name == "L0.h0.out[0]":  # the build records p5/e3 (p6 at n=4)
             C._widen(self.roles, name, 7, 3)
         return role(self, name, x)
 
     monkeypatch.setattr(C._Measure, "role", wider)
-    why = ("analytic width for L0.h0.out[0] is p6/e3 but a sample trace "
+    why = ("analytic width for L0.h0.out[0] is p5/e3 but a sample trace "
            "reached p7/e3")
     for compile_fn in (compile_planned, compile_saturated):
         with pytest.raises(CompileError, match=re.escape(why)):
@@ -649,13 +749,15 @@ def test_a_trace_wider_than_its_analytic_width_is_refused(
     with pytest.raises(CompileError, match="hard heads only"):
         compile_hard(MAJ, 5)  # maj's head is saturated: refused first
     with pytest.raises(CompileError, match=re.escape(why.replace(
-            "p6/e3 but", "p1/e0 but"))):  # the hard head muxes a 0/1 bit
+            "p5/e3 but", "p1/e0 but"))):  # the hard head muxes a 0/1 bit
         compile_hard(build_hard_demo(), 5)
-    for argv in (["compile", "--n", "5"], ["verify", "--n", "5"],
-                 ["complexity", "--n-list", "4,5,6"]):
+    for argv, have in ((["compile", "--n", "5"], "p5"),
+                       (["verify", "--n", "5"], "p5"),
+                       (["complexity", "--n-list", "4,5,6"], "p6")):
         assert cli_main(argv + ["--builtin", "maj",
                                 "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {why}\n"
+        want = why.replace("p5/e3 but", f"{have}/e3 but")
+        assert capsys.readouterr().err == f"error: {want}\n"
         assert not list(tmp_path.iterdir())
 
 
@@ -1156,32 +1258,32 @@ def test_importing_the_cli_does_not_load_multiprocessing():
 # sha256 of the CLI's (circuit JSON, manifest) for the specs above
 SPEC_PINNED = {
     ("two-layer", 2): (
-        "e93cd32efdfaa1cf83de00ea7638187f5f1cbce04805a6da15bfbe898d8aa6c7",
-        "44bd4d5e4339f12123e8c22909c0cb1a35f291b6c35be3ad9998115dcf0687ce"),
+        "6b3ee1cfc66482724f0aa5bb05be0a99d35545203cdf7c940a63d96f8f795ecb",
+        "5f423e5e9cfd6f80c1f509a29a7982681321a22a22b640492eec1342a54a5950"),
     ("two-layer", 3): (
-        "90f6a44b614465fa63877b51228f49952435ae3f7de628ee80d2b06d7fb54a01",
-        "53e563157e42d1d0f005b0eb54ae3143e02d56a0b146684e27661bd0807bd634"),
+        "47e65363330607869d78b30f50c31906b76b694a1bb6708e9473903acb81d17e",
+        "eb3fe949cd8c2d30220e934e2be9ee742ba96a15c6fc3dd3c883e541f5c7b3a1"),
     ("two-layer", 4): (
-        "b15cf291e5053023140f29a3a5cf1d8e4018286ae74ea14d8cc3dc592e37b262",
-        "4c8bf28edb880f6124bd9695225fdece02aaec2febb7a3ac2dd436b9872c6848"),
+        "7beaaee89a0ad97e86bbf0b4d7886733b2a5686ff87b7e4baf1be8e63dfec290",
+        "02b943d311ef2c3814416da14ee3f9cd8614560dd8bcfe8567d5852f96b5a537"),
     ("uniform", 2): (
-        "a0749d73cee321281770d9a72673e8d49e54abc8c3d42c31e006ff8d4e50591e",
-        "b393378b07ba9bc37d5f91e208aa86d3c1112aa904160cdf37596ecc6f4a1a14"),
+        "07b35e423ec4ed03f507d92b45b3f2867b55376a3f5fcf3189f85dc287f95541",
+        "5f90b5c843071115653f4fa1efd488f206183ad0f77a549e166d7897a358da1f"),
     ("uniform", 3): (
-        "3e465ff9464e98590f21ed688a5b6583e98b5ef0789a715b0bd20e5fcca9226e",
-        "25f03e0363e0cfb3e503c27ea8f7175dd5203966138a9c26111fc06e7c0dbb31"),
+        "57d5a81f038c7998ffc883aafe0c78bee517d29efe2d35e8393a2df6db834a4b",
+        "6e7832023b708af551a9649bebe94546d979f2f0bef6887ebaeb2fef8743cc81"),
     ("uniform", 4): (
-        "512d473664d846e2ab8fc10e3102bd66dcdd101a93c69b1473dae58d9279b3b4",
-        "8e79142822581de057eafaf1eb2ccd2daa94991fd5c484f437ada08486d2643d"),
+        "50d846981d93f93dd4488e28154e751d851a1b6e0aaf5ceeccc2e31bff63aba9",
+        "d9e2406b4a9c1c4ead87205938740ed3410407766a477bd8455cf999a57dc1b4"),
     ("sqrt", 2): (
-        "d2377987835d34bc91db33f539e37484853a05c4f8990e873f2fc15fcb738626",
-        "a1c8c32576cfc796236ca92e152026c55f8046018858810a49d33f68c74cfed5"),
+        "92de5e66e431cde0f8e4da0ce803253e184d377f8edceaf79ed48a8e5f9995cc",
+        "b240de8338038ac1e7c497db14c46c42497e8198e9893beca1bb31196ba3d8f0"),
     ("sqrt", 3): (
-        "71a3876688e9ff80aaef86d7de008487d2bcbd2d8f8991c68acd7071c945e54d",
-        "74cbdc02e6836d01c2b29f7eb2c477fb28db77bd6c00f881f0da4d6eac219161"),
+        "36041ad28f67810e92a4701318274e11a07f51bb22f336999db8d7acc7d10ff9",
+        "66a2803090a668f795762aa746af59d0ee4a81b2f29a4f4974d21b47482ffeae"),
     ("sqrt", 4): (
-        "caa844a78e2f0a2c76ef61e3939925ab3d84011bf92a1e7dca070b2fbfdc5761",
-        "a961e3d52295722681e7e9e0886d999a3089bd3d6d942de00d9a2c64c44e1cb4"),
+        "b63f0845273aba44a6244e11ca666d0be47b93a3b5f57008f3a381ade9a4d6ef",
+        "86cf4c3c719161d0ad9f5e52a6fd058b9cbc2167fd40d1dac527dae0d70dd649"),
 }
 
 

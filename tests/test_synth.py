@@ -337,13 +337,25 @@ def table_rows(c_in):
 
 def test_dnf_wires_fixed_table():
     # two data columns and two constant ones: the all-0 column has no
-    # minterm and folds to a CONST leaf, the all-1 column ORs all eight
+    # minterm and the all-1 column is the constant 1, both CONST leaves
     xs = table_rows(3)
     table = [(x[0] ^ x[2], x[1] & x[0], 0, 1) for x in xs]
     c = dnf(3, table)
     dm = depth_map(c)
-    assert [dm[o] for o in c.outputs] == [2, 2, 0, 2]
+    assert [dm[o] for o in c.outputs] == [2, 2, 0, 0]
     assert eval_batch(c, xs) == table
+
+
+def test_dnf_wires_rows_that_never_occur_emit_zero_or_fold():
+    # row 5 never occurs: the data column emits 0 there, so its one
+    # minterm left is row 7's AND, and the column that is 1 on every
+    # other row is still the constant 1
+    xs = table_rows(3)
+    table = [(x[0] & x[2], 1) for x in xs]
+    c = dnf(3, table[:5] + [None] + table[6:])
+    assert [metrics(c).size, depth_map(c)[c.outputs[1]]] == [1, 0]
+    got = eval_batch(c, xs)
+    assert got[5] == (0, 1) and got[:5] + got[6:] == table[:5] + table[6:]
 
 
 def test_dnf_wires_random_tables_depth_and_size():
